@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"mainline/internal/catalog"
+	"mainline/internal/core"
+	"mainline/internal/storage"
 	"mainline/internal/txn"
 )
 
@@ -294,6 +296,13 @@ func (a Admin) TxnManager() *txn.Manager { return a.eng.mgr }
 
 // Catalog returns the table registry (export servers, loaders).
 func (a Admin) Catalog() *catalog.Catalog { return a.eng.cat }
+
+// ScanArgs resolves a column list (nil = all) and predicate against t into
+// the projection and compiled predicate the catalog's snapshot producer
+// takes — the filtered DoGet's path onto it.
+func (a Admin) ScanArgs(t *Table, cols []string, pred *Pred) (*storage.Projection, *core.Predicate, error) {
+	return t.scanArgs(cols, pred)
+}
 
 // SetServerStats registers (or, with nil, detaches) the serving layer's
 // counter snapshot; Stats().Server reports it with Enabled set. At most

@@ -11,6 +11,7 @@ import (
 
 	"mainline"
 	"mainline/internal/bench"
+	"mainline/internal/raceflag"
 	"mainline/internal/workload/tpcc"
 )
 
@@ -155,7 +156,9 @@ func TestCommitPipelineScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-dependent scaling probe")
 	}
-	if raceEnabled {
+	// Instrumentation overhead makes a small host CPU-bound long before
+	// the emulated sync latency matters.
+	if raceflag.Enabled {
 		t.Skip("race-detector overhead makes the sweep CPU-bound")
 	}
 	cfg := bench.DefaultGroupCommitConfig()

@@ -181,7 +181,7 @@ func main() {
 		// than deleting it.
 		lm.FlushOnce()
 		t1 := time.Now()
-		info, err := checkpoint.Take(nil, ckptDir, cat, mgr)
+		info, _, err := checkpoint.Take(nil, ckptDir, cat, mgr, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

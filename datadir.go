@@ -90,7 +90,7 @@ func (e *Engine) checkpointLocked() (CheckpointInfo, error) {
 	if e.tier != nil && e.manifest != nil {
 		store = e.tier.Store()
 	}
-	info, chunks, err := checkpoint.TakeTiered(e.fsys, e.ckptDir(), e.cat, e.mgr, e.obs.ckptTable, store)
+	info, chunks, err := checkpoint.Take(e.fsys, e.ckptDir(), e.cat, e.mgr, e.obs.ckptTable, store)
 	if err != nil {
 		e.ckptFailed.Add(1)
 		return CheckpointInfo{}, err

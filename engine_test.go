@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"mainline/internal/arrow"
 	"mainline/internal/storage"
@@ -173,6 +174,80 @@ func TestEngineExportHotMaterializes(t *testing.T) {
 	}
 	if tab.NumRows() != 50 {
 		t.Fatalf("rows = %d", tab.NumRows())
+	}
+}
+
+// TestEngineExportZeroCopySnapshotHolds pins the export snapshot: a
+// zero-copy batch aliases frozen block memory, so a concurrent writer
+// thawing that block must wait until the consumer is done with the batch
+// — the batch keeps reading the exported value, never the writer's.
+func TestEngineExportZeroCopySnapshotHolds(t *testing.T) {
+	eng := openEngine(t)
+	tbl, _ := eng.CreateTable("item", itemSchema())
+	slots := loadItems(t, eng, tbl, 100)
+	if !eng.FreezeAll(100) {
+		t.Fatal("freeze failed")
+	}
+	block := eng.Admin().Catalog().Table("item").Blocks()[0]
+
+	txA := begin(t, eng)
+	updated := make(chan error, 1)
+	seen := 0
+	_, _, err := tbl.ExportBatches(txA, func(rb *RecordBatch, zeroCopy bool) error {
+		if !zeroCopy {
+			t.Fatal("frozen block exported by copy")
+		}
+		ids, price := rb.Column("id"), rb.Column("price")
+		row := -1
+		for i := 0; i < rb.NumRows; i++ {
+			if ids.Int64(i) == 0 {
+				row = i
+			}
+		}
+		if row < 0 {
+			return nil
+		}
+		seen++
+		if got := price.Int64(row); got != 0 {
+			t.Fatalf("exported price = %d, want 0", got)
+		}
+		go func() {
+			updated <- eng.Update(func(txB *Txn) error {
+				u, _ := tbl.NewRowFor("price")
+				u.SetInt64(0, 999999)
+				return tbl.Update(txB, slots[0], u)
+			})
+		}()
+		// The writer flips the block to Thawing and then waits for this
+		// reader to leave; until then the batch must keep its snapshot.
+		for deadline := time.Now().Add(5 * time.Second); block.State() != storage.StateThawing; {
+			if time.Now().After(deadline) {
+				t.Fatalf("writer never reached the block (state %s)", block.State())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if got := price.Int64(row); got != 0 {
+			t.Fatalf("zero-copy batch changed under a concurrent update: price = %d, want 0", got)
+		}
+		return nil
+	})
+	commit(t, txA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != 1 {
+		t.Fatalf("row 0 exported %d times", seen)
+	}
+	if err := <-updated; err != nil {
+		t.Fatal(err)
+	}
+	txC := begin(t, eng)
+	out, _ := tbl.NewRowFor("price")
+	found, _ := tbl.Select(txC, slots[0], out)
+	commit(t, txC)
+	if !found || out.Int64("price") != 999999 {
+		t.Fatalf("update lost: price = %d", out.Int64("price"))
 	}
 }
 

@@ -69,32 +69,32 @@ func main() {
 	fmt.Printf("after cooldown, block states [hot cooling freezing frozen]: %v\n", states)
 
 	// Phase 2: analytics over engine memory. Frozen blocks are scanned in
-	// place (no version checks, no copies); the export API hands back raw
-	// Arrow arrays in a read-only transaction's snapshot.
-	var batches []*mainline.RecordBatch
+	// place (no version checks, no copies); the export API hands each block
+	// to the callback as raw Arrow arrays in a read-only transaction's
+	// snapshot. A zero-copy batch is valid only inside the callback.
+	total := int64(0)
+	byRegion := map[string]int64{}
 	var frozen, materialized int
 	if err := eng.View(func(tx *mainline.Txn) error {
 		var err error
-		batches, frozen, materialized, err = orders.ExportBatches(tx)
+		frozen, materialized, err = orders.ExportBatches(tx, func(rb *mainline.RecordBatch, _ bool) error {
+			amounts := rb.Column("amount")
+			region := rb.Column("region")
+			sum, err := arrow.SumInt64(amounts)
+			if err != nil {
+				return err
+			}
+			total += sum
+			for i := 0; i < rb.NumRows; i++ {
+				byRegion[region.Str(i)] += amounts.Int64(i)
+			}
+			return nil
+		})
 		return err
 	}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("scan sources: %d zero-copy blocks, %d materialized\n", frozen, materialized)
-	total := int64(0)
-	byRegion := map[string]int64{}
-	for _, rb := range batches {
-		amounts := rb.Column("amount")
-		region := rb.Column("region")
-		sum, err := arrow.SumInt64(amounts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		total += sum
-		for i := 0; i < rb.NumRows; i++ {
-			byRegion[region.Str(i)] += amounts.Int64(i)
-		}
-	}
 	fmt.Printf("total amount: %d\n", total)
 	for _, r := range regions {
 		fmt.Printf("  %-13s %d\n", r, byRegion[r])

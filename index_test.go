@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"mainline/internal/raceflag"
 )
 
 func acctSchema() *Schema {
@@ -559,7 +561,7 @@ func TestIndexMVCCStress(t *testing.T) {
 // excluded under -race (deliberate byte-level tearing of the in-place
 // update, repaired via the version chain).
 func TestIndexMVCCStressRekey(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("in-place update tearing is deliberate; see CI race-job notes")
 	}
 	eng := openEngine(t)

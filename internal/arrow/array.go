@@ -94,17 +94,6 @@ func (a *Array) ValueLen(i int) int {
 	return int(a.offset(i+1) - a.offset(i))
 }
 
-// DataSize returns the total bytes held in this array's buffers (validity +
-// offsets + values + dictionary), the quantity that matters for export
-// bandwidth accounting.
-func (a *Array) DataSize() int {
-	n := len(a.Validity) + len(a.Values) + len(a.Offsets)
-	if a.Dict != nil {
-		n += a.Dict.DataSize()
-	}
-	return n
-}
-
 // validate performs structural sanity checks; used by tests and IPC read.
 func (a *Array) validate() error {
 	switch {
@@ -243,6 +232,16 @@ func (b *Builder) AppendInt8(v int8) {
 func (b *Builder) AppendFloat64(v float64) {
 	b.values = binary.LittleEndian.AppendUint64(b.values, math.Float64bits(v))
 	b.appendValid()
+}
+
+// AppendFixed appends len(raw)/width non-null values to a fixed-width
+// builder from their packed little-endian bytes — the bulk form of
+// AppendInt64 and friends, producing identical buffers.
+func (b *Builder) AppendFixed(raw []byte) {
+	b.values = append(b.values, raw...)
+	for n := len(raw) / b.typ.ByteWidth(); n > 0; n-- {
+		b.appendValid()
+	}
 }
 
 // AppendBool appends v to a BOOL builder.

@@ -33,6 +33,45 @@ func NewRecordBatch(schema *Schema, cols []*Array) (*RecordBatch, error) {
 	return &RecordBatch{Schema: schema, Columns: cols, NumRows: rows}, nil
 }
 
+// BatchBuilder accumulates the rows of one record batch column by column.
+// It is reusable: Finish hands back the batch and starts a fresh one.
+type BatchBuilder struct {
+	Schema *Schema
+	Cols   []*Builder
+}
+
+// NewBatchBuilder starts an empty batch of the given schema.
+func NewBatchBuilder(schema *Schema) *BatchBuilder {
+	bb := &BatchBuilder{Schema: schema, Cols: make([]*Builder, schema.NumFields())}
+	bb.reset()
+	return bb
+}
+
+func (bb *BatchBuilder) reset() {
+	for i, f := range bb.Schema.Fields {
+		bb.Cols[i] = NewBuilder(f.Type)
+	}
+}
+
+// Len returns the number of rows appended since the last Finish.
+func (bb *BatchBuilder) Len() int {
+	if len(bb.Cols) == 0 {
+		return 0
+	}
+	return bb.Cols[0].Len()
+}
+
+// Finish freezes the accumulated rows into a record batch and resets the
+// builder for the next one.
+func (bb *BatchBuilder) Finish() (*RecordBatch, error) {
+	cols := make([]*Array, len(bb.Cols))
+	for i, b := range bb.Cols {
+		cols[i] = b.Finish()
+	}
+	bb.reset()
+	return NewRecordBatch(bb.Schema, cols)
+}
+
 // Column returns the array for the named field, or nil.
 func (rb *RecordBatch) Column(name string) *Array {
 	idx := rb.Schema.FieldIndex(name)
@@ -40,15 +79,6 @@ func (rb *RecordBatch) Column(name string) *Array {
 		return nil
 	}
 	return rb.Columns[idx]
-}
-
-// DataSize returns total buffer bytes across all columns.
-func (rb *RecordBatch) DataSize() int {
-	n := 0
-	for _, c := range rb.Columns {
-		n += c.DataSize()
-	}
-	return n
 }
 
 // Table is an ordered collection of record batches sharing a schema; the

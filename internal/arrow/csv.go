@@ -15,27 +15,55 @@ import (
 
 // WriteCSV renders all batches of t as RFC-4180 CSV with a header row.
 func WriteCSV(w io.Writer, t *Table) error {
+	cw, err := NewCSVWriter(w, t.Schema)
+	if err != nil {
+		return err
+	}
+	for _, rb := range t.Batches {
+		if err := cw.Write(rb); err != nil {
+			return err
+		}
+	}
+	return cw.Flush()
+}
+
+// CSVWriter renders a stream of record batches as RFC-4180 CSV under one
+// header row, so a producer can hand over batches it does not retain.
+type CSVWriter struct {
+	cw  *csv.Writer
+	row []string
+}
+
+// NewCSVWriter writes schema's header row to w.
+func NewCSVWriter(w io.Writer, schema *Schema) (*CSVWriter, error) {
 	cw := csv.NewWriter(w)
-	header := make([]string, t.Schema.NumFields())
-	for i, f := range t.Schema.Fields {
+	header := make([]string, schema.NumFields())
+	for i, f := range schema.Fields {
 		header[i] = f.Name
 	}
 	if err := cw.Write(header); err != nil {
-		return err
+		return nil, err
 	}
-	row := make([]string, len(header))
-	for _, rb := range t.Batches {
-		for i := 0; i < rb.NumRows; i++ {
-			for j, col := range rb.Columns {
-				row[j] = formatValue(col, i)
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
+	return &CSVWriter{cw: cw, row: make([]string, len(header))}, nil
+}
+
+// Write renders every row of rb.
+func (c *CSVWriter) Write(rb *RecordBatch) error {
+	for i := 0; i < rb.NumRows; i++ {
+		for j, col := range rb.Columns {
+			c.row[j] = formatValue(col, i)
+		}
+		if err := c.cw.Write(c.row); err != nil {
+			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return nil
+}
+
+// Flush writes any buffered rows to the underlying writer.
+func (c *CSVWriter) Flush() error {
+	c.cw.Flush()
+	return c.cw.Error()
 }
 
 func formatValue(a *Array, i int) string {
@@ -75,20 +103,13 @@ func ReadCSV(r io.Reader, schema *Schema, batchRows int) (*Table, error) {
 		return nil, fmt.Errorf("arrow/csv: header has %d columns, schema %d", len(header), schema.NumFields())
 	}
 	t := &Table{Schema: schema}
-	builders := newBuilders(schema)
-	rows := 0
+	bb := NewBatchBuilder(schema)
 	flush := func() error {
-		cols := make([]*Array, len(builders))
-		for i, b := range builders {
-			cols[i] = b.Finish()
-		}
-		rb, err := NewRecordBatch(schema, cols)
+		rb, err := bb.Finish()
 		if err != nil {
 			return err
 		}
 		t.Batches = append(t.Batches, rb)
-		builders = newBuilders(schema)
-		rows = 0
 		return nil
 	}
 	for {
@@ -100,31 +121,22 @@ func ReadCSV(r io.Reader, schema *Schema, batchRows int) (*Table, error) {
 			return nil, err
 		}
 		for i, field := range rec {
-			if err := appendParsed(builders[i], schema.Fields[i], field); err != nil {
+			if err := appendParsed(bb.Cols[i], schema.Fields[i], field); err != nil {
 				return nil, err
 			}
 		}
-		rows++
-		if batchRows > 0 && rows >= batchRows {
+		if batchRows > 0 && bb.Len() >= batchRows {
 			if err := flush(); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if rows > 0 || len(t.Batches) == 0 {
+	if bb.Len() > 0 || len(t.Batches) == 0 {
 		if err := flush(); err != nil {
 			return nil, err
 		}
 	}
 	return t, nil
-}
-
-func newBuilders(schema *Schema) []*Builder {
-	bs := make([]*Builder, schema.NumFields())
-	for i, f := range schema.Fields {
-		bs[i] = NewBuilder(f.Type)
-	}
-	return bs
 }
 
 func appendParsed(b *Builder, f Field, s string) error {

@@ -8,8 +8,8 @@ import (
 	"mainline/internal/arrow"
 	"mainline/internal/benchutil"
 	"mainline/internal/catalog"
-	"mainline/internal/server"
 	"mainline/internal/gc"
+	"mainline/internal/server"
 	"mainline/internal/storage"
 	"mainline/internal/transform"
 	"mainline/internal/txn"
@@ -56,36 +56,38 @@ func Fig1(rows int) (*benchutil.Table, error) {
 	// (1) In-memory Arrow hand-off.
 	t0 := time.Now()
 	tx := mgr.Begin()
-	batches, _, _, err := table.ExportBatches(tx)
+	var checksum uint64
+	_, _, err = table.StreamBatches(tx, func(rb *arrow.RecordBatch, _ bool) error {
+		checksum ^= arrow.Checksum(rb)
+		return nil
+	})
+	mgr.Commit(tx, nil)
 	if err != nil {
 		return nil, err
 	}
-	var checksum uint64
-	for _, rb := range batches {
-		checksum ^= arrow.Checksum(rb)
-	}
-	mgr.Commit(tx, nil)
 	inMem := time.Since(t0)
 	_ = checksum
 
 	// (2) CSV export + load.
 	t0 = time.Now()
-	tx = mgr.Begin()
-	batches, _, _, err = table.ExportBatches(tx)
-	if err != nil {
-		return nil, err
-	}
-	tab := &arrow.Table{Schema: batches[0].Schema}
-	tab.Batches = batches
 	f, err := os.CreateTemp("", "lineitem-*.csv")
 	if err != nil {
 		return nil, err
 	}
 	defer os.Remove(f.Name())
-	if err := arrow.WriteCSV(f, tab); err != nil {
+	cw, err := arrow.NewCSVWriter(f, table.Schema)
+	if err != nil {
 		return nil, err
 	}
+	tx = mgr.Begin()
+	_, _, err = table.StreamBatches(tx, func(rb *arrow.RecordBatch, _ bool) error { return cw.Write(rb) })
 	mgr.Commit(tx, nil)
+	if err == nil {
+		err = cw.Flush()
+	}
+	if err != nil {
+		return nil, err
+	}
 	if err := f.Close(); err != nil {
 		return nil, err
 	}

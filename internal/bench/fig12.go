@@ -105,7 +105,8 @@ func runHybrid(variant LayoutVariant, nBlocks, perBlock int, frac float64, mode 
 }
 
 // runSnapshot times the copy-everything baseline: read a snapshot of each
-// block and rebuild it with the Arrow builder API.
+// (hot) block and rebuild it as a fresh Arrow batch — the export
+// producer's materialization path.
 func runSnapshot(variant LayoutVariant, nBlocks, perBlock int, frac float64) (float64, error) {
 	bs, err := buildBlockSet(variant, nBlocks, perBlock, frac, 42)
 	if err != nil {
@@ -113,15 +114,14 @@ func runSnapshot(variant LayoutVariant, nBlocks, perBlock int, frac float64) (fl
 	}
 	t0 := time.Now()
 	tx := bs.mgr.Begin()
-	for _, b := range bs.blocks {
-		rb, err := bs.table.MaterializeBlock(tx, b)
-		if err != nil {
-			bs.mgr.Abort(tx)
-			return 0, err
-		}
+	_, _, err = bs.table.StreamBatches(tx, func(rb *arrow.RecordBatch, _ bool) error {
 		_ = arrow.Checksum(rb)
-	}
+		return nil
+	})
 	bs.mgr.Commit(tx, nil)
+	if err != nil {
+		return 0, err
+	}
 	return float64(nBlocks) / time.Since(t0).Seconds(), nil
 }
 

@@ -4,9 +4,16 @@ import (
 	"fmt"
 
 	"mainline/internal/arrow"
+	"mainline/internal/core"
 	"mainline/internal/storage"
 	"mainline/internal/txn"
 )
+
+// Every Arrow record batch that leaves the engine — export, DoGet,
+// checkpoint — comes from core's batch scan through one of the two
+// producers below, which apply the paper's export rule (§5, §6.3): a
+// frozen block is handed over zero-copy, anything else is copied in the
+// reading transaction's snapshot by one column-wise appender.
 
 // ExportBlockZeroCopy wraps a frozen block's buffers as an Arrow record
 // batch without copying any tuple data — the payoff of storing data in the
@@ -18,10 +25,19 @@ func (t *Table) ExportBlockZeroCopy(b *storage.Block) (*arrow.RecordBatch, error
 		return nil, fmt.Errorf("catalog: block %d is %s, not frozen", b.ID, b.State())
 	}
 	if !b.Resident() {
-		// The buffers this export would alias are evicted; callers fall
-		// back to MaterializeBlock, whose point reads are cold-aware.
+		// The buffers this export would alias are evicted; StreamBatches
+		// copies such blocks out of the cold tier instead.
 		return nil, fmt.Errorf("catalog: block %d is evicted, cannot export zero-copy", b.ID)
 	}
+	return t.wrapFrozen(b)
+}
+
+// wrapFrozen wraps a resident frozen block's buffers without checking its
+// state. Under an in-place read registration taken while the block was
+// Frozen, a writer (MarkHot) or the evictor may already have moved the
+// state on to Thawing or Freezing, but both wait for the registration to
+// end before they touch the buffers.
+func (t *Table) wrapFrozen(b *storage.Block) (*arrow.RecordBatch, error) {
 	rows := b.FrozenRows()
 	layout := t.Layout()
 	cols := make([]*arrow.Array, 0, t.Schema.NumFields())
@@ -55,200 +71,160 @@ func (t *Table) ExportBlockZeroCopy(b *storage.Block) (*arrow.RecordBatch, error
 	return arrow.NewRecordBatch(arrow.NewSchema(fields...), cols)
 }
 
-// MaterializeBlock builds a record batch from a (possibly hot) block by
-// reading every visible tuple transactionally — the snapshot path exports
-// fall back to when data is still being modified (§6.3: "if a block is not
-// frozen, the DBMS must materialize it transactionally before sending").
-func (t *Table) MaterializeBlock(tx *txn.Transaction, b *storage.Block) (*arrow.RecordBatch, error) {
-	builders := make([]*arrow.Builder, t.Schema.NumFields())
-	for i, f := range t.Schema.Fields {
-		builders[i] = arrow.NewBuilder(f.Type)
+// SchemaOf returns the Arrow schema of proj's columns (nil = all).
+func (t *Table) SchemaOf(proj *storage.Projection) *arrow.Schema {
+	if proj == nil || proj == t.AllColumnsProjection() {
+		return t.Schema
 	}
-	proj := t.AllColumnsProjection()
-	row := proj.NewRow()
-	head := b.InsertHead()
-	for s := uint32(0); s < head; s++ {
-		slot := storage.NewTupleSlot(b.ID, s)
-		row.Reset()
-		found, err := t.Select(tx, slot, row)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			continue
-		}
-		appendRowToBuilders(t.Schema, builders, row)
+	fields := make([]arrow.Field, proj.NumCols())
+	for i, col := range proj.Cols {
+		fields[i] = t.Schema.Fields[col]
 	}
-	cols := make([]*arrow.Array, len(builders))
-	for i, bld := range builders {
-		cols[i] = bld.Finish()
-	}
-	return arrow.NewRecordBatch(t.Schema, cols)
+	return arrow.NewSchema(fields...)
 }
 
-func appendRowToBuilders(schema *arrow.Schema, builders []*arrow.Builder, row *storage.ProjectedRow) {
-	for i, f := range schema.Fields {
-		bld := builders[i]
-		if row.IsNull(i) {
-			bld.AppendNull()
+// appendRows copies rows [lo, hi) of b into bb, one column at a time.
+// Fixed-width values move as raw little-endian bytes — in one append when
+// the rows are contiguous and NULL-free.
+func appendRows(bb *arrow.BatchBuilder, b *core.Batch, lo, hi int) {
+	sel := b.SelIndices()
+	for ci, bld := range bb.Cols {
+		if b.Projection().IsVarlenAt(ci) {
+			for i := lo; i < hi; i++ {
+				if b.IsNull(ci, i) {
+					bld.AppendNull()
+				} else {
+					bld.AppendBytes(b.Bytes(ci, i))
+				}
+			}
 			continue
 		}
-		switch f.Type {
-		case arrow.INT64, arrow.FLOAT64:
-			// Both are 8-byte values; move the raw bits through the int64
-			// appender (bit pattern is preserved exactly).
-			raw := row.FixedBytes(i)
-			bld.AppendInt64(int64(uint64(raw[0]) | uint64(raw[1])<<8 | uint64(raw[2])<<16 | uint64(raw[3])<<24 |
-				uint64(raw[4])<<32 | uint64(raw[5])<<40 | uint64(raw[6])<<48 | uint64(raw[7])<<56))
-		case arrow.INT32:
-			bld.AppendInt32(row.Int32(i))
-		case arrow.INT16:
-			bld.AppendInt16(row.Int16(i))
-		case arrow.INT8:
-			bld.AppendInt8(row.Int8(i))
-		case arrow.STRING, arrow.BINARY, arrow.DICT32:
-			bld.AppendBytes(row.Varlen(i))
+		data, valid, w := b.RawFixed(ci)
+		if sel == nil && valid == nil {
+			bld.AppendFixed(data[lo*w : hi*w])
+			continue
 		}
-	}
-}
-
-// SnapshotBatches materializes every tuple visible to tx into record
-// batches of at most batchRows rows, invoking fn with each batch and the
-// physical slots of its rows (in batch row order). Unlike ExportBatches it
-// always reads transactionally — every row is exactly the version visible
-// at tx's snapshot, never a frozen block's newer in-place state — which is
-// what makes the result a consistent checkpoint anchored at tx.StartTs().
-// The slot list is the checkpoint's recovery sidecar: WAL-tail updates
-// logged against pre-checkpoint slots resolve through it.
-func (t *Table) SnapshotBatches(tx *txn.Transaction, batchRows int, fn func(rb *arrow.RecordBatch, slots []storage.TupleSlot) error) (int, error) {
-	if batchRows <= 0 {
-		batchRows = 8192
-	}
-	var (
-		builders []*arrow.Builder
-		slots    []storage.TupleSlot
-		total    int
-		fnErr    error
-	)
-	reset := func() {
-		builders = make([]*arrow.Builder, t.Schema.NumFields())
-		for i, f := range t.Schema.Fields {
-			builders[i] = arrow.NewBuilder(f.Type)
-		}
-		slots = slots[:0]
-	}
-	flush := func() error {
-		if len(slots) == 0 {
-			return nil
-		}
-		cols := make([]*arrow.Array, len(builders))
-		for i, b := range builders {
-			cols[i] = b.Finish()
-		}
-		rb, err := arrow.NewRecordBatch(t.Schema, cols)
-		if err != nil {
-			return err
-		}
-		if err := fn(rb, slots); err != nil {
-			return err
-		}
-		total += len(slots)
-		reset()
-		return nil
-	}
-	reset()
-	err := t.DataTable.Scan(tx, t.AllColumnsProjection(), func(slot storage.TupleSlot, row *storage.ProjectedRow) bool {
-		appendRowToBuilders(t.Schema, builders, row)
-		slots = append(slots, slot)
-		if len(slots) >= batchRows {
-			if fnErr = flush(); fnErr != nil {
-				return false
+		for i := lo; i < hi; i++ {
+			idx := i
+			if sel != nil {
+				idx = int(sel[i])
+			}
+			if valid != nil && !valid.Test(idx) {
+				bld.AppendNull()
+			} else {
+				bld.AppendFixed(data[idx*w : (idx+1)*w])
 			}
 		}
-		return true
-	})
-	if err != nil {
-		return total, err
 	}
-	if fnErr != nil {
-		return total, fnErr
-	}
-	if err := flush(); err != nil {
-		return total, err
-	}
-	return total, nil
 }
 
-// StreamBatches walks the table block-at-a-time like ExportBatches but
-// hands each batch to fn while the block's state is pinned: for a frozen
-// block the in-place read registration is held across the callback, so fn
-// may write the batch's buffers to a network connection zero-copy without
-// racing a concurrent thaw-and-update. Hot blocks are materialized
-// transactionally (fn receives an owned copy). fn returning an error stops
-// the walk; the registration is released on every path, so an abandoned
-// stream can never wedge the block state machine.
-func (t *Table) StreamBatches(tx *txn.Transaction, fn func(rb *arrow.RecordBatch, frozen bool) error) (frozen, materialized int, err error) {
+// StreamBatches exports every row visible to tx block by block, handing
+// fn one record batch per non-empty block. A resident frozen block is
+// wrapped zero-copy (zeroCopy true) while the scan holds its in-place read
+// registration: fn may write the buffers to a socket without racing a
+// concurrent thaw-and-update, but must not keep the batch once it
+// returns. Any other block — hot, or evicted and read through the cold
+// tier — is copied in tx's snapshot into a batch fn owns (§6.3: "if a
+// block is not frozen, the DBMS must materialize it transactionally before
+// sending"). fn returning an error stops the walk; the registration is
+// released on every path. It reports how many blocks took each path — the
+// quantity Figure 15 varies.
+func (t *Table) StreamBatches(tx *txn.Transaction, fn func(rb *arrow.RecordBatch, zeroCopy bool) error) (frozen, materialized int, err error) {
+	bb := arrow.NewBatchBuilder(t.Schema)
 	for _, b := range t.Blocks() {
-		if b.InsertHead() == 0 {
-			continue
+		var fnErr error
+		err := t.ScanBlockBatches(tx, b, nil, nil, func(batch *core.Batch) bool {
+			blk := batch.InPlaceBlock()
+			if blk == nil {
+				appendRows(bb, batch, 0, batch.Len())
+				return true
+			}
+			rb, e := t.wrapFrozen(blk)
+			if e == nil {
+				frozen++
+				e = fn(rb, true)
+			}
+			fnErr = e
+			return e == nil
+		})
+		if err == nil {
+			err = fnErr
 		}
-		served, err := t.streamBlock(tx, b, fn, &frozen, &materialized)
+		if err == nil && bb.Len() > 0 {
+			var rb *arrow.RecordBatch
+			if rb, err = bb.Finish(); err == nil {
+				materialized++
+				err = fn(rb, false)
+			}
+		}
 		if err != nil {
 			return frozen, materialized, err
 		}
-		_ = served
 	}
 	return frozen, materialized, nil
 }
 
-// streamBlock serves one block to fn, preferring the zero-copy frozen path.
-func (t *Table) streamBlock(tx *txn.Transaction, b *storage.Block, fn func(rb *arrow.RecordBatch, frozen bool) error, frozen, materialized *int) (bool, error) {
-	if b.BeginInPlaceRead() {
-		rb, e := t.ExportBlockZeroCopy(b)
-		if e == nil {
-			*frozen++
-			err := fn(rb, true)
-			b.EndInPlaceRead()
-			return true, err
-		}
-		b.EndInPlaceRead()
-	}
-	rb, e := t.MaterializeBlock(tx, b)
-	if e != nil {
-		return false, e
-	}
-	if rb.NumRows == 0 {
-		return false, nil
-	}
-	*materialized++
-	return true, fn(rb, false)
-}
+// snapshotBatchRows is the row count of every batch SnapshotBatches cuts
+// but the last; it bounds builder memory while scanning.
+const snapshotBatchRows = 8192
 
-// ExportBatches produces one record batch per block: zero-copy for frozen
-// blocks, transactional materialization for hot ones. It reports how many
-// blocks took each path — the quantity Figure 15 varies.
-func (t *Table) ExportBatches(tx *txn.Transaction) (batches []*arrow.RecordBatch, frozen, materialized int, err error) {
-	for _, b := range t.Blocks() {
-		if b.InsertHead() == 0 {
-			continue
+// SnapshotBatches copies the rows visible to tx that satisfy pred (nil =
+// all) into owned record batches of proj's columns (nil = all), cutting a
+// batch every snapshotBatchRows rows, and hands each to fn with the
+// physical slots of its rows in row order. Every row is the version
+// visible at tx's snapshot, so over all columns the result is a consistent
+// checkpoint anchored at tx.StartTs(); the slot list is the checkpoint's
+// recovery sidecar — WAL-tail updates logged against pre-checkpoint slots
+// resolve through it. check, if non-nil, runs before each block — also
+// one that no row of matches — and an error from it stops the scan and is
+// returned. It returns the number of rows delivered.
+func (t *Table) SnapshotBatches(tx *txn.Transaction, proj *storage.Projection, pred *core.Predicate, check func() error, fn func(rb *arrow.RecordBatch, slots []storage.TupleSlot) error) (int, error) {
+	bb := arrow.NewBatchBuilder(t.SchemaOf(proj))
+	slots := make([]storage.TupleSlot, 0, snapshotBatchRows)
+	total := 0
+	flush := func() error {
+		if len(slots) == 0 {
+			return nil
 		}
-		if b.BeginInPlaceRead() {
-			rb, e := t.ExportBlockZeroCopy(b)
-			b.EndInPlaceRead()
-			if e == nil {
-				batches = append(batches, rb)
-				frozen++
-				continue
+		rb, err := bb.Finish()
+		if err == nil {
+			err = fn(rb, slots)
+		}
+		if err == nil {
+			total += len(slots)
+		}
+		slots = slots[:0]
+		return err
+	}
+	var fnErr error
+	appendBatch := func(b *core.Batch) bool {
+		for lo := 0; lo < b.Len(); {
+			hi := min(b.Len(), lo+snapshotBatchRows-len(slots))
+			appendRows(bb, b, lo, hi)
+			for i := lo; i < hi; i++ {
+				slots = append(slots, b.Slot(i))
+			}
+			lo = hi
+			if len(slots) == snapshotBatchRows {
+				if fnErr = flush(); fnErr != nil {
+					return false
+				}
 			}
 		}
-		rb, e := t.MaterializeBlock(tx, b)
-		if e != nil {
-			return nil, 0, 0, e
+		return true
+	}
+	for _, b := range t.Blocks() {
+		if check != nil {
+			if err := check(); err != nil {
+				return total, err
+			}
 		}
-		if rb.NumRows > 0 {
-			batches = append(batches, rb)
-			materialized++
+		if err := t.ScanBlockBatches(tx, b, proj, pred, appendBatch); err != nil {
+			return total, err
+		}
+		if fnErr != nil {
+			return total, fnErr
 		}
 	}
-	return batches, frozen, materialized, nil
+	return total, flush()
 }

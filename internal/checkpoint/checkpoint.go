@@ -18,9 +18,6 @@ import (
 	"mainline/internal/txn"
 )
 
-// snapshotBatchRows bounds builder memory while scanning.
-const snapshotBatchRows = 8192
-
 // Info summarizes one taken checkpoint.
 type Info struct {
 	// Seq is the checkpoint's sequence number.
@@ -49,29 +46,18 @@ type Info struct {
 // tail". Any error before the final rename leaves the previous
 // checkpoint installed and intact — a failed attempt is retried, never a
 // reason to degrade.
-func Take(fsys fault.FS, dir string, cat *catalog.Catalog, mgr *txn.Manager) (*Info, error) {
-	return TakeObserved(fsys, dir, cat, mgr, nil)
-}
-
-// TakeObserved is Take with per-table instrumentation: when perTable is
-// non-nil, each table's capture duration (scan + IPC write + sidecar) is
-// recorded into it.
-func TakeObserved(fsys fault.FS, dir string, cat *catalog.Catalog, mgr *txn.Manager, perTable *obs.Histogram) (*Info, error) {
-	info, _, err := TakeTiered(fsys, dir, cat, mgr, perTable, nil)
-	return info, err
-}
-
-// TakeTiered is TakeObserved with tiered capture: when store is
-// non-nil, every table's snapshot batches are additionally encoded as
-// standalone Arrow IPC chunks and uploaded to the object store under
-// content-hash keys (see chunks.go), and the per-table chunk lists are
-// returned for the caller to commit into the manifest log. Chunk
-// uploads happen before the checkpoint installs, so a failed attempt
-// may orphan objects but never publishes a version referencing missing
-// data. A chunk upload failure (store unreachable, ENOSPC) fails the
-// whole attempt — the previous checkpoint stays installed and the
-// caller retries.
-func TakeTiered(fsys fault.FS, dir string, cat *catalog.Catalog, mgr *txn.Manager, perTable *obs.Histogram, store objstore.Store) (*Info, []TableChunks, error) {
+//
+// When perTable is non-nil, each table's capture duration (scan + IPC
+// write + sidecar) is recorded into it. When store is non-nil, every
+// table's snapshot batches are additionally encoded as standalone Arrow
+// IPC chunks and uploaded to the object store under content-hash keys
+// (see chunks.go), and the per-table chunk lists are returned for the
+// caller to commit into the manifest log. Chunk uploads happen before the
+// checkpoint installs, so a failed attempt may orphan objects but never
+// publishes a version referencing missing data. A chunk upload failure
+// (store unreachable, ENOSPC) fails the whole attempt — the previous
+// checkpoint stays installed and the caller retries.
+func Take(fsys fault.FS, dir string, cat *catalog.Catalog, mgr *txn.Manager, perTable *obs.Histogram, store objstore.Store) (*Info, []TableChunks, error) {
 	if fsys == nil {
 		fsys = fault.OS{}
 	}
@@ -229,7 +215,7 @@ func writeTable(fsys fault.FS, tmp string, t *catalog.Table, tx *txn.Transaction
 	scw := &crcWriter{w: sf}
 	var slotBuf []byte
 
-	rows, err := t.SnapshotBatches(tx, snapshotBatchRows, func(rb *arrow.RecordBatch, slots []storage.TupleSlot) error {
+	rows, err := t.SnapshotBatches(tx, nil, nil, nil, func(rb *arrow.RecordBatch, slots []storage.TupleSlot) error {
 		if err := wr.WriteBatch(rb); err != nil {
 			return err
 		}

@@ -69,7 +69,7 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 	}
 	mgr.Commit(tx, nil)
 
-	info, err := Take(nil, dir, cat, mgr)
+	info, _, err := Take(nil, dir, cat, mgr, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestRestoreFallsBackOnCorruption(t *testing.T) {
 	dir := t.TempDir()
 	mgr, cat, tbl := testEngine(t)
 	insertRow(t, mgr, tbl, 1, "a", 10)
-	if _, err := Take(nil, dir, cat, mgr); err != nil {
+	if _, _, err := Take(nil, dir, cat, mgr, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	insertRow(t, mgr, tbl, 2, "b", 20)
-	info2, err := Take(nil, dir, cat, mgr)
+	info2, _, err := Take(nil, dir, cat, mgr, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRestoreEmptyDirAndAllCorrupt(t *testing.T) {
 	// start empty.
 	mgr1, cat1, tbl1 := testEngine(t)
 	insertRow(t, mgr1, tbl1, 1, "a", 10)
-	info, err := Take(nil, dir, cat1, mgr1)
+	info, _, err := Take(nil, dir, cat1, mgr1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPruneKeepsTwo(t *testing.T) {
 	mgr, cat, tbl := testEngine(t)
 	for i := 0; i < 4; i++ {
 		insertRow(t, mgr, tbl, int64(i), "x", 1)
-		if _, err := Take(nil, dir, cat, mgr); err != nil {
+		if _, _, err := Take(nil, dir, cat, mgr, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestPruneKeepsTwo(t *testing.T) {
 func TestEmptyTableCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	mgr, cat, _ := testEngine(t)
-	info, err := Take(nil, dir, cat, mgr)
+	info, _, err := Take(nil, dir, cat, mgr, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestRestoreFallsBackOnCatalogMismatch(t *testing.T) {
 	dir := t.TempDir()
 	mgr, cat, tbl := testEngine(t)
 	insertRow(t, mgr, tbl, 1, "a", 10)
-	if _, err := Take(nil, dir, cat, mgr); err != nil { // seq 1: accounts only
+	if _, _, err := Take(nil, dir, cat, mgr, nil, nil); err != nil { // seq 1: accounts only
 		t.Fatal(err)
 	}
 	if _, err := cat.CreateTable("ghost", arrow.NewSchema(
@@ -251,7 +251,7 @@ func TestRestoreFallsBackOnCatalogMismatch(t *testing.T) {
 	)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Take(nil, dir, cat, mgr); err != nil { // seq 2: includes ghost
+	if _, _, err := Take(nil, dir, cat, mgr, nil, nil); err != nil { // seq 2: includes ghost
 		t.Fatal(err)
 	}
 

@@ -215,6 +215,6 @@ func (b *Batch) setupCold(block *storage.Block, cb *storage.ColdBlock) {
 	}
 	b.block = block
 	b.frozen = true
+	b.cold = true
 	b.scr = nil
 }
-

@@ -261,7 +261,10 @@ type Batch struct {
 	block  *storage.Block
 	proj   *storage.Projection
 	frozen bool
-	n      int
+	// cold marks a frozen-presenting batch over an evicted block's cached
+	// payload rather than resident block memory.
+	cold bool
+	n    int
 	// sel maps batch row -> block slot offset (frozen) or scratch row
 	// (hot); nil means identity.
 	sel []uint32
@@ -284,6 +287,19 @@ func (b *Batch) NumCols() int { return b.proj.NumCols() }
 
 // Projection returns the batch's projection.
 func (b *Batch) Projection() *storage.Projection { return b.proj }
+
+// InPlaceBlock returns the block when the batch is the whole of a resident
+// frozen block read in place — unfiltered, under the block's in-place read
+// registration, which the scan holds until the callback returns — and nil
+// for hot batches, cold payloads, and predicate selections. Inside the
+// callback the block's frozen buffers cannot change, so a consumer may
+// alias them directly (the zero-copy export).
+func (b *Batch) InPlaceBlock() *storage.Block {
+	if !b.frozen || b.cold || b.sel != nil {
+		return nil
+	}
+	return b.block
+}
 
 func (b *Batch) idx(row int) uint32 {
 	if b.sel != nil {
@@ -424,6 +440,7 @@ func (b *Batch) setupFrozen(block *storage.Block) {
 	}
 	b.block = block
 	b.frozen = true
+	b.cold = false
 	b.scr = nil
 }
 

@@ -166,14 +166,15 @@ func (s *CompareServer) handle(conn net.Conn) error {
 	}
 
 	// One snapshot transaction covers the whole export; hot blocks are
-	// materialized under it, frozen blocks ship in place.
+	// materialized under it, frozen blocks ship in place — each encoded
+	// while its block is pinned frozen.
 	tx := s.mgr.Begin()
-	batches, _, _, err := exportBatches(table, tx)
-	if err != nil {
-		s.mgr.Abort(tx)
+	defer s.mgr.Commit(tx, nil)
+	batches := func(fn func(*arrow.RecordBatch) error) error {
+		_, _, err := table.StreamBatches(tx, func(rb *arrow.RecordBatch, _ bool) error { return fn(rb) })
 		return err
 	}
-	bw := bufio.NewWriterSize(conn, 1<<16)
+	bw := bufio.NewWriterSize(timedWriter{conn}, 1<<16)
 	switch proto {
 	case ProtoPGWire:
 		err = servePGWire(bw, table.Schema, batches)
@@ -187,18 +188,29 @@ func (s *CompareServer) handle(conn net.Conn) error {
 	if err == nil {
 		err = bw.Flush()
 	}
-	s.mgr.Commit(tx, nil)
 	s.mu.Lock()
 	s.served++
 	s.mu.Unlock()
 	return err
 }
 
-// exportBatches is catalog.Table.ExportBatches with the indirection needed
-// for testability.
-func exportBatches(t *catalog.Table, tx *txn.Transaction) ([]*arrow.RecordBatch, int, int, error) {
-	return t.ExportBatches(tx)
+// compareWriteTimeout bounds each socket write of a CompareServer export.
+// Batches are encoded while their frozen block is pinned, so a stalled
+// client would otherwise hold the block's read registration — and spin
+// every writer to that block in MarkHot — indefinitely.
+const compareWriteTimeout = 10 * time.Second
+
+// timedWriter sets a fresh write deadline before every write to conn.
+type timedWriter struct{ conn net.Conn }
+
+func (w timedWriter) Write(p []byte) (int, error) {
+	_ = w.conn.SetWriteDeadline(time.Now().Add(compareWriteTimeout))
+	return w.conn.Write(p)
 }
+
+// batchSource streams an export's record batches to fn in order; a batch
+// is valid only inside fn.
+type batchSource func(fn func(*arrow.RecordBatch) error) error
 
 // Result describes one client-side fetch: what arrived, how fast, and the
 // moment analysis could begin (the paper measures request-to-analysis).

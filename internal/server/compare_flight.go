@@ -13,18 +13,19 @@ import (
 // headers. This is the paper's Arrow Flight path (§5): serialization
 // reduced to framing.
 
-func serveFlight(w io.Writer, batches []*arrow.RecordBatch) error {
+func serveFlight(w io.Writer, batches batchSource) error {
 	wr := arrow.NewWriter(w)
-	for _, rb := range batches {
+	err := batches(func(rb *arrow.RecordBatch) error {
 		// Blocks can carry different physical schemas (dictionary-encoded
-		// vs materialized); announce before each change. WriteSchema is
+		// vs materialized); announce before each batch. WriteSchema is
 		// cheap — a few dozen bytes.
 		if err := wr.WriteSchema(rb.Schema); err != nil {
 			return err
 		}
-		if err := wr.WriteBatch(rb); err != nil {
-			return err
-		}
+		return wr.WriteBatch(rb)
+	})
+	if err != nil {
+		return err
 	}
 	return wr.Close()
 }

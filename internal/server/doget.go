@@ -7,6 +7,7 @@ import (
 
 	"mainline"
 	"mainline/internal/arrow"
+	"mainline/internal/storage"
 )
 
 // This file is the analytical plane: DoGet streams a table out as Arrow
@@ -124,9 +125,10 @@ func (s *session) streamWhole(name string, wr *arrow.Writer, dl time.Time) (rows
 	return rows, frozen, materialized, nil
 }
 
-// streamFiltered exports a projected and/or predicate-filtered scan. Rows
-// are gathered through the vectorized batch scan into fresh Arrow builders
-// — copying only what matched — and flushed in bounded batches.
+// streamFiltered exports a projected and/or predicate-filtered scan
+// through the catalog's snapshot producer: the vectorized batch scan
+// copies only the requested columns of matching rows, flushed in bounded
+// batches.
 func (s *session) streamFiltered(name string, cols []string, wp *WirePred, wr *arrow.Writer, dl time.Time) (int, error) {
 	tbl, err := s.table(name)
 	if err != nil {
@@ -138,109 +140,28 @@ func (s *session) streamFiltered(name string, cols []string, wp *WirePred, wr *a
 			return 0, err
 		}
 	}
-	cols = rowCols(tbl, cols)
-	fields := make([]mainline.Field, len(cols))
-	types := make([]arrow.TypeID, len(cols))
-	for i, c := range cols {
-		fi := tbl.Schema.FieldIndex(c)
-		if fi < 0 {
-			return 0, fmt.Errorf("%w: no column %q", ErrBadRequest, c)
-		}
-		f := tbl.Schema.Fields[fi]
-		if f.Type == arrow.DICT32 {
-			f.Type = arrow.STRING
-		}
-		fields[i] = f
-		types[i] = f.Type
+	adm := s.srv.eng.Admin()
+	proj, cpred, err := adm.ScanArgs(tbl, cols, pred)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	schema := mainline.NewSchema(fields...)
-	if err := wr.WriteSchema(schema); err != nil {
+	if err := wr.WriteSchema(tbl.SchemaOf(proj)); err != nil {
 		return 0, err
 	}
-
-	const flushRows = 8192
-	builders := make([]*arrow.Builder, len(cols))
-	reset := func() {
-		for i, t := range types {
-			builders[i] = arrow.NewBuilder(t)
+	mgr := adm.TxnManager()
+	rtx := mgr.Begin()
+	defer mgr.Abort(rtx)
+	// The deadline is checked before every block, so a selective (even a
+	// match-nothing) predicate over a long scan still times out.
+	check := func() error {
+		if expired(dl) {
+			return ErrDeadlineExceeded
 		}
-	}
-	reset()
-	total, pending := 0, 0
-	flush := func() error {
-		if pending == 0 {
-			return nil
-		}
-		arrs := make([]*arrow.Array, len(builders))
-		for i, b := range builders {
-			arrs[i] = b.Finish()
-		}
-		rb, e := arrow.NewRecordBatch(schema, arrs)
-		if e != nil {
-			return e
-		}
-		if e := wr.WriteBatch(rb); e != nil {
-			return e
-		}
-		total += pending
-		pending = 0
-		reset()
 		return nil
 	}
-
-	tx, err := s.srv.eng.Begin(mainline.ReadOnly())
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Abort()
-	var innerErr error
-	scanErr := tbl.ScanBatches(tx, cols, pred, func(b *mainline.Batch) bool {
-		if expired(dl) {
-			innerErr = ErrDeadlineExceeded
-			return false
-		}
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			for ci, t := range types {
-				bld := builders[ci]
-				if b.IsNull(ci, i) {
-					bld.AppendNull()
-					continue
-				}
-				switch t {
-				case arrow.FLOAT64:
-					bld.AppendFloat64(b.Float64(ci, i))
-				case arrow.INT64:
-					bld.AppendInt64(b.Int(ci, i))
-				case arrow.INT32:
-					bld.AppendInt32(int32(b.Int(ci, i)))
-				case arrow.INT16:
-					bld.AppendInt16(int16(b.Int(ci, i)))
-				case arrow.INT8:
-					bld.AppendInt8(int8(b.Int(ci, i)))
-				default:
-					bld.AppendBytes(b.Bytes(ci, i))
-				}
-			}
-			pending++
-		}
-		if pending >= flushRows {
-			if innerErr = flush(); innerErr != nil {
-				return false
-			}
-		}
-		return true
+	return tbl.SnapshotBatches(rtx, proj, cpred, check, func(rb *arrow.RecordBatch, _ []storage.TupleSlot) error {
+		return wr.WriteBatch(rb)
 	})
-	if innerErr != nil {
-		return total, innerErr
-	}
-	if scanErr != nil {
-		return total, scanErr
-	}
-	if err := flush(); err != nil {
-		return total, err
-	}
-	return total, nil
 }
 
 // --- DoPut -------------------------------------------------------------------

@@ -21,7 +21,7 @@ import (
 // client — the serialization tax Figure 1 and Figure 15 put at the bottom
 // of the ranking.
 
-func servePGWire(w io.Writer, schema *arrow.Schema, batches []*arrow.RecordBatch) error {
+func servePGWire(w io.Writer, schema *arrow.Schema, batches batchSource) error {
 	// RowDescription.
 	desc := []byte{'T', 0, 0, 0, 0}
 	desc = binary.LittleEndian.AppendUint16(desc, uint16(schema.NumFields()))
@@ -35,7 +35,7 @@ func servePGWire(w io.Writer, schema *arrow.Schema, batches []*arrow.RecordBatch
 	}
 
 	row := make([]byte, 0, 256)
-	for _, rb := range batches {
+	err := batches(func(rb *arrow.RecordBatch) error {
 		for i := 0; i < rb.NumRows; i++ {
 			row = append(row[:0], 'D', 0, 0, 0, 0)
 			row = binary.LittleEndian.AppendUint16(row, uint16(len(rb.Columns)))
@@ -53,8 +53,12 @@ func servePGWire(w io.Writer, schema *arrow.Schema, batches []*arrow.RecordBatch
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	_, err := w.Write([]byte{'C', 0, 0, 0, 0})
+	_, err = w.Write([]byte{'C', 0, 0, 0, 0})
 	return err
 }
 

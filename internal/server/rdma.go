@@ -36,31 +36,24 @@ func NewRDMAClient(capacity int) *RDMAClient {
 // RDMAExport copies the table into the client's registered region and
 // returns the client-side view plus transfer statistics. The returned
 // arrays alias the client region — zero further copies, like pyarrow
-// mapping a Flight/RDMA buffer.
+// mapping a Flight/RDMA buffer. Each frozen block is copied while the
+// export pins it frozen, so the transfer is a consistent snapshot.
 func RDMAExport(mgr *txn.Manager, table *catalog.Table, client *RDMAClient) (*Result, error) {
 	start := time.Now()
 	tx := mgr.Begin()
-	batches, _, _, err := table.ExportBatches(tx)
-	if err != nil {
-		mgr.Abort(tx)
-		return nil, err
-	}
 
-	// Size the registered region up front (a real client registers one
-	// large region with the NIC before issuing reads; growing mid-transfer
-	// would mean extra copies no RDMA deployment pays).
-	need := 0
-	for _, rb := range batches {
-		need += rb.DataSize()
-	}
-	if cap(client.region) < need {
-		client.region = make([]byte, need)
-	}
+	// A real client registers one large region with the NIC before issuing
+	// reads. A transfer that outgrows it registers a larger one for the
+	// rest (arrays already placed keep aliasing the old region), so a
+	// client reused across exports pays that once.
 	written := int64(0)
 	region := client.region[:0]
 	place := func(src []byte) []byte {
 		if len(src) == 0 {
 			return nil
+		}
+		if len(region)+len(src) > cap(region) {
+			region = make([]byte, 0, max(2*cap(region), len(src)))
 		}
 		off := len(region)
 		region = append(region, src...)
@@ -68,8 +61,8 @@ func RDMAExport(mgr *txn.Manager, table *catalog.Table, client *RDMAClient) (*Re
 		return region[off : off+len(src) : off+len(src)]
 	}
 
-	out := &arrow.Table{}
-	for _, rb := range batches {
+	out := &arrow.Table{Schema: table.Schema}
+	_, _, err := table.StreamBatches(tx, func(rb *arrow.RecordBatch, _ bool) error {
 		cols := make([]*arrow.Array, len(rb.Columns))
 		for i, c := range rb.Columns {
 			nc := &arrow.Array{
@@ -92,16 +85,19 @@ func RDMAExport(mgr *txn.Manager, table *catalog.Table, client *RDMAClient) (*Re
 		}
 		nrb, err := arrow.NewRecordBatch(rb.Schema, cols)
 		if err != nil {
-			mgr.Abort(tx)
-			return nil, err
+			return err
 		}
-		if out.Schema == nil {
+		if len(out.Batches) == 0 {
 			out.Schema = rb.Schema
 		}
 		out.Batches = append(out.Batches, nrb)
+		return nil
+	})
+	mgr.Commit(tx, nil)
+	if err != nil {
+		return nil, err
 	}
 	client.region = region[:cap(region)]
-	mgr.Commit(tx, nil)
 
 	elapsed := time.Since(start)
 	if client.Bandwidth > 0 {

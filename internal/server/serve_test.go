@@ -472,6 +472,37 @@ func TestDeadlineMidDoGetReleasesBlocks(t *testing.T) {
 	}
 }
 
+// A filtered DoGet whose predicate matches nothing never produces an
+// output batch; its deadline must still fire during the scan. The table is
+// left hot: a frozen zero-match scan is zone-pruned or kernel-filtered in
+// microseconds, while staging 200k hot rows takes far longer than 1 ms.
+func TestDeadlineFilteredDoGetNoMatch(t *testing.T) {
+	_, _, addr := startServer(t, Config{})
+	setup := mustDial(t, addr)
+	if err := setup.CreateTable("item", itemSchema()); err != nil {
+		t.Fatal(err)
+	}
+	const n = 200000
+	var batches []*mainline.RecordBatch
+	for lo := 0; lo < n; lo += 20000 {
+		batches = append(batches, buildBatch(t, lo, lo+20000))
+	}
+	if _, err := setup.DoPut("item", batches); err != nil {
+		t.Fatal(err)
+	}
+	none := &WirePred{Col: "qty", Op: PredEq, V1: int64(1000)} // qty is i%100
+	noBatches := func(*mainline.RecordBatch) error { return errors.New("unexpected batch") }
+
+	st, err := setup.DoGet("item", []string{"id"}, none, noBatches)
+	if err != nil || st.Rows != 0 {
+		t.Fatalf("untimed zero-match DoGet: rows=%d err=%v", st.Rows, err)
+	}
+	c := mustDial(t, addr, WithRequestTimeout(time.Millisecond))
+	if _, err := c.DoGet("item", []string{"id"}, none, noBatches); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("want ErrDeadlineExceeded from a zero-match scan, got %v", err)
+	}
+}
+
 func TestGracefulDrain(t *testing.T) {
 	eng, srv, addr := startServer(t, Config{HTTPAddr: "127.0.0.1:0"})
 	c := mustDial(t, addr)

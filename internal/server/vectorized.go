@@ -26,7 +26,7 @@ import (
 //	end     [u32 0]
 const vectorChunkRows = 2048
 
-func serveVectorized(w io.Writer, schema *arrow.Schema, batches []*arrow.RecordBatch) error {
+func serveVectorized(w io.Writer, schema *arrow.Schema, batches batchSource) error {
 	hdr := make([]byte, 0, 128)
 	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(schema.NumFields()))
 	for _, f := range schema.Fields {
@@ -44,12 +44,9 @@ func serveVectorized(w io.Writer, schema *arrow.Schema, batches []*arrow.RecordB
 	}
 
 	buf := make([]byte, 0, 1<<16)
-	for _, rb := range batches {
+	err := batches(func(rb *arrow.RecordBatch) error {
 		for start := 0; start < rb.NumRows; start += vectorChunkRows {
-			end := start + vectorChunkRows
-			if end > rb.NumRows {
-				end = rb.NumRows
-			}
+			end := min(start+vectorChunkRows, rb.NumRows)
 			buf = buf[:0]
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(end-start))
 			for _, col := range rb.Columns {
@@ -59,9 +56,13 @@ func serveVectorized(w io.Writer, schema *arrow.Schema, batches []*arrow.RecordB
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	var eos [4]byte
-	_, err := w.Write(eos[:])
+	_, err = w.Write(eos[:])
 	return err
 }
 

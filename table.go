@@ -97,37 +97,37 @@ func (t *Table) CountVisible(tx *Txn) (int, error) {
 	return t.DataTable.CountVisible(tx.raw), nil
 }
 
-// ExportBatches materializes the table as Arrow record batches in tx's
-// snapshot: frozen blocks zero-copy, hot blocks transactionally
-// materialized. It reports how many blocks took each path.
-func (t *Table) ExportBatches(tx *Txn) (batches []*RecordBatch, frozen, materialized int, err error) {
+// ExportBatches streams the table as Arrow record batches in tx's
+// snapshot, one per block: a frozen block is handed over zero-copy
+// (zeroCopy true), a hot or evicted block is materialized into a batch fn
+// owns. A zero-copy batch aliases block memory and is valid only until fn
+// returns — the block cannot thaw while fn runs, so the batch never shows
+// a later write; copy what must outlive the callback. For the same reason
+// fn must not write to the table itself: a write to the block being
+// exported waits for fn to return. fn returning an error stops the
+// export. It reports how many blocks took each path.
+func (t *Table) ExportBatches(tx *Txn, fn func(rb *RecordBatch, zeroCopy bool) error) (frozen, materialized int, err error) {
 	if err := tx.usable(); err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
-	return t.Table.ExportBatches(tx.raw)
+	return t.Table.StreamBatches(tx.raw, fn)
 }
 
 // ExportIPC streams the table to w in the Arrow IPC format: frozen blocks
 // zero-copy, hot blocks transactionally materialized. It returns bytes
 // written and how many blocks took each path.
 func (t *Table) ExportIPC(w io.Writer, tx *Txn) (written int64, frozen, materialized int, err error) {
-	batches, fz, mat, err := t.ExportBatches(tx)
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	wr := arrow.NewWriter(w)
-	for _, rb := range batches {
+	frozen, materialized, err = t.ExportBatches(tx, func(rb *RecordBatch, _ bool) error {
 		// Schemas can differ per block (dictionary-compressed vs hot
-		// materialized); re-announce on change.
+		// materialized); re-announce before each batch.
 		if err := wr.WriteSchema(rb.Schema); err != nil {
-			return wr.BytesWritten, fz, mat, err
+			return err
 		}
-		if err := wr.WriteBatch(rb); err != nil {
-			return wr.BytesWritten, fz, mat, err
-		}
+		return wr.WriteBatch(rb)
+	})
+	if err == nil {
+		err = wr.Close()
 	}
-	if err := wr.Close(); err != nil {
-		return wr.BytesWritten, fz, mat, err
-	}
-	return wr.BytesWritten, fz, mat, nil
+	return wr.BytesWritten, frozen, materialized, err
 }

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"mainline/internal/raceflag"
 	"mainline/internal/storage"
 	"mainline/internal/transform"
 )
@@ -40,7 +41,7 @@ func TestColdTierConcurrentStress(t *testing.T) {
 	const total = coldBlocks * coldPerBlock
 
 	iters, scanners := 12, 3
-	if raceEnabled {
+	if raceflag.Enabled {
 		iters, scanners = 5, 2
 	}
 	if testing.Short() {
