@@ -17,12 +17,21 @@
 // client per worker for parallelism — connections are the unit the
 // server's admission control counts.
 //
+// Begin, Tx.Update and Tx.Delete are pipelined: they are not sent until
+// the next call that needs an answer, which carries them in the same
+// write and reads their replies first. A failure of one of them is
+// returned by the transaction's next call, Commit included — the server
+// has already rolled the transaction back, so its other writes never
+// commit — and Abort then returns nil. An update transaction thus costs
+// two round trips: GetBy carries Begin, Commit carries Update.
+//
 // Quickstart:
 //
 //	c, err := client.Dial("127.0.0.1:7878")
 //	tx, err := c.Begin()
 //	slot, err := tx.Insert("item", []string{"id", "name"}, []any{int64(1), "JOE"})
-//	_, err = tx.Commit()
+//	err = tx.Update("item", slot, []string{"name"}, []any{"JOE2"})
+//	_, err = tx.Commit() // also reports a failed Update
 //	_, err = c.DoGet("item", nil, nil, func(rb *mainline.RecordBatch) error {
 //		... // rb is Arrow: columns straight off the server's frozen blocks
 //	})

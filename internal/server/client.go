@@ -13,10 +13,12 @@ import (
 )
 
 // Client is the Go client for the mainline-serve framed protocol. One
-// client owns one connection; requests are serialized on it (the protocol
-// is strictly request/response per connection), so a Client is safe for
-// concurrent use but concurrent calls queue. Open more clients for
-// parallelism — that is the unit the server's admission control counts.
+// client owns one connection. Begin, Tx.Update and Tx.Delete are
+// pipelined: they are buffered, not sent, and the next call that needs an
+// answer sends them with its own request and reads their replies first
+// (see "Pipelining" in wire.go). A Client is safe for concurrent use, but
+// calls queue on its one connection; open more clients for parallelism —
+// that is the unit the server's admission control counts.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -24,10 +26,22 @@ type Client struct {
 	bw   *bufio.Writer
 	buf  []byte
 
+	// lastTx is the last transaction handle handed out.
+	lastTx uint64
+	// pending holds, in request order, the transaction of each pipelined
+	// request whose reply has not been read.
+	pending []*Tx
+
 	maxFrame   int
 	reqTimeout time.Duration
 	closed     bool
 }
+
+// maxPending caps unread pipelined replies; reaching it forces a drain. A
+// long run of blind writes would otherwise fill the socket buffers both
+// ways: the server blocks writing replies nobody reads and stops reading,
+// while the client blocks writing requests.
+const maxPending = 32
 
 // DialOption configures Dial.
 type DialOption func(*dialCfg)
@@ -137,14 +151,62 @@ func (c *Client) readResp() (byte, []byte, error) {
 	return kind, payload, nil
 }
 
-// roundTrip sends one request frame and reads its response, asserting the
-// response kind.
-func (c *Client) roundTrip(reqKind byte, payload []byte, wantKind byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.roundTripLocked(reqKind, payload, wantKind)
+// pipeline writes a request of tx whose reply the caller does not wait
+// for. The next drain reads the reply and records a failure on tx.
+func (c *Client) pipeline(tx *Tx, reqKind byte, payload []byte) error {
+	if c.closed {
+		return net.ErrClosed
+	}
+	if len(c.pending) >= maxPending {
+		if err := c.drain(); err != nil {
+			return err
+		}
+	}
+	if err := writeFrame(c.bw, reqKind, payload); err != nil {
+		return err
+	}
+	c.pending = append(c.pending, tx)
+	return nil
 }
 
+// drain flushes the buffered requests and reads the pending replies in
+// order, recording each failure on its own transaction (first error
+// wins). It returns an error only when the connection failed.
+func (c *Client) drain() error {
+	err := c.bw.Flush()
+	for _, tx := range c.pending {
+		var kind byte
+		if err == nil {
+			kind, _, err = c.readResp()
+		}
+		rerr := err
+		if rerr == nil && kind != respOK {
+			rerr = fmt.Errorf("client: got %s, want %s", kindName(kind), kindName(respOK))
+		}
+		if rerr != nil && tx.err == nil {
+			tx.err = rerr
+		}
+		if kind == respErr {
+			err = nil // a remote error leaves the stream in sync
+		}
+	}
+	clear(c.pending)
+	c.pending = c.pending[:0]
+	return err
+}
+
+// roundTrip sends one request frame and reads its response, asserting the
+// response kind; for requests whose response carries no payload.
+func (c *Client) roundTrip(reqKind byte, payload []byte, wantKind byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.roundTripLocked(reqKind, payload, wantKind)
+	return err
+}
+
+// roundTripLocked sends the request with every pipelined one before it,
+// drains their replies and reads its own. The returned payload aliases
+// the client's read buffer: decode it before releasing c.mu.
 func (c *Client) roundTripLocked(reqKind byte, payload []byte, wantKind byte) ([]byte, error) {
 	if c.closed {
 		return nil, net.ErrClosed
@@ -152,7 +214,7 @@ func (c *Client) roundTripLocked(reqKind byte, payload []byte, wantKind byte) ([
 	if err := writeFrame(c.bw, reqKind, payload); err != nil {
 		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.drain(); err != nil {
 		return nil, err
 	}
 	kind, resp, err := c.readResp()
@@ -168,8 +230,7 @@ func (c *Client) roundTripLocked(reqKind byte, payload []byte, wantKind byte) ([
 // Ping round-trips an empty request.
 func (c *Client) Ping() error {
 	w := c.newReq()
-	_, err := c.roundTrip(reqPing, w.b, respOK)
-	return err
+	return c.roundTrip(reqPing, w.b, respOK)
 }
 
 // CreateTable creates a table (error unwraps to ErrTableExists when the
@@ -180,8 +241,7 @@ func (c *Client) CreateTable(name string, schema *mainline.Schema) error {
 	if err := w.schema(schema); err != nil {
 		return err
 	}
-	_, err := c.roundTrip(reqCreateTable, w.b, respOK)
-	return err
+	return c.roundTrip(reqCreateTable, w.b, respOK)
 }
 
 // CreateIndex declares an engine-managed index (sharded when shards > 0).
@@ -194,15 +254,16 @@ func (c *Client) CreateIndex(table, index string, shards int, cols ...string) er
 	if err := w.strs(cols); err != nil {
 		return err
 	}
-	_, err := c.roundTrip(reqCreateIndex, w.b, respOK)
-	return err
+	return c.roundTrip(reqCreateIndex, w.b, respOK)
 }
 
 // Schema fetches a table's schema, nil when the table does not exist.
 func (c *Client) Schema(table string) (*mainline.Schema, error) {
 	w := c.newReq()
 	w.str(table)
-	resp, err := c.roundTrip(reqSchema, w.b, respSchema)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTripLocked(reqSchema, w.b, respSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -230,31 +291,59 @@ const (
 )
 
 // Tx is a server-side transaction handle. All calls must go through the
-// client that began it.
+// client that began it. Begin, Update and Delete only queue their
+// requests; when one of them fails on the server, the transaction's next
+// call returns that error — Commit included — and Abort returns nil,
+// because the server has already rolled the transaction back.
 type Tx struct {
 	c    *Client
 	id   uint64
 	done bool
+	// err is the first failure of a pipelined request; guarded by c.mu.
+	err error
 }
 
-// Begin opens a transaction on the server.
+// Begin opens a transaction on the server. The request is pipelined, so
+// a server-side failure (ErrTooManyTxns, ErrDegraded on a durable Begin)
+// is returned by the transaction's first call.
 func (c *Client) Begin(opts ...TxOption) (*Tx, error) {
 	var flags byte
 	for _, o := range opts {
 		flags |= byte(o)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lastTx++
+	tx := &Tx{c: c, id: c.lastTx}
 	w := c.newReq()
+	w.u64(tx.id)
 	w.u8(flags)
-	resp, err := c.roundTrip(reqBegin, w.b, respBegin)
-	if err != nil {
+	if err := c.pipeline(tx, reqBegin, w.b); err != nil {
 		return nil, err
 	}
-	r := rbuf{b: resp}
-	id := r.u64()
-	if err := r.done(); err != nil {
-		return nil, err
+	return tx, nil
+}
+
+// callLocked runs a request of t that needs an answer. A failed pipelined
+// request of t — perhaps one whose reply this call just drained — takes
+// precedence over the call's own reply. The caller holds t.c.mu.
+func (t *Tx) callLocked(reqKind byte, payload []byte, wantKind byte) ([]byte, error) {
+	resp, err := t.c.roundTripLocked(reqKind, payload, wantKind)
+	if t.err != nil {
+		return nil, t.err
 	}
-	return &Tx{c: c, id: id}, nil
+	return resp, err
+}
+
+// pipeline queues a write of t, or returns the failure already recorded
+// on t.
+func (t *Tx) pipeline(reqKind byte, payload []byte) error {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	if t.err != nil {
+		return t.err
+	}
+	return t.c.pipeline(t, reqKind, payload)
 }
 
 // Commit commits, returning the commit timestamp. The handle is spent
@@ -264,7 +353,9 @@ func (t *Tx) Commit() (uint64, error) {
 	t.done = true
 	w := t.c.newReq()
 	w.u64(t.id)
-	resp, err := t.c.roundTrip(reqCommit, w.b, respCommit)
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	resp, err := t.callLocked(reqCommit, w.b, respCommit)
 	if err != nil {
 		return 0, err
 	}
@@ -274,7 +365,8 @@ func (t *Tx) Commit() (uint64, error) {
 }
 
 // Abort rolls the transaction back. Safe to defer after Commit: a spent
-// handle is a no-op.
+// handle is a no-op. It returns nil after a failed pipelined request,
+// which already rolled the transaction back.
 func (t *Tx) Abort() error {
 	if t.done {
 		return nil
@@ -282,7 +374,12 @@ func (t *Tx) Abort() error {
 	t.done = true
 	w := t.c.newReq()
 	w.u64(t.id)
-	_, err := t.c.roundTrip(reqAbort, w.b, respOK)
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	_, err := t.c.roundTripLocked(reqAbort, w.b, respOK)
+	if t.err != nil {
+		return nil
+	}
 	return err
 }
 
@@ -297,7 +394,9 @@ func (t *Tx) Insert(table string, cols []string, vals []any) (uint64, error) {
 	if err := w.vals(vals); err != nil {
 		return 0, err
 	}
-	resp, err := t.c.roundTrip(reqInsert, w.b, respSlot)
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	resp, err := t.callLocked(reqInsert, w.b, respSlot)
 	if err != nil {
 		return 0, err
 	}
@@ -306,7 +405,9 @@ func (t *Tx) Insert(table string, cols []string, vals []any) (uint64, error) {
 	return slot, r.done()
 }
 
-// Update rewrites the named columns of the tuple at slot.
+// Update rewrites the named columns of the tuple at slot. The request is
+// pipelined: a server-side failure is returned by the transaction's next
+// call, and the server rolls the transaction back.
 func (t *Tx) Update(table string, slot uint64, cols []string, vals []any) error {
 	w := t.c.newReq()
 	w.u64(t.id)
@@ -318,18 +419,16 @@ func (t *Tx) Update(table string, slot uint64, cols []string, vals []any) error 
 	if err := w.vals(vals); err != nil {
 		return err
 	}
-	_, err := t.c.roundTrip(reqUpdate, w.b, respOK)
-	return err
+	return t.pipeline(reqUpdate, w.b)
 }
 
-// Delete removes the tuple at slot.
+// Delete removes the tuple at slot. Pipelined, like Update.
 func (t *Tx) Delete(table string, slot uint64) error {
 	w := t.c.newReq()
 	w.u64(t.id)
 	w.str(table)
 	w.u64(slot)
-	_, err := t.c.roundTrip(reqDelete, w.b, respOK)
-	return err
+	return t.pipeline(reqDelete, w.b)
 }
 
 // RowData is one row as returned by reads: parallel column names and
@@ -413,7 +512,9 @@ func (t *Tx) Select(table string, slot uint64, cols ...string) (*RowData, error)
 	if err := w.strs(cols); err != nil {
 		return nil, err
 	}
-	resp, err := t.c.roundTrip(reqSelect, w.b, respRow)
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	resp, err := t.callLocked(reqSelect, w.b, respRow)
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +558,9 @@ func (t *Tx) GetBy(table, index string, key []any, cols ...string) (*RowData, er
 	if err := w.strs(cols); err != nil {
 		return nil, err
 	}
-	resp, err := t.c.roundTrip(reqGetBy, w.b, respRow)
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	resp, err := t.callLocked(reqGetBy, w.b, respRow)
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +595,9 @@ func (t *Tx) RangeBy(table, index string, lo, hi []any, cols []string, limit int
 		limit = 0
 	}
 	w.u32(uint32(limit))
-	resp, err := t.c.roundTrip(reqRangeBy, w.b, respRows)
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	resp, err := t.callLocked(reqRangeBy, w.b, respRows)
 	if err != nil {
 		return nil, false, err
 	}
@@ -601,7 +706,7 @@ func (c *Client) DoGet(table string, cols []string, pred *WirePred, fn func(rb *
 	if err := writeFrame(c.bw, reqDoGet, w.b); err != nil {
 		return GetStats{}, err
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.drain(); err != nil {
 		return GetStats{}, err
 	}
 	cr := &chunkReader{c: c}
@@ -670,7 +775,7 @@ func (c *Client) DoPut(table string, batches []*mainline.RecordBatch) (int, erro
 	if err := writeFrame(c.bw, putDone, nil); err != nil {
 		return 0, err
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.drain(); err != nil {
 		return 0, err
 	}
 	kind, resp, err := c.readResp()

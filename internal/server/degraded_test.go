@@ -46,9 +46,18 @@ func TestDegradedAcrossTheWire(t *testing.T) {
 		t.Fatalf("durable commit over failed fsync = %v, want ErrDegraded", err)
 	}
 
-	// Durable Begin refuses.
-	if _, err := c.Begin(TxDurable); !errors.Is(err, mainline.ErrDegraded) {
+	// Durable Begin refuses. Begin is pipelined, so the refusal comes
+	// back with the transaction's first call, and Abort then has nothing
+	// left to roll back.
+	dtx, err := c.Begin(TxDurable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dtx.Select("item", slot, "id"); !errors.Is(err, mainline.ErrDegraded) {
 		t.Fatalf("Begin(TxDurable) = %v, want ErrDegraded", err)
+	}
+	if err := dtx.Abort(); err != nil {
+		t.Fatalf("Abort after a refused Begin = %v, want nil", err)
 	}
 
 	// Writes in a non-durable transaction refuse at the table op.

@@ -32,7 +32,7 @@ func (c *chunkWriter) Write(p []byte) (int, error) {
 	if err := writeFrame(c.s.bw, dataChunk, p); err != nil {
 		return 0, err
 	}
-	if err := c.s.bw.Flush(); err != nil {
+	if err := c.s.flush(); err != nil {
 		return 0, err
 	}
 	c.bytes += int64(len(p))

@@ -20,7 +20,10 @@ type serverObs struct {
 	// deadline records the margin left when a deadline-carrying request
 	// finished (0 = the deadline was hit or overshot).
 	deadline *obs.Histogram
-	ring     *obs.TraceRing
+	// respsPerWrite records how many responses each socket write carried:
+	// above 1 when a pipelined burst's replies share a write.
+	respsPerWrite *obs.Histogram
+	ring          *obs.TraceRing
 }
 
 // reqKinds is every request frame kind the session loop dispatches.
@@ -34,7 +37,7 @@ var reqKinds = []byte{
 // deadline field) with the client-side transaction handle — peeked into
 // slow-op spans without re-decoding the request.
 var txnIDKinds = map[byte]bool{
-	reqCommit: true, reqAbort: true, reqInsert: true, reqUpdate: true,
+	reqBegin: true, reqCommit: true, reqAbort: true, reqInsert: true, reqUpdate: true,
 	reqDelete: true, reqSelect: true, reqGetBy: true, reqRangeBy: true,
 }
 
@@ -52,5 +55,9 @@ func newServerObs(eng *mainline.Engine) *serverObs {
 		"mainline_server_deadline_margin_seconds",
 		"time left on the request deadline at completion (0 = missed)",
 		"seconds", "")
+	so.respsPerWrite = r.NewHistogram(
+		"mainline_server_responses_per_write",
+		"responses carried by one server socket write",
+		"", "")
 	return so
 }

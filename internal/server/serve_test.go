@@ -182,7 +182,16 @@ func TestTransactionalPlane(t *testing.T) {
 	if err := txa.Update("item", slots[2], []string{"qty"}, []any{int64(1)}); err != nil {
 		t.Fatal(err)
 	}
-	err = txb.Update("item", slots[2], []string{"qty"}, []any{int64(2)})
+	// Updates are pipelined: txa's reaches the server with c's next call
+	// that needs an answer.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if err := txb.Update("item", slots[2], []string{"qty"}, []any{int64(2)}); err != nil {
+		t.Fatalf("pipelined update: %v", err)
+	}
+	// The conflict comes back with txb's next call.
+	_, err = txb.Commit()
 	if !errors.Is(err, mainline.ErrWriteConflict) {
 		t.Fatalf("want ErrWriteConflict across the wire, got %v", err)
 	}

@@ -15,6 +15,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -181,7 +182,7 @@ func (s *Server) admit(conn net.Conn) {
 	deadline := time.Now().Add(s.cfg.HandshakeTimeout)
 	_ = conn.SetDeadline(deadline)
 	var magic [8]byte
-	if _, err := io.ReadFull(conn, magic[:]); err != nil || magic != wireMagic {
+	if _, err := io.ReadFull(conn, magic[:]); err != nil {
 		conn.Close()
 		return
 	}
@@ -189,6 +190,16 @@ func (s *Server) admit(conn net.Conn) {
 		s.ctr.sessionsRejected.Add(1)
 		_ = writeFrame(conn, respErr, encodeErr(err))
 		conn.Close()
+	}
+	if magic != wireMagic {
+		if bytes.Equal(magic[:7], wireMagic[:7]) {
+			// Another version of this protocol: say which, so the client
+			// reports a version mismatch rather than a dropped connection.
+			reject(fmt.Errorf("%w: protocol version %q, server speaks %q", ErrBadRequest, magic[:], wireMagic[:]))
+			return
+		}
+		conn.Close()
+		return
 	}
 	if s.draining.Load() {
 		reject(ErrDraining)

@@ -23,11 +23,13 @@ type session struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	txns    map[uint64]*mainline.Txn
-	nextTxn uint64
+	// txns maps the client-chosen handles to their transactions.
+	txns map[uint64]handle
 
 	// buf is the reusable request-payload buffer.
 	buf []byte
+	// unflushed counts the responses in bw not yet written to the socket.
+	unflushed int
 
 	// busy is true while a request is being served; Shutdown only
 	// force-closes idle sessions before the grace deadline.
@@ -40,18 +42,27 @@ func newSession(s *Server, conn net.Conn) *session {
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 1<<16),
 		bw:   bufio.NewWriterSize(conn, 1<<16),
-		txns: make(map[uint64]*mainline.Txn),
+		txns: make(map[uint64]handle),
 	}
 }
 
+// handle is one transaction handle: a live transaction, or — once a
+// pipelined write on it failed — a tombstone holding that write's error.
+type handle struct {
+	tx  *mainline.Txn
+	err error
+}
+
 // run is the session's request loop. It exits on connection error, frame
-// violation, or drain; cleanup reaps every open transaction and releases
-// the admission slot.
+// violation, or drain; cleanup sends the replies still buffered, reaps
+// every open transaction and releases the admission slot.
 func (s *session) run() {
 	defer func() {
-		for id, tx := range s.txns {
-			if !tx.Finished() {
-				_ = tx.Abort()
+		_ = s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
+		_ = s.flush()
+		for id, h := range s.txns {
+			if !h.tx.Finished() {
+				_ = h.tx.Abort()
 				s.srv.ctr.txnsReaped.Add(1)
 			}
 			delete(s.txns, id)
@@ -91,7 +102,17 @@ func (s *session) serve(kind byte, payload []byte) bool {
 	}
 	if !s.srv.acquire() {
 		s.srv.ctr.requestsRejected.Add(1)
-		return s.respondErr(fmt.Errorf("%w: %d requests in flight", ErrServerBusy, s.srv.cfg.MaxInflight)) == nil
+		err := fmt.Errorf("%w: %d requests in flight", ErrServerBusy, s.srv.cfg.MaxInflight)
+		if kind == reqUpdate || kind == reqDelete {
+			// A shed pipelined write fails its transaction like any other
+			// failed pipelined write.
+			if id, ok := txnID(kind, payload); ok {
+				if h, live := s.txns[id]; live && h.err == nil {
+					s.kill(id, h.tx, err)
+				}
+			}
+		}
+		return s.respondErr(err) == nil
 	}
 	defer s.srv.release()
 	if c := s.srv.ctr.reqCounter(kind); c != nil {
@@ -170,9 +191,8 @@ func (s *session) observe(kind byte, payload []byte, start time.Time, dl time.Ti
 		Start: start,
 		DurNs: int64(d),
 	}
-	if txnIDKinds[kind] && len(payload) >= 12 {
-		// Payload layout for transactional kinds: [deadline u32][txn u64].
-		sp.TxnID = binary.LittleEndian.Uint64(payload[4:12])
+	if id, ok := txnID(kind, payload); ok {
+		sp.TxnID = id
 	}
 	if !dl.IsZero() {
 		sp.Phases = []mainline.SlowOpPhase{
@@ -182,12 +202,37 @@ func (s *session) observe(kind byte, payload []byte, start time.Time, dl time.Ti
 	so.ring.Observe(sp)
 }
 
-// respond writes one response frame and flushes, bounded by WriteTimeout.
+// txnID peeks the transaction handle of a transactional request; its
+// payload opens with [deadline u32][handle u64].
+func txnID(kind byte, payload []byte) (uint64, bool) {
+	if !txnIDKinds[kind] || len(payload) < 12 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(payload[4:12]), true
+}
+
+// respond writes one response frame, bounded by WriteTimeout. The frame
+// reaches the socket once no further request is buffered, so the replies
+// to a pipelined burst leave in one write.
 func (s *session) respond(kind byte, payload []byte) error {
 	_ = s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
 	defer s.conn.SetWriteDeadline(time.Time{})
 	if err := writeFrame(s.bw, kind, payload); err != nil {
 		return err
+	}
+	s.unflushed++
+	if s.br.Buffered() > 0 {
+		return nil
+	}
+	return s.flush()
+}
+
+// flush writes the buffered frames to the socket, recording how many
+// responses the write carries.
+func (s *session) flush() error {
+	if s.unflushed > 0 {
+		s.srv.obs.respsPerWrite.RecordValue(int64(s.unflushed))
+		s.unflushed = 0
 	}
 	return s.bw.Flush()
 }
@@ -208,13 +253,17 @@ func (s *session) table(name string) (*mainline.Table, error) {
 	return t, nil
 }
 
-// txn resolves a transaction handle.
+// txn resolves a live transaction handle; a tombstone answers with the
+// error of the write that killed it.
 func (s *session) txn(id uint64) (*mainline.Txn, error) {
-	tx, ok := s.txns[id]
+	h, ok := s.txns[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownTxn, id)
 	}
-	return tx, nil
+	if h.err != nil {
+		return nil, h.err
+	}
+	return h.tx, nil
 }
 
 // finish drops a handle, aborting it if still live.
@@ -223,6 +272,15 @@ func (s *session) finish(id uint64, tx *mainline.Txn) {
 		_ = tx.Abort()
 	}
 	delete(s.txns, id)
+}
+
+// kill rolls a transaction back after a failed pipelined write and keeps
+// its handle as a tombstone carrying err (see "Tombstones" in wire.go).
+func (s *session) kill(id uint64, tx *mainline.Txn, err error) {
+	if !tx.Finished() {
+		_ = tx.Abort()
+	}
+	s.txns[id] = handle{tx: tx, err: err}
 }
 
 // expired reports whether a request deadline has passed.
@@ -244,11 +302,16 @@ func (s *session) deadlineAbort(id uint64, tx *mainline.Txn) error {
 
 // --- Transactional plane -----------------------------------------------------
 
-// handleBegin: [flags u8] -> respBegin [id u64].
+// handleBegin: [handle u64][flags u8] -> respOK. The client picks the
+// handle, so it can use the transaction before this reply arrives.
 func (s *session) handleBegin(r *rbuf) error {
+	id := r.u64()
 	flags := r.u8()
 	if err := r.done(); err != nil {
 		return s.respondErr(err)
+	}
+	if _, taken := s.txns[id]; taken || id == 0 {
+		return s.respondErr(fmt.Errorf("%w: transaction handle %d is zero or in use", ErrBadRequest, id))
 	}
 	if len(s.txns) >= s.srv.cfg.MaxTxnsPerSession {
 		return s.respondErr(fmt.Errorf("%w (cap %d)", ErrTooManyTxns, s.srv.cfg.MaxTxnsPerSession))
@@ -264,15 +327,12 @@ func (s *session) handleBegin(r *rbuf) error {
 	if err != nil {
 		return s.respondErr(err)
 	}
-	s.nextTxn++
-	id := s.nextTxn
-	s.txns[id] = tx
-	var w wbuf
-	w.u64(id)
-	return s.respond(respBegin, w.b)
+	s.txns[id] = handle{tx: tx}
+	return s.respond(respOK, nil)
 }
 
-// handleCommit: [id u64] -> respCommit [ts u64].
+// handleCommit: [id u64] -> respCommit [ts u64]. A tombstone is dropped
+// and answered with its error.
 func (s *session) handleCommit(r *rbuf) error {
 	id := r.u64()
 	if err := r.done(); err != nil {
@@ -280,6 +340,7 @@ func (s *session) handleCommit(r *rbuf) error {
 	}
 	tx, err := s.txn(id)
 	if err != nil {
+		delete(s.txns, id)
 		return s.respondErr(err)
 	}
 	ts, err := tx.Commit()
@@ -292,17 +353,17 @@ func (s *session) handleCommit(r *rbuf) error {
 	return s.respond(respCommit, w.b)
 }
 
-// handleAbort: [id u64] -> respOK.
+// handleAbort: [id u64] -> respOK, for a live handle or a tombstone.
 func (s *session) handleAbort(r *rbuf) error {
 	id := r.u64()
 	if err := r.done(); err != nil {
 		return s.respondErr(err)
 	}
-	tx, err := s.txn(id)
-	if err != nil {
-		return s.respondErr(err)
+	h, ok := s.txns[id]
+	if !ok {
+		return s.respondErr(fmt.Errorf("%w: %d", ErrUnknownTxn, id))
 	}
-	s.finish(id, tx)
+	s.finish(id, h.tx)
 	return s.respond(respOK, nil)
 }
 
@@ -359,6 +420,32 @@ func (s *session) handleInsert(r *rbuf, dl time.Time) error {
 	return s.respond(respSlot, w.b)
 }
 
+// write serves a pipelined write (Update, Delete) on handle id. Its
+// client reads the reply only later, so a failure must not leave the
+// transaction committable: the transaction is rolled back at once and its
+// handle kept as a tombstone.
+func (s *session) write(id uint64, decodeErr error, dl time.Time, apply func(*mainline.Txn) error) error {
+	tx, err := s.txn(id)
+	if err != nil {
+		return s.respondErr(err)
+	}
+	switch {
+	case decodeErr != nil:
+		err = decodeErr
+	case expired(dl):
+		s.srv.ctr.deadlineHits.Add(1)
+		s.srv.ctr.txnsReaped.Add(1)
+		err = ErrDeadlineExceeded
+	default:
+		err = apply(tx)
+	}
+	if err != nil {
+		s.kill(id, tx, err)
+		return s.respondErr(err)
+	}
+	return s.respond(respOK, nil)
+}
+
 // handleUpdate: [txn u64][table][slot u64][cols][vals] -> respOK.
 func (s *session) handleUpdate(r *rbuf, dl time.Time) error {
 	id := r.u64()
@@ -366,28 +453,17 @@ func (s *session) handleUpdate(r *rbuf, dl time.Time) error {
 	slot := r.u64()
 	cols := r.strs()
 	vals := r.vals()
-	if err := r.done(); err != nil {
-		return s.respondErr(err)
-	}
-	tx, err := s.txn(id)
-	if err != nil {
-		return s.respondErr(err)
-	}
-	if expired(dl) {
-		return s.deadlineAbort(id, tx)
-	}
-	tbl, err := s.table(name)
-	if err != nil {
-		return s.respondErr(err)
-	}
-	row, err := setRow(tbl, cols, vals)
-	if err != nil {
-		return s.respondErr(err)
-	}
-	if err := tbl.Update(tx, mainline.TupleSlot(slot), row); err != nil {
-		return s.respondErr(err)
-	}
-	return s.respond(respOK, nil)
+	return s.write(id, r.done(), dl, func(tx *mainline.Txn) error {
+		tbl, err := s.table(name)
+		if err != nil {
+			return err
+		}
+		row, err := setRow(tbl, cols, vals)
+		if err != nil {
+			return err
+		}
+		return tbl.Update(tx, mainline.TupleSlot(slot), row)
+	})
 }
 
 // handleDelete: [txn u64][table][slot u64] -> respOK.
@@ -395,24 +471,13 @@ func (s *session) handleDelete(r *rbuf, dl time.Time) error {
 	id := r.u64()
 	name := r.str()
 	slot := r.u64()
-	if err := r.done(); err != nil {
-		return s.respondErr(err)
-	}
-	tx, err := s.txn(id)
-	if err != nil {
-		return s.respondErr(err)
-	}
-	if expired(dl) {
-		return s.deadlineAbort(id, tx)
-	}
-	tbl, err := s.table(name)
-	if err != nil {
-		return s.respondErr(err)
-	}
-	if err := tbl.Delete(tx, mainline.TupleSlot(slot)); err != nil {
-		return s.respondErr(err)
-	}
-	return s.respond(respOK, nil)
+	return s.write(id, r.done(), dl, func(tx *mainline.Txn) error {
+		tbl, err := s.table(name)
+		if err != nil {
+			return err
+		}
+		return tbl.Delete(tx, mainline.TupleSlot(slot))
+	})
 }
 
 // rowCols returns the effective column list for a read (all schema columns

@@ -6,9 +6,9 @@
 //	               data frames; DoPut streams client record batches into
 //	               the transactional write path.
 //	transactional  Begin/Commit/Abort plus point reads and writes and
-//	               indexed reads, one compact binary request/response
-//	               pair per frame, against connection-scoped transaction
-//	               handles.
+//	               indexed reads, one compact binary request and one
+//	               response frame each, against connection-scoped
+//	               transaction handles.
 //
 // Frame layout (everything little-endian):
 //
@@ -16,11 +16,32 @@
 //
 // A connection opens with an 8-byte magic from the client; the server
 // answers with one respOK frame (or respErr carrying codeBusy/codeDraining,
-// then closes). Afterwards the client sends one request frame at a time and
-// reads frames until the request's terminal response. Streaming responses
-// (DoGet) interleave dataChunk frames and finish with dataEnd or respErr;
-// streaming requests (DoPut) follow the header frame with putChunk frames
-// and finish with putDone.
+// then closes; a client speaking another protocol version gets a respErr
+// naming both versions). Afterwards the server answers request frames in
+// the order they arrive, each with frames ending in its terminal response.
+// Streaming responses (DoGet) interleave dataChunk frames and finish with
+// dataEnd or respErr; streaming requests (DoPut) follow the header frame
+// with putChunk frames and finish with putDone.
+//
+// Pipelining. Begin, Update and Delete carry nothing their caller needs
+// before its next call, so the client does not wait for their replies. It
+// buffers them and sends them with the next request that does need an
+// answer, then reads their replies in order before that request's own.
+// The client picks each transaction handle (a per-connection counter, so
+// a handle is never zero and never reused on its connection), which lets
+// it use a transaction before the Begin reply arrives. A session serves
+// its frames one at a time, so a read after a pipelined write in the same
+// transaction sees the write. The server flushes its replies only when no
+// further request is buffered, so the replies to one burst leave in one
+// socket write.
+//
+// Tombstones. A pipelined Update or Delete that fails — or is shed by
+// admission control — rolls its transaction back at once. The handle stays
+// as a tombstone: every later request on it is answered with the stored
+// error until Commit (answered with the error) or Abort (answered OK)
+// drops it. A transaction whose pipelined write failed therefore never
+// commits its other writes. Tombstones count against
+// Config.MaxTxnsPerSession.
 //
 // Every decoder in this file is defensive: a truncated, oversized, or
 // corrupt frame surfaces as a typed error, never a panic or an unbounded
@@ -39,8 +60,8 @@ import (
 	"mainline/internal/arrow"
 )
 
-// wireMagic opens every connection.
-var wireMagic = [8]byte{'M', 'L', 'S', 'E', 'R', 'V', 'E', '1'}
+// wireMagic opens every connection; its last byte is the protocol version.
+var wireMagic = [8]byte{'M', 'L', 'S', 'E', 'R', 'V', 'E', '2'}
 
 // Frame kinds. Requests are 0x1x/0x2x/0x3x, responses 0x8x, stream frames
 // 0x9x. putChunk/putDone continue a DoPut; dataChunk/dataEnd continue a
@@ -66,7 +87,6 @@ const (
 
 	respOK     = 0x80
 	respErr    = 0x81
-	respBegin  = 0x82
 	respCommit = 0x83
 	respSlot   = 0x84
 	respRow    = 0x85
@@ -150,8 +170,9 @@ var (
 	ErrFrameTooLarge = errors.New("server: frame exceeds size limit")
 	// ErrTableExists is returned by CreateTable for a name already taken.
 	ErrTableExists = errors.New("server: table already exists")
-	// ErrTooManyTxns is returned by Begin when the session already holds
-	// the per-session transaction-handle cap.
+	// ErrTooManyTxns answers a Begin when the session already holds the
+	// per-session transaction-handle cap, tombstones included; the client
+	// returns it from the transaction's first call.
 	ErrTooManyTxns = errors.New("server: too many open transactions on session")
 )
 

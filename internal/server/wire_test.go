@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,6 +43,15 @@ func TestReadFrameOversized(t *testing.T) {
 	}
 }
 
+// beginPayload encodes a Begin request: [deadline u32][handle u64][flags u8].
+func beginPayload(handle uint64, flags byte) []byte {
+	var w wbuf
+	w.u32(0)
+	w.u64(handle)
+	w.u8(flags)
+	return w.b
+}
+
 // rawConn handshakes a raw protocol connection for frame-level abuse.
 func rawConn(t *testing.T, addr string) net.Conn {
 	t.Helper()
@@ -77,8 +87,9 @@ func TestCorruptRequestsSurviveAsTypedErrors(t *testing.T) {
 		kind    byte
 		payload []byte
 	}{
-		{"empty begin", reqBegin, nil},                             // missing even the deadline
-		{"begin trailing garbage", reqBegin, append(append([]byte{}, dl...), 1, 0xde, 0xad)},
+		{"empty begin", reqBegin, nil}, // missing even the deadline
+		{"begin missing flags", reqBegin, append(append([]byte{}, dl...), 1, 0, 0, 0, 0, 0, 0, 0)},
+		{"begin trailing garbage", reqBegin, append(append([]byte{}, dl...), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xde, 0xad)},
 		{"commit truncated id", reqCommit, append(append([]byte{}, dl...), 1, 2, 3)},
 		{"insert empty", reqInsert, dl},
 		{"insert huge col count", reqInsert, append(append(append([]byte{}, dl...), 1, 0, 0, 0, 0, 0, 0, 0, 4, 'i', 't', 'e', 'm'), 0xff, 0xff)},
@@ -133,6 +144,77 @@ func TestCorruptRequestsSurviveAsTypedErrors(t *testing.T) {
 	}
 }
 
+// TestBeginHandleRules: a Begin naming handle 0, a live handle or a
+// tombstone is a bad request, and the session survives it.
+func TestBeginHandleRules(t *testing.T) {
+	_, _, addr := startServer(t, Config{})
+	conn := rawConn(t, addr)
+	send := func(kind byte, payload []byte) error {
+		t.Helper()
+		if _, err := conn.Write(mkFrame(kind, payload)); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		kind, resp, err := readFrame(conn, DefaultMaxFrame, nil)
+		if err != nil {
+			t.Fatalf("connection died: %v", err)
+		}
+		if kind == respErr {
+			return DecodeRemoteError(resp)
+		}
+		return nil
+	}
+	if err := send(reqBegin, beginPayload(0, 0)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Begin(handle 0) = %v, want ErrBadRequest", err)
+	}
+	if err := send(reqBegin, beginPayload(7, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := send(reqBegin, beginPayload(7, 0)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Begin(live handle) = %v, want ErrBadRequest", err)
+	}
+	// A failed Delete turns handle 7 into a tombstone.
+	var del wbuf
+	del.u32(0)
+	del.u64(7)
+	del.str("ghost")
+	del.u64(0)
+	if err := send(reqDelete, del.b); !errors.Is(err, ErrUnknownTable) {
+		t.Fatalf("delete on a missing table = %v", err)
+	}
+	if err := send(reqBegin, beginPayload(7, 0)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Begin(tombstoned handle) = %v, want ErrBadRequest", err)
+	}
+	var ping wbuf
+	ping.u32(0)
+	if err := send(reqPing, ping.b); err != nil {
+		t.Fatalf("ping after rejected Begins: %v", err)
+	}
+}
+
+// TestOldProtocolVersion: a client speaking an earlier protocol version
+// is told so with a typed error rather than a bare close.
+func TestOldProtocolVersion(t *testing.T) {
+	_, _, addr := startServer(t, Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("MLSERVE1")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	kind, payload, err := readFrame(conn, DefaultMaxFrame, nil)
+	if err != nil || kind != respErr {
+		t.Fatalf("handshake with MLSERVE1: kind=%#x err=%v", kind, err)
+	}
+	rerr := DecodeRemoteError(payload)
+	if !errors.Is(rerr, ErrBadRequest) || !strings.Contains(rerr.Error(), "MLSERVE1") || !strings.Contains(rerr.Error(), "MLSERVE2") {
+		t.Fatalf("version rejection = %v, want ErrBadRequest naming both versions", rerr)
+	}
+}
+
 // TestOversizedFrameClosesWithTypedError: a frame above MaxFrame cannot be
 // resynchronized; the server must answer ErrFrameTooLarge and hang up —
 // reaping any open transaction — rather than read 2 GiB or panic.
@@ -144,20 +226,17 @@ func TestOversizedFrameClosesWithTypedError(t *testing.T) {
 	}
 
 	conn := rawConn(t, addr)
-	// Open a transaction on the raw connection, then violate the frame cap.
-	var w wbuf
-	w.u32(0)
-	w.u8(0)
-	if _, err := conn.Write(mkFrame(reqBegin, w.b)); err != nil {
-		t.Fatal(err)
-	}
-	if kind, _, err := readFrame(conn, DefaultMaxFrame, nil); err != nil || kind != respBegin {
-		t.Fatalf("begin: kind=%#x err=%v", kind, err)
-	}
-	if _, err := conn.Write(mkFrame(reqInsert, make([]byte, 1<<13))); err != nil {
+	// Open a transaction on the raw connection and violate the frame cap
+	// in the same write: the Begin reply, still buffered when the
+	// oversized header is read, must go out before the error and the close.
+	burst := append(mkFrame(reqBegin, beginPayload(1, 0)), mkFrame(reqInsert, make([]byte, 1<<13))...)
+	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if kind, _, err := readFrame(conn, DefaultMaxFrame, nil); err != nil || kind != respOK {
+		t.Fatalf("begin: kind=%#x err=%v", kind, err)
+	}
 	kind, payload, err := readFrame(conn, DefaultMaxFrame, nil)
 	if err != nil || kind != respErr {
 		t.Fatalf("oversized: kind=%#x err=%v", kind, err)
@@ -189,13 +268,10 @@ func TestTornMidRequestReapsTxn(t *testing.T) {
 	}
 	for _, cut := range []int{1, 3, 9} { // mid-header, mid-length, mid-payload
 		conn := rawConn(t, addr)
-		var w wbuf
-		w.u32(0)
-		w.u8(0)
-		if _, err := conn.Write(mkFrame(reqBegin, w.b)); err != nil {
+		if _, err := conn.Write(mkFrame(reqBegin, beginPayload(1, 0))); err != nil {
 			t.Fatal(err)
 		}
-		if kind, _, err := readFrame(conn, DefaultMaxFrame, nil); err != nil || kind != respBegin {
+		if kind, _, err := readFrame(conn, DefaultMaxFrame, nil); err != nil || kind != respOK {
 			t.Fatalf("begin: kind=%#x err=%v", kind, err)
 		}
 		frame := mkFrame(reqInsert, []byte{0, 0, 0, 0, 1, 2, 3, 4, 5, 6})
@@ -220,6 +296,7 @@ func FuzzRequestDecoders(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 'i', 't', 'e', 'm'})
+	f.Add(beginPayload(1, 2))
 	var seed wbuf
 	seed.u32(0)
 	seed.u64(1)
@@ -235,6 +312,12 @@ func FuzzRequestDecoders(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every decode shape the handlers use, in their field order.
 		r := rbuf{b: data}
+		_ = r.u32()
+		_ = r.u64()
+		_ = r.u8()
+		_ = r.done()
+
+		r = rbuf{b: data}
 		_ = r.u32()
 		_ = r.u64()
 		_ = r.str()
@@ -277,7 +360,8 @@ func FuzzServerFrame(f *testing.F) {
 	}
 	defer srv.Close()
 
-	f.Add(byte(reqBegin), []byte{0, 0, 0, 0, 1})
+	f.Add(byte(reqBegin), beginPayload(1, 1))
+	f.Add(byte(reqBegin), beginPayload(0, 0))
 	f.Add(byte(reqInsert), []byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 'i', 't', 'e', 'm', 0, 0, 0, 0})
 	f.Add(byte(reqDoGet), []byte{0, 0, 0, 0, 4, 0, 'i', 't', 'e', 'm', 0, 0, 0})
 	f.Add(byte(0xff), []byte{})
