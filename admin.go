@@ -152,8 +152,9 @@ type CheckpointStats struct {
 	// re-anchor included); Failed counts attempts that errored.
 	Taken  int64
 	Failed int64
-	// Rows and BytesWritten total the rows and bytes captured across all
-	// checkpoints.
+	// Rows totals the rows captured across all checkpoints; BytesWritten
+	// totals the objects they newly wrote (content-addressed objects the
+	// store already held cost nothing).
 	Rows         int64
 	BytesWritten int64
 	// SegmentsTruncated is the number of WAL segment files deleted
@@ -174,8 +175,8 @@ type RecoveryStats struct {
 	// bootstrap anchored on (zero when none existed).
 	CheckpointSeq  uint64
 	CheckpointRows int64
-	// CheckpointFallbacks counts newer checkpoints skipped because their
-	// manifest or file checksums failed.
+	// CheckpointFallbacks counts newer checkpoints skipped because an
+	// object's size or CRC-32C, or a table schema, failed verification.
 	CheckpointFallbacks int
 	// TailSegments is how many WAL segment files were scanned.
 	TailSegments int

@@ -514,18 +514,8 @@ func TestUpdateRetryStress(t *testing.T) {
 		workers*increments, total, float64(total)/float64(workers*increments))
 }
 
-// TestOpenOptionShim: the legacy Options struct still opens an engine, and
-// functional options compose left to right.
+// TestOpenOptionShim: functional options compose left to right.
 func TestOpenOptionShim(t *testing.T) {
-	eng, err := Open(Options{TransformMode: TransformDictionary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.opts.TransformMode != TransformDictionary {
-		t.Fatal("legacy Options not applied")
-	}
-	_ = eng.Close()
-
 	eng2, err := Open(
 		WithColdThreshold(42*time.Millisecond),
 		WithCompactionGroupSize(7),
@@ -538,16 +528,6 @@ func TestOpenOptionShim(t *testing.T) {
 		t.Fatalf("functional options not applied: %+v", eng2.opts)
 	}
 	_ = eng2.Close()
-
-	// A trailing legacy struct replaces everything before it.
-	eng3, err := Open(WithCompactionGroupSize(7), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng3.opts.CompactionGroupSize != 50 {
-		t.Fatalf("legacy struct should reset config, got group size %d", eng3.opts.CompactionGroupSize)
-	}
-	_ = eng3.Close()
 }
 
 // TestNamedRowAccess: Set/getters by column name, type and width checking,

@@ -3,7 +3,6 @@ package mainline
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"mainline/internal/arrow"
@@ -11,11 +10,10 @@ import (
 	"mainline/internal/checkpoint/manifestlog"
 )
 
-var asofCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Time travel: every tiered checkpoint commits a version record into
-// the manifest log (<DataDir>/MANIFEST.log) referencing that snapshot's
-// table content as content-addressed chunk objects in the object store.
+// Time travel: every checkpoint commits a version record into the
+// manifest log (<DataDir>/MANIFEST.log) referencing that snapshot's
+// table content as content-addressed chunk objects. With an object
+// store those objects and versions are kept until PruneSnapshots, so
 // AsOf resolves a timestamp to the version that served it and streams
 // the frozen chunks back — reads go to the store, never the live
 // tables, so historical scans cost the engine nothing.
@@ -37,10 +35,10 @@ type Snapshot struct {
 // all retained history returns ErrNoSuchVersion; a ts whose covering
 // version was pruned returns ErrVersionPruned.
 func (e *Engine) AsOf(ts uint64) (*Snapshot, error) {
-	if e.manifest == nil {
-		if e.opts.DataDir == "" {
-			return nil, ErrNoDataDir
-		}
+	if e.opts.DataDir == "" {
+		return nil, ErrNoDataDir
+	}
+	if e.tier == nil {
 		return nil, ErrNoObjectStore
 	}
 	rec, err := e.manifest.Resolve(ts)
@@ -76,7 +74,7 @@ func (s *Snapshot) TableRows(name string) (int64, bool) {
 	return 0, false
 }
 
-func (s *Snapshot) table(name string) *checkpoint.TableChunks {
+func (s *Snapshot) table(name string) *manifestlog.TableChunks {
 	for i := range s.rec.Tables {
 		if s.rec.Tables[i].Name == name {
 			return &s.rec.Tables[i]
@@ -138,13 +136,10 @@ func (s *Snapshot) ScanTableRange(name, col string, min, max int64, fn func(*Rec
 }
 
 // scanChunk fetches, verifies, decodes, and delivers one chunk.
-func (s *Snapshot) scanChunk(t *checkpoint.TableChunks, c *checkpoint.ChunkRef, fn func(*RecordBatch) error) error {
-	data, err := s.eng.tier.Store().Get(c.Key)
+func (s *Snapshot) scanChunk(t *manifestlog.TableChunks, c *manifestlog.ChunkRef, fn func(*RecordBatch) error) error {
+	data, err := checkpoint.ReadObject(s.eng.objects, c.ObjectRef)
 	if err != nil {
-		return fmt.Errorf("mainline: fetching chunk %s of %s@%d: %w", c.Key, t.Name, s.rec.Version, err)
-	}
-	if int64(len(data)) != c.Size || crc32.Checksum(data, asofCRCTable) != c.CRC {
-		return fmt.Errorf("mainline: chunk %s of %s@%d corrupt (size %d/%d)", c.Key, t.Name, s.rec.Version, len(data), c.Size)
+		return fmt.Errorf("mainline: chunk of %s@%d: %w", t.Name, s.rec.Version, err)
 	}
 	rd := arrow.NewReader(bytes.NewReader(data))
 	for {
@@ -162,43 +157,19 @@ func (s *Snapshot) scanChunk(t *checkpoint.TableChunks, c *checkpoint.ChunkRef, 
 }
 
 // PruneSnapshots drops all but the newest keep versions from the
-// manifest log and deletes the chunk objects no retained version
-// references. The prune record commits (and fsyncs) before any object
-// is deleted, so a crash mid-prune can only over-retain objects — an
-// installed version never references a deleted one. Returns how many
-// versions were pruned and how many objects deleted. keep < 1 keeps 1.
+// manifest log and deletes the chunk and slot objects no retained version
+// references. The prune record commits (and fsyncs) before any object is
+// deleted, so a crash mid-prune can only over-retain objects — a retained
+// version never references a deleted one. It waits for an in-flight
+// checkpoint, which may be about to reference an object the prune would
+// delete. Returns how many versions were pruned and how many objects
+// deleted. keep < 1 keeps 1.
 func (a Admin) PruneSnapshots(keep int) (versionsPruned, objectsDeleted int, err error) {
 	e := a.eng
-	if e.manifest == nil {
+	if e.tier == nil || e.manifest == nil {
 		return 0, 0, ErrNoObjectStore
 	}
-	if keep < 1 {
-		keep = 1
-	}
-	retained := e.manifest.Versions()
-	if len(retained) <= keep {
-		return 0, 0, nil
-	}
-	doomed := make([]uint64, 0, len(retained)-keep)
-	for _, v := range retained[:len(retained)-keep] {
-		doomed = append(doomed, v.Version)
-	}
-	// Compute the orphan set BEFORE the prune record lands: afterwards
-	// the doomed versions are flagged pruned and no longer distinguish
-	// "referenced only by doomed" from "referenced by nothing".
-	orphans := e.manifest.UnreferencedKeys(doomed)
-	if err := e.manifest.AppendPrune(doomed); err != nil {
-		return 0, 0, err
-	}
-	store := e.tier.Store()
-	for _, key := range orphans {
-		// Best-effort: a failed delete leaves an unreferenced object
-		// behind; the next prune retries nothing (the key is already
-		// unreferenced), so report the error.
-		if derr := store.Delete(key); derr != nil {
-			return len(doomed), objectsDeleted, derr
-		}
-		objectsDeleted++
-	}
-	return len(doomed), objectsDeleted, nil
+	e.ckptMu.Lock()
+	defer e.ckptMu.Unlock()
+	return checkpoint.Prune(e.manifest, e.objects, keep)
 }

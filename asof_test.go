@@ -246,14 +246,15 @@ func TestAsOfTimeTravel(t *testing.T) {
 		t.Fatalf("range scan fetched %d objects, want exactly 1 (pruned chunk must not be read)", d)
 	}
 
-	// Prune history: v1 goes away and exactly its orphaned second-chunk
-	// object is deleted — the shared first chunk survives for v2.
+	// Prune history: v1 goes away and exactly its orphaned second chunk
+	// and that chunk's slot object are deleted — the shared first chunk
+	// and its slot object survive for v2.
 	vp, od, err := eng.Admin().PruneSnapshots(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vp != 1 || od != 1 {
-		t.Fatalf("PruneSnapshots = %d versions, %d objects; want 1, 1", vp, od)
+	if vp != 1 || od != 2 {
+		t.Fatalf("PruneSnapshots = %d versions, %d objects; want 1, 2", vp, od)
 	}
 	keysPruned, err := cs.List("chunk/")
 	if err != nil {

@@ -21,7 +21,9 @@ import (
 
 	"mainline/internal/catalog"
 	"mainline/internal/checkpoint"
+	"mainline/internal/checkpoint/manifestlog"
 	"mainline/internal/gc"
+	"mainline/internal/objstore"
 	"mainline/internal/storage"
 	"mainline/internal/transform"
 	"mainline/internal/txn"
@@ -105,11 +107,9 @@ func main() {
 	// The WAL hook is installed after load so the initial population is not
 	// logged; the run's transactions are.
 	var lm *wal.LogManager
-	var ckptDir string
 	var segSink *wal.SegmentedSink
 	switch {
 	case *dataDir != "":
-		ckptDir = filepath.Join(*dataDir, "checkpoints")
 		// This harness does not bootstrap (no catalog.json, no replay), so
 		// it cannot account for a previous run's segments; require a fresh
 		// directory rather than report truncation numbers that exclude
@@ -174,14 +174,23 @@ func main() {
 		res.Throughput(), res.TpmC(), res.Total(), res.Aborted)
 	if *doCkpt {
 		// Push queued commits to disk and snapshot every table as Arrow
-		// IPC. Matching the engine's fallback-safe rule, a checkpoint's
-		// own segments are released only by its successor — and in this
-		// fresh directory there is no predecessor — so the run reports
-		// the log a restart would SKIP (covered by the checkpoint) rather
-		// than deleting it.
+		// IPC chunk objects under <datadir>/objects, committed by a
+		// version record in <datadir>/MANIFEST.log. Matching the engine's
+		// fallback-safe rule, a checkpoint's own segments are released
+		// only by its successor — and in this fresh directory there is no
+		// predecessor — so the run reports the log a restart would SKIP
+		// (covered by the checkpoint) rather than deleting it.
 		lm.FlushOnce()
 		t1 := time.Now()
-		info, _, err := checkpoint.Take(nil, ckptDir, cat, mgr, nil, nil)
+		mlog, err := manifestlog.Open(nil, filepath.Join(*dataDir, manifestlog.LogName))
+		if err != nil {
+			log.Fatal(err)
+		}
+		store, err := objstore.NewFSStore(filepath.Join(*dataDir, "objects"), nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		info, err := checkpoint.Take(mlog, store, cat, mgr, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,10 +19,16 @@ import (
 //
 //	<dir>/catalog.json      — persisted schema catalog (atomic rename)
 //	<dir>/wal/wal-<seq>.log — rotating WAL segments
-//	<dir>/checkpoints/<seq>/ — Arrow IPC checkpoints (see internal/checkpoint)
+//	<dir>/MANIFEST.log      — checkpoint versions (see internal/checkpoint)
+//	<dir>/objects/          — the checkpoint objects, unless an object
+//	                          store is configured (then they live there)
 func (e *Engine) walDir() string      { return filepath.Join(e.opts.DataDir, "wal") }
-func (e *Engine) ckptDir() string     { return filepath.Join(e.opts.DataDir, "checkpoints") }
 func (e *Engine) catalogPath() string { return filepath.Join(e.opts.DataDir, "catalog.json") }
+
+// defaultKeepVersions is how many checkpoint versions an engine without an
+// object store keeps: the newest plus one fallback for verification
+// failures. With an object store, history is kept until PruneSnapshots.
+const defaultKeepVersions = 2
 
 // CheckpointInfo summarizes one checkpoint taken via Engine.Checkpoint.
 type CheckpointInfo struct {
@@ -35,20 +41,19 @@ type CheckpointInfo struct {
 	// Tables and Rows count what was captured.
 	Tables int
 	Rows   int64
-	// BytesWritten is the checkpoint's on-disk footprint.
+	// BytesWritten is the size of the objects the checkpoint newly wrote.
 	BytesWritten int64
 	// SegmentsRemoved is how many WAL segments the checkpoint released.
 	SegmentsRemoved int
-	// Dir is the installed checkpoint directory.
-	Dir string
 }
 
 // Checkpoint takes a durable snapshot now: every table is scanned through
-// a read-only transaction and written as a standalone Arrow IPC file plus
-// manifest (atomically installed), then WAL segments wholly covered by the
-// snapshot are deleted. Returns ErrNoDataDir without WithDataDir and
-// ErrEngineClosed after Close. Safe to call concurrently with transactions;
-// concurrent Checkpoint calls serialize.
+// a read-only transaction and written once, as content-addressed Arrow
+// chunk and slot objects committed by one manifest-log version record;
+// then WAL segments wholly covered by the previous snapshot are deleted.
+// Returns ErrNoDataDir without WithDataDir and ErrEngineClosed after
+// Close. Safe to call concurrently with transactions; concurrent
+// Checkpoint calls serialize.
 func (e *Engine) Checkpoint() (CheckpointInfo, error) {
 	if e.opts.DataDir == "" {
 		return CheckpointInfo{}, ErrNoDataDir
@@ -82,34 +87,15 @@ func (e *Engine) checkpointLocked() (CheckpointInfo, error) {
 	// are released by its successor.
 	prevSnapshot := e.ckptLastTs.Load()
 	t0 := time.Now()
-	// With a cold tier attached the checkpoint is tiered: table content
-	// is additionally uploaded as content-addressed chunk objects, and —
-	// only after the checkpoint installs — committed as a version record
-	// in the manifest log, where AsOf finds it.
-	var store objstore.Store
-	if e.tier != nil && e.manifest != nil {
-		store = e.tier.Store()
-	}
-	info, chunks, err := checkpoint.Take(e.fsys, e.ckptDir(), e.cat, e.mgr, e.obs.ckptTable, store)
+	info, err := checkpoint.Take(e.manifest, e.objects, e.cat, e.mgr, e.obs.ckptTable)
 	if err != nil {
 		e.ckptFailed.Add(1)
 		return CheckpointInfo{}, err
 	}
-	if store != nil {
-		rec := &manifestlog.VersionRecord{
-			Version:         info.Seq,
-			SnapshotTs:      info.SnapshotTs,
-			LastTs:          info.LastTs,
-			CreatedUnixNano: time.Now().UnixNano(),
-			Tables:          chunks,
-		}
-		if err := e.manifest.AppendVersion(rec); err != nil {
-			// The checkpoint itself installed fine — recovery is intact —
-			// but the version never became visible to AsOf. Surface the
-			// failure; the caller's retry takes the next sequence number.
-			e.ckptFailed.Add(1)
-			return CheckpointInfo{}, err
-		}
+	if e.tier == nil {
+		// Best-effort: a failed prune only over-retains versions; the next
+		// checkpoint prunes again.
+		_, _, _ = checkpoint.Prune(e.manifest, e.objects, defaultKeepVersions)
 	}
 	d := time.Since(t0)
 	e.obs.ckpt.Record(d)
@@ -134,26 +120,27 @@ func (e *Engine) checkpointLocked() (CheckpointInfo, error) {
 		Rows:            info.Rows,
 		BytesWritten:    info.BytesWritten,
 		SegmentsRemoved: removed,
-		Dir:             info.Dir,
 	}, nil
 }
 
 // bootstrapDataDir brings the engine up from its data directory: rehydrate
-// the schema catalog, load the newest valid checkpoint, stream-replay the
-// WAL tail beyond its snapshot timestamp, re-seed the timestamp counter
-// above every retained log record, open the segmented WAL for new commits,
-// and finally re-anchor with a fresh checkpoint.
+// the schema catalog, open the manifest log and load its newest valid
+// version, stream-replay the WAL tail beyond its snapshot timestamp,
+// re-seed the timestamp counter above every retained log record, open the
+// segmented WAL for new commits, and finally re-anchor with a fresh
+// checkpoint. Open sets up the cold tier first, so an engine with an
+// object store restores from it and its re-anchor commits there too.
 //
 // The re-anchor step is load-bearing, not an optimization: WAL records
 // address tuples by physical slot, and a rebuild necessarily assigns new
-// slots. Taking a checkpoint (whose slot sidecar records the NEW slots)
+// slots. Taking a checkpoint (whose slot objects record the NEW slots)
 // and truncating the old segments establishes the invariant that retained
 // WAL segments only ever reference the slot space of the newest
 // checkpoint — which is exactly what the next recovery will seed its slot
 // map from.
 func (e *Engine) bootstrapDataDir() error {
 	o := &e.opts
-	for _, dir := range []string{o.DataDir, e.walDir(), e.ckptDir()} {
+	for _, dir := range []string{o.DataDir, e.walDir()} {
 		if err := e.fsys.MkdirAll(dir); err != nil {
 			return fmt.Errorf("mainline: creating data dir: %w", err)
 		}
@@ -166,6 +153,12 @@ func (e *Engine) bootstrapDataDir() error {
 		return fmt.Errorf("mainline: %w", err)
 	}
 	e.dirLock = release
+	// A directory written by the retired per-table checkpoint format has
+	// no manifest version to anchor on, and its WAL was truncated against
+	// those checkpoints: replaying the tail alone would silently lose data.
+	if _, err := os.Stat(filepath.Join(o.DataDir, "checkpoints")); err == nil {
+		return fmt.Errorf("mainline: %s holds checkpoints in a retired format this version cannot read", o.DataDir)
+	}
 
 	// 1. Schema catalog.
 	restoredTables, err := e.cat.Load(e.catalogPath())
@@ -174,34 +167,44 @@ func (e *Engine) bootstrapDataDir() error {
 	}
 	for _, t := range restoredTables {
 		e.observer.Watch(t.DataTable)
+		if e.tier != nil {
+			t.DataTable.AttachColdTier(e.tier)
+		}
 	}
 
-	// 2. Newest valid checkpoint.
+	// 2. Manifest log, checkpoint objects, newest valid version. The log
+	// tolerates (and repairs) a torn or corrupted tail.
+	if e.manifest, err = manifestlog.Open(e.fsys, filepath.Join(o.DataDir, manifestlog.LogName)); err != nil {
+		return err
+	}
+	if e.tier != nil {
+		e.objects = e.tier.Store()
+	} else if e.objects, err = objstore.NewFSStore(filepath.Join(o.DataDir, "objects"), e.fsys); err != nil {
+		return err
+	}
 	var (
 		afterTs uint64
 		slotMap = make(map[storage.TupleSlot]storage.TupleSlot)
 		maxTs   uint64
 	)
-	restored, err := checkpoint.Restore(e.ckptDir(), e.cat, e.mgr)
+	restored, err := checkpoint.Restore(e.manifest, e.objects, e.cat, e.mgr)
 	if err != nil {
 		return err
 	}
 	if restored != nil {
-		afterTs = restored.Manifest.SnapshotTs
+		v := restored.Version
+		afterTs = v.SnapshotTs
 		slotMap = restored.SlotMap
-		maxTs = restored.Manifest.LastTs
-		if restored.Manifest.SnapshotTs > maxTs {
-			maxTs = restored.Manifest.SnapshotTs
-		}
+		maxTs = max(v.LastTs, v.SnapshotTs)
 		e.recovery.Bootstrapped = true
-		e.recovery.CheckpointSeq = restored.Manifest.Seq
+		e.recovery.CheckpointSeq = v.Version
 		e.recovery.CheckpointRows = restored.Rows
 		e.recovery.CheckpointFallbacks = restored.Fallbacks
 		// Seed the "previous checkpoint" watermark so the re-anchor (and
 		// the first post-restart checkpoint) truncates through the
 		// restored snapshot, not from zero.
-		e.ckptLastSeq.Store(restored.Manifest.Seq)
-		e.ckptLastTs.Store(restored.Manifest.SnapshotTs)
+		e.ckptLastSeq.Store(v.Version)
+		e.ckptLastTs.Store(v.SnapshotTs)
 	}
 
 	// 3. WAL tail, one segment at a time, bounded memory.
@@ -280,20 +283,12 @@ func (e *Engine) bootstrapDataDir() error {
 	e.logMgr.SyncDelay = o.LogSyncDelay
 	e.logMgr.Attach(e.mgr)
 
-	// 6. Re-anchor when any prior state was loaded. The checkpoint itself
-	// is deferred to Open, which runs it only after the cold tier and
-	// manifest log are wired — that way a re-anchor on an engine with an
-	// object store commits a manifest version record like every other
-	// checkpoint, instead of silently skipping the tiered path.
-	e.needReanchor = restored != nil || e.recovery.TailTxnsApplied > 0 || e.recovery.TailTxnsSkipped > 0
-	return nil
-}
-
-// reanchor takes the bootstrap's deferred re-anchor checkpoint. On
-// failure the WAL sink opened in bootstrap step 5 must not leak its
-// descriptor and fresh segment.
-func (e *Engine) reanchor() error {
-	e.needReanchor = false
+	// 6. Re-anchor when any prior state was loaded.
+	if restored == nil && e.recovery.TailTxnsApplied == 0 && e.recovery.TailTxnsSkipped == 0 {
+		return nil
+	}
+	// On failure the WAL sink opened in step 5 must not leak its
+	// descriptor and fresh segment.
 	info, err := e.checkpointLocked()
 	if err != nil {
 		_ = e.logMgr.Close()

@@ -1,6 +1,7 @@
 package mainline
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -102,18 +103,21 @@ func TestDataDirKillAndRestart(t *testing.T) {
 		t.Fatalf("first checkpoint deleted fallback segments: %d -> %d", len(preSegs), len(postSegs))
 	}
 
-	// (d) the checkpoint table file is a standalone Arrow IPC stream.
-	f, err := os.Open(filepath.Join(info.Dir, fmt.Sprintf("t-%d.arrow", tbl.ID)))
-	if err != nil {
-		t.Fatal(err)
+	// (d) every checkpoint chunk object is a standalone Arrow IPC stream.
+	ckptRows := 0
+	for _, c := range eng.manifest.Latest().Tables[0].Chunks {
+		data, err := os.ReadFile(filepath.Join(dir, "objects", c.Key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, err := arrow.ReadTable(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("checkpoint chunk not readable as Arrow IPC: %v", err)
+		}
+		ckptRows += at.NumRows()
 	}
-	at, err := arrow.ReadTable(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("checkpoint file not readable as Arrow IPC: %v", err)
-	}
-	if at.NumRows() != preRows {
-		t.Fatalf("checkpoint stream has %d rows, want %d", at.NumRows(), preRows)
+	if ckptRows != preRows {
+		t.Fatalf("checkpoint chunks hold %d rows, want %d", ckptRows, preRows)
 	}
 
 	// Post-checkpoint tail: inserts, an update of a pre-checkpoint row
@@ -462,12 +466,16 @@ func TestFallbackAfterSuccessorTruncation(t *testing.T) {
 	for i := 70; i < 80; i++ {
 		insertAccount(t, eng, tbl, int64(i), 10)
 	}
+	newest := eng.manifest.Latest()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Corrupt the newest checkpoint's data file.
-	path := filepath.Join(info2.Dir, fmt.Sprintf("t-%d.arrow", tbl.ID))
+	// Corrupt the newest checkpoint's chunk object.
+	if newest.Version != info2.Seq {
+		t.Fatalf("newest version %d, want %d", newest.Version, info2.Seq)
+	}
+	path := filepath.Join(dir, "objects", newest.Tables[0].Chunks[0].Key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -489,6 +497,38 @@ func TestFallbackAfterSuccessorTruncation(t *testing.T) {
 	}
 	if c, tot := sumBalances(t, eng2, eng2.Table("accounts")); c != 80 || tot != 800 {
 		t.Fatalf("fallback recovery lost data: %d rows / %d total, want 80 / 800", c, tot)
+	}
+
+	// The re-anchor after the fallback is a clean version: the next
+	// reopen anchors on it without falling back.
+	if err := eng2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng3, err := Open(WithDataDir(dir), WithWALSegmentSize(2048))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng3.Close()
+	if st := eng3.Stats(); st.Recovery.CheckpointFallbacks != 0 || st.Recovery.CheckpointSeq <= info2.Seq {
+		t.Fatalf("second reopen anchored on version %d with %d fallbacks, want the re-anchor with none",
+			st.Recovery.CheckpointSeq, st.Recovery.CheckpointFallbacks)
+	}
+	if c, tot := sumBalances(t, eng3, eng3.Table("accounts")); c != 80 || tot != 800 {
+		t.Fatalf("second reopen: %d rows / %d total, want 80 / 800", c, tot)
+	}
+}
+
+// TestRetiredCheckpointFormatRefused: a data directory holding the
+// retired checkpoints/ directory cannot be anchored, so Open refuses it
+// instead of replaying a truncated WAL alone.
+func TestRetiredCheckpointFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoints", "00000001"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err := Open(WithDataDir(dir)); err == nil {
+		eng.Close()
+		t.Fatal("Open accepted a directory of the retired checkpoint format")
 	}
 }
 

@@ -2,11 +2,11 @@ package mainline
 
 import (
 	"errors"
-	"path/filepath"
 	"syscall"
 	"testing"
 
 	"mainline/internal/checkpoint"
+	"mainline/internal/checkpoint/manifestlog"
 	"mainline/internal/fault"
 )
 
@@ -148,26 +148,58 @@ func TestDegradedRestartRecovers(t *testing.T) {
 	}
 }
 
+// TestTruncateSyncFailureDegrades: a checkpoint's WAL truncation seals the
+// active segment with an fsync, and a failed WAL fsync there is fail-stop
+// like one on the flush path — the checkpoint still installs, but the
+// engine seals itself read-only.
+func TestTruncateSyncFailureDegrades(t *testing.T) {
+	inj := fault.NewInjector(fault.OS{}, 3)
+	eng, err := Open(WithDataDir(t.TempDir()), WithFaultFS(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	tbl, err := eng.CreateTable("accounts", accountsSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertAccount(t, eng, tbl, 1, 100)
+	// No commit follows, so the next WAL fsync is the seal in Truncate.
+	inj.AddRule(fault.Rule{Op: fault.OpSync, Path: "wal-", Count: 1, Err: syscall.EIO})
+	if _, err := eng.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if inj.FiredCount() != 1 {
+		t.Fatalf("the seal fsync fault fired %d times, want 1", inj.FiredCount())
+	}
+	if degraded, _ := eng.Degraded(); !degraded {
+		t.Fatal("a failed WAL fsync while truncating did not degrade the engine")
+	}
+	if err := eng.Update(func(tx *Txn) error { return nil }, Durable()); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("durable txn after the failed seal = %v, want ErrDegraded", err)
+	}
+}
+
 // TestCheckpointENOSPCEverySite injects ENOSPC at each checkpoint write
-// site in turn — Arrow data file, slots sidecar, manifest, install
-// rename — and verifies the failure model: the attempt aborts, the engine
-// does NOT degrade, the previously installed checkpoint stays valid,
-// the next attempt succeeds, keep-2 pruning never removes the last good
-// checkpoint, and a plain reopen recovers everything.
+// site in turn — chunk object, slot object, manifest-log append, object
+// install rename — and verifies the failure model: the attempt aborts,
+// the engine does NOT degrade, the previous version stays restorable, the
+// next attempt succeeds, the default store keeps exactly the two newest
+// versions and no unreferenced object, and a plain reopen recovers
+// everything.
 func TestCheckpointENOSPCEverySite(t *testing.T) {
 	sites := []struct {
 		name string
 		rule fault.Rule
 	}{
-		{"data-file", fault.Rule{Op: fault.OpWrite, Path: ".arrow", Count: 1, Err: syscall.ENOSPC}},
-		{"slots-sidecar", fault.Rule{Op: fault.OpWrite, Path: ".slots", Count: 1, Err: syscall.ENOSPC}},
-		{"manifest", fault.Rule{Op: fault.OpWrite, Path: checkpoint.ManifestName, Count: 1, Err: syscall.ENOSPC}},
-		{"install-rename", fault.Rule{Op: fault.OpRename, Path: "checkpoints", Count: 1, Err: syscall.ENOSPC}},
+		{"data-file", fault.Rule{Op: fault.OpWrite, Path: "chunk/", Count: 1, Err: syscall.ENOSPC}},
+		{"slots-sidecar", fault.Rule{Op: fault.OpWrite, Path: "slots/", Count: 1, Err: syscall.ENOSPC}},
+		{"manifest", fault.Rule{Op: fault.OpWrite, Path: manifestlog.LogName, Count: 1, Err: syscall.ENOSPC}},
+		{"install-rename", fault.Rule{Op: fault.OpRename, Path: "objects", Count: 1, Err: syscall.ENOSPC}},
 	}
 	for _, site := range sites {
 		t.Run(site.name, func(t *testing.T) {
 			dir := t.TempDir()
-			ckptDir := filepath.Join(dir, "checkpoints")
 			inj := fault.NewInjector(fault.OS{}, 7)
 			eng, err := Open(WithDataDir(dir), WithFaultFS(inj))
 			if err != nil {
@@ -195,21 +227,18 @@ func TestCheckpointENOSPCEverySite(t *testing.T) {
 			if degraded, cause := eng.Degraded(); degraded {
 				t.Fatalf("checkpoint ENOSPC degraded the engine: %v", cause)
 			}
-			// The previously installed checkpoint is untouched and valid.
-			seqs, err := checkpoint.ListSeqs(ckptDir)
-			if err != nil {
-				t.Fatal(err)
+			// The previous version is still the newest, and every object
+			// it names is intact.
+			vs := eng.manifest.Versions()
+			if len(vs) != 1 || vs[0].Version != 1 {
+				t.Fatalf("versions after failed attempt = %d, want [1]", len(vs))
 			}
-			if len(seqs) != 1 || seqs[0] != 1 {
-				t.Fatalf("installed seqs after failed attempt = %v, want [1]", seqs)
-			}
-			good := filepath.Join(ckptDir, "00000001")
-			m, err := checkpoint.ReadManifest(good)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := checkpoint.Verify(good, m); err != nil {
-				t.Fatalf("previous checkpoint corrupted by failed attempt: %v", err)
+			for _, c := range vs[0].Tables[0].Chunks {
+				for _, ref := range []manifestlog.ObjectRef{c.ObjectRef, c.Slots} {
+					if _, err := checkpoint.ReadObject(eng.objects, ref); err != nil {
+						t.Fatalf("previous version's object damaged by the failed attempt: %v", err)
+					}
+				}
 			}
 
 			// The rule is exhausted: the retry succeeds, and further
@@ -222,12 +251,22 @@ func TestCheckpointENOSPCEverySite(t *testing.T) {
 			if _, err := eng.Checkpoint(); err != nil {
 				t.Fatalf("third checkpoint: %v", err)
 			}
-			seqs, err = checkpoint.ListSeqs(ckptDir)
+			vs = eng.manifest.Versions()
+			if len(vs) != 2 || vs[1].Version != 3 {
+				t.Fatalf("%d versions after prune, want the newest 2", len(vs))
+			}
+			referenced := map[string]bool{}
+			for _, v := range vs {
+				for _, c := range v.Tables[0].Chunks {
+					referenced[c.Key], referenced[c.Slots.Key] = true, true
+				}
+			}
+			keys, err := eng.objects.List("")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(seqs) != 2 {
-				t.Fatalf("seqs after prune = %v, want the newest 2", seqs)
+			if len(keys) != len(referenced) {
+				t.Fatalf("store holds %d objects, the retained versions name %d", len(keys), len(referenced))
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)

@@ -368,10 +368,14 @@ func TestIndexMVCCStress(t *testing.T) {
 
 	// Oracle: per-id state recorded AFTER the corresponding commit, so a
 	// reader that observes the state before beginning its snapshot has a
-	// snapshot ordered after the commit.
+	// snapshot ordered after the commit. stDeleting is stored BEFORE a
+	// delete starts, and a reader re-reads the state once its snapshot has
+	// begun: a delete can start after the first read and commit before the
+	// snapshot begins, and the snapshot then rightly misses the row.
 	const (
 		stAbsent int32 = iota
 		stLive
+		stDeleting
 		stDeleted
 		stAborted
 	)
@@ -424,6 +428,7 @@ func TestIndexMVCCStress(t *testing.T) {
 					}
 					state[id].Store(stLive)
 					if i%4 == 1 {
+						state[id].Store(stDeleting)
 						err := eng.Update(func(tx *Txn) error {
 							slot, ok, err := tx.GetBy(idx, nil, id)
 							if err != nil || !ok {
@@ -457,6 +462,7 @@ func TestIndexMVCCStress(t *testing.T) {
 					if state[pre].Load() != stLive {
 						continue
 					}
+					state[pre].Store(stDeleting)
 					err := eng.Update(func(tx *Txn) error {
 						slot, ok, err := tx.GetBy(idx, nil, pre)
 						if err != nil {
@@ -473,6 +479,8 @@ func TestIndexMVCCStress(t *testing.T) {
 					}
 					if err == nil {
 						state[pre].Store(stDeleted)
+					} else {
+						state[pre].Store(stLive)
 					}
 				}
 			}
@@ -489,6 +497,9 @@ func TestIndexMVCCStress(t *testing.T) {
 				// starts after whatever commit recorded that state.
 				st := state[id].Load()
 				err := eng.View(func(tx *Txn) error {
+					if st == stLive && state[id].Load() != stLive {
+						return nil // a delete started before the snapshot did
+					}
 					_, ok, err := tx.GetBy(idx, nil, id)
 					if err != nil {
 						return err

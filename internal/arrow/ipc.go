@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+
+	"mainline/internal/util"
 )
 
 // IPC stream framing.
@@ -202,7 +205,11 @@ func WriteTable(w io.Writer, t *Table) error {
 	return wr.Close()
 }
 
-// Reader consumes an IPC stream.
+// Reader consumes an IPC stream. The stream is untrusted: every length in
+// a header is checked against what the header can hold or the row count
+// and type imply before anything is allocated, buffers are allocated as
+// their bytes arrive, and every batch is checked so that no Array
+// accessor can index out of range.
 type Reader struct {
 	r         *bufio.Reader
 	schema    *Schema
@@ -217,10 +224,22 @@ func NewReader(r io.Reader) *Reader {
 // Schema returns the stream schema once a schema message has been read.
 func (rd *Reader) Schema() *Schema { return rd.schema }
 
+// readStep is the most a read allocates ahead of the bytes it has
+// received: buffers up to a block's size take one exact allocation,
+// longer ones grow as their bytes arrive.
+const readStep = 1 << 20
+
 func (rd *Reader) readPadded(n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		return nil, err
+	buf := make([]byte, 0, min(n, readStep))
+	for len(buf) < n {
+		start := len(buf)
+		buf = append(buf, make([]byte, min(n-start, readStep))...)
+		if _, err := io.ReadFull(rd.r, buf[start:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
 	if rem := n % 8; rem != 0 {
 		if _, err := rd.r.Discard(8 - rem); err != nil {
@@ -281,6 +300,9 @@ func decodeSchema(hdr []byte) (*Schema, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(hdr))
 	hdr = hdr[4:]
+	if n > len(hdr)/4 { // every field takes at least 4 header bytes
+		return nil, fmt.Errorf("arrow/ipc: schema header of %d bytes cannot hold %d fields", len(hdr), n)
+	}
 	s := &Schema{Fields: make([]Field, 0, n)}
 	for i := 0; i < n; i++ {
 		if len(hdr) < 2 {
@@ -293,6 +315,9 @@ func decodeSchema(hdr []byte) (*Schema, error) {
 		}
 		name := string(hdr[:nameLen])
 		typ := TypeID(hdr[nameLen])
+		if typ == INVALID || typ > DICT32 {
+			return nil, fmt.Errorf("arrow/ipc: schema field %d has unknown type %d", i, typ)
+		}
 		nullable := hdr[nameLen+1] == 1
 		hdr = hdr[nameLen+2:]
 		s.Fields = append(s.Fields, Field{Name: name, Type: typ, Nullable: nullable})
@@ -307,6 +332,9 @@ func (rd *Reader) readBatch(hdr []byte) (*RecordBatch, error) {
 	numRows := int(binary.LittleEndian.Uint32(hdr))
 	ncols := int(binary.LittleEndian.Uint32(hdr[4:]))
 	hdr = hdr[8:]
+	if ncols != rd.schema.NumFields() || len(hdr) < ncols*colHeaderLen {
+		return nil, fmt.Errorf("arrow/ipc: batch header of %d bytes for %d columns, schema has %d", len(hdr), ncols, rd.schema.NumFields())
+	}
 	type colMeta struct {
 		typ       TypeID
 		nullCount int
@@ -316,9 +344,6 @@ func (rd *Reader) readBatch(hdr []byte) (*RecordBatch, error) {
 	}
 	metas := make([]colMeta, ncols)
 	for i := range metas {
-		if len(hdr) < 10+6*8 {
-			return nil, fmt.Errorf("arrow/ipc: truncated batch header col %d", i)
-		}
 		m := &metas[i]
 		m.typ = TypeID(hdr[0])
 		m.nullCount = int(binary.LittleEndian.Uint32(hdr[1:]))
@@ -329,6 +354,15 @@ func (rd *Reader) readBatch(hdr []byte) (*RecordBatch, error) {
 			m.bufLens[j] = binary.LittleEndian.Uint64(hdr)
 			hdr = hdr[8:]
 		}
+		if m.typ != rd.schema.Fields[i].Type || m.hasDict != (m.typ == DICT32) {
+			return nil, fmt.Errorf("arrow/ipc: column %d header type %s does not match field type %s", i, m.typ, rd.schema.Fields[i].Type)
+		}
+		lim := bufLimits(m.typ, numRows, m.dictLen)
+		for j, n := range m.bufLens {
+			if n > lim[j] {
+				return nil, fmt.Errorf("arrow/ipc: column %d buffer %d of %d bytes exceeds the %d a %d-row %s column can hold", i, j, n, lim[j], numRows, m.typ)
+			}
+		}
 	}
 	cols := make([]*Array, ncols)
 	for i, m := range metas {
@@ -337,7 +371,7 @@ func (rd *Reader) readBatch(hdr []byte) (*RecordBatch, error) {
 			if m.bufLens[j] == 0 {
 				continue
 			}
-			b, err := rd.readPadded(int(m.bufLens[j]))
+			b, err := rd.readPadded(int(m.bufLens[j])) // bounded by bufLimits
 			if err != nil {
 				return nil, err
 			}
@@ -357,9 +391,75 @@ func (rd *Reader) readBatch(hdr []byte) (*RecordBatch, error) {
 		if err := a.validate(); err != nil {
 			return nil, err
 		}
+		if err := checkBuffers(a); err != nil {
+			return nil, err
+		}
 		cols[i] = a
 	}
 	return NewRecordBatch(rd.schema, cols)
+}
+
+// colHeaderLen is one column's batch-header size: type, null count, dict
+// flag, dict length, six buffer lengths.
+const colHeaderLen = 10 + 6*8
+
+// bufLimits returns the largest length each of a column's six wire
+// buffers can have for its type and row counts; 0 means the type has no
+// such buffer. Buffers may be padded to 8 bytes, and bitmaps may carry the
+// slack a builder's growth leaves.
+func bufLimits(t TypeID, rows, dictRows int) (lim [6]uint64) {
+	bitmap := func(n int) uint64 { return uint64(util.BitmapBytes(n + 64)) }
+	width := func(n, w int) uint64 { return uint64(util.Align8(n * w)) }
+	lim[0] = bitmap(rows)
+	switch {
+	case t.FixedWidth():
+		lim[2] = width(rows, t.ByteWidth())
+	case t == BOOL:
+		lim[2] = bitmap(rows)
+	case t.VarLen():
+		lim[1] = width(rows+1, 4)
+		lim[2] = math.MaxInt32
+	case t == DICT32:
+		lim[2] = width(rows, 4)
+		lim[3] = bitmap(dictRows)
+		lim[4] = width(dictRows+1, 4)
+		lim[5] = math.MaxInt32
+	}
+	return lim
+}
+
+// checkBuffers verifies what validate leaves to trusted producers: a
+// validity bitmap covering every row, non-negative non-decreasing offsets,
+// and dictionary codes inside the dictionary.
+func checkBuffers(a *Array) error {
+	if a.Validity != nil && len(a.Validity) < (a.Length+7)/8 {
+		return fmt.Errorf("arrow/ipc: %d-row column has a %d-byte validity bitmap", a.Length, len(a.Validity))
+	}
+	switch {
+	case a.Type.VarLen():
+		offs := a.Offsets[:(a.Length+1)*4]
+		prev := int32(0)
+		for i := 0; i < len(offs); i += 4 {
+			o := int32(binary.LittleEndian.Uint32(offs[i:]))
+			if o < prev {
+				return fmt.Errorf("arrow/ipc: offset %d is %d, below its predecessor or zero", i/4, o)
+			}
+			prev = o
+		}
+	case a.Type == DICT32:
+		if err := checkBuffers(a.Dict); err != nil {
+			return err
+		}
+		codes, n := a.Values[:a.Length*4], uint32(a.Dict.Length)
+		for i := 0; i < len(codes); i += 4 {
+			// A NULL row's code is never read, so only a valid row's must
+			// lie inside the dictionary.
+			if c := binary.LittleEndian.Uint32(codes[i:]); c >= n && !a.IsNull(i/4) {
+				return fmt.Errorf("arrow/ipc: dictionary code %d outside a %d-entry dictionary", int32(c), n)
+			}
+		}
+	}
+	return nil
 }
 
 // ReadTable consumes an entire stream into a Table.

@@ -1,26 +1,62 @@
+// Package checkpoint persists transactionally consistent snapshots of the
+// database and restores them at startup. A checkpoint is written once, as
+// immutable content-addressed objects in an object store plus one version
+// record in the manifest log (internal/checkpoint/manifestlog):
+//
+//	chunk/<sha256> — a standalone Arrow IPC stream (schema + one record
+//	                 batch) holding up to 8192 rows of one table
+//	slots/<sha256> — the pre-checkpoint physical slot of each row of one
+//	                 chunk, little-endian u64, in row order
+//	MANIFEST.log   — one version record per checkpoint: snapshot
+//	                 timestamp, schemas, and every object's key, size,
+//	                 CRC-32C and zone maps
+//
+// The version record is appended and fsynced only after every object it
+// names is durable, so a checkpoint exists exactly when its record is in
+// the log. Unchanged chunks hash to keys the store already holds, and
+// PutIfAbsent makes them free. Every chunk is third-party-readable Arrow
+// (internal/arrow.ReadTable reads it back): the paper's "storage IS the
+// interchange format" thesis carried onto disk.
+//
+// The checkpoint is also the recovery anchor. Restore loads the newest
+// retained version and the caller replays only the WAL tail beyond its
+// snapshot timestamp. Every object's size and CRC-32C and the catalog
+// schema are checked before any row is inserted, and a failed check falls
+// back one version.
+//
+// # Why slot objects
+//
+// WAL redo records address tuples physically (block, offset). A restored
+// checkpoint necessarily assigns new physical slots, so replaying the WAL
+// tail needs the mapping from logged pre-crash slots to rebuilt slots for
+// every checkpointed row. The slot objects record exactly that and stay
+// out of the Arrow chunks, so the columnar export remains pure table data.
 package checkpoint
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
+	"encoding/hex"
 	"fmt"
-	"path/filepath"
+	"hash/crc32"
 	"sort"
 	"time"
 
 	"mainline/internal/arrow"
 	"mainline/internal/catalog"
-	"mainline/internal/fault"
-	"mainline/internal/fsutil"
+	"mainline/internal/checkpoint/manifestlog"
 	"mainline/internal/objstore"
 	"mainline/internal/obs"
 	"mainline/internal/storage"
 	"mainline/internal/txn"
 )
 
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 // Info summarizes one taken checkpoint.
 type Info struct {
-	// Seq is the checkpoint's sequence number.
+	// Seq is the checkpoint's version number in the manifest log.
 	Seq uint64
 	// SnapshotTs is the snapshot timestamp the checkpoint is anchored at.
 	SnapshotTs uint64
@@ -30,64 +66,26 @@ type Info struct {
 	Tables int
 	// Rows is the total rows captured across tables.
 	Rows int64
-	// BytesWritten is the total bytes of data, sidecar, and manifest files.
+	// BytesWritten is the total size of the objects this checkpoint newly
+	// wrote; objects the store already held cost nothing.
 	BytesWritten int64
-	// Dir is the installed checkpoint directory.
-	Dir string
 }
 
 // Take writes a transactionally consistent checkpoint of every catalog
-// table into dir (the checkpoints directory, created if needed) and
-// installs it atomically, performing all filesystem operations through
-// fsys (nil = real filesystem). The snapshot is a read-only transaction:
-// every row version visible at its start timestamp — and nothing newer —
-// lands in the table files, so the manifest's SnapshotTs cleanly
-// partitions history into "in the checkpoint" and "replay from the WAL
-// tail". Any error before the final rename leaves the previous
-// checkpoint installed and intact — a failed attempt is retried, never a
-// reason to degrade.
+// table into store and commits it as the next version record of log. The
+// snapshot is a read-only transaction: every row version visible at its
+// start timestamp — and nothing newer — lands in the chunks, so the
+// record's SnapshotTs cleanly partitions history into "in the checkpoint"
+// and "replay from the WAL tail". When perTable is non-nil, each table's
+// capture duration is recorded into it.
 //
-// When perTable is non-nil, each table's capture duration (scan + IPC
-// write + sidecar) is recorded into it. When store is non-nil, every
-// table's snapshot batches are additionally encoded as standalone Arrow
-// IPC chunks and uploaded to the object store under content-hash keys
-// (see chunks.go), and the per-table chunk lists are returned for the
-// caller to commit into the manifest log. Chunk uploads happen before the
-// checkpoint installs, so a failed attempt may orphan objects but never
-// publishes a version referencing missing data. A chunk upload failure
-// (store unreachable, ENOSPC) fails the whole attempt — the previous
-// checkpoint stays installed and the caller retries.
-func Take(fsys fault.FS, dir string, cat *catalog.Catalog, mgr *txn.Manager, perTable *obs.Histogram, store objstore.Store) (*Info, []TableChunks, error) {
-	if fsys == nil {
-		fsys = fault.OS{}
-	}
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: creating %s: %w", dir, err)
-	}
-	seqs, err := ListSeqs(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	seq := uint64(1)
-	if n := len(seqs); n > 0 {
-		seq = seqs[n-1] + 1
-	}
-	tmp := filepath.Join(dir, fmt.Sprintf(".tmp-%d", seq))
-	if err := fsys.RemoveAll(tmp); err != nil {
-		return nil, nil, err
-	}
-	if err := fsys.MkdirAll(tmp); err != nil {
-		return nil, nil, err
-	}
-	cleanup := true
-	defer func() {
-		if cleanup {
-			// Best-effort: the aborted attempt's temp directory is garbage
-			// either way — prune sweeps stragglers on the next success.
-			_ = fsys.RemoveAll(tmp)
-		}
-	}()
-
+// An error leaves the previous version the newest — a failed attempt is
+// retried, never a reason to degrade. An attempt that fails before the
+// record append deletes the objects it created; one whose append fails
+// keeps them, because the record may still have reached the disk.
+// Callers serialize Take with Prune, which could otherwise delete an
+// object this attempt found present and is about to reference.
+func Take(log *manifestlog.Log, store objstore.Store, cat *catalog.Catalog, mgr *txn.Manager, perTable *obs.Histogram) (*Info, error) {
 	// The snapshot transaction pins the GC watermark for the duration, so
 	// no version this scan still needs can be pruned under it. Drawing it
 	// before listing tables guarantees any table the list misses was
@@ -102,7 +100,6 @@ func Take(fsys fault.FS, dir string, cat *catalog.Catalog, mgr *txn.Manager, per
 			mgr.Abort(tx)
 		}
 	}()
-	snapshotTs := tx.StartTs()
 	// Wait out in-flight commit critical sections before scanning: a
 	// transaction can draw commit timestamp C < snapshotTs on another
 	// latch shard and still be stamping its undo records, in which case
@@ -115,139 +112,143 @@ func Take(fsys fault.FS, dir string, cat *catalog.Catalog, mgr *txn.Manager, per
 	tables := cat.Tables()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].ID < tables[j].ID })
 
-	info := &Info{Seq: seq, SnapshotTs: snapshotTs, Dir: filepath.Join(dir, seqDirName(seq))}
-	man := &Manifest{
-		FormatVersion:   FormatVersion,
-		Seq:             seq,
-		SnapshotTs:      snapshotTs,
-		CreatedUnixNano: time.Now().UnixNano(),
-	}
-	var chunks []TableChunks
+	rec := &manifestlog.VersionRecord{Version: log.NextVersion(), SnapshotTs: tx.StartTs()}
+	w := &writer{store: store}
+	info := &Info{Seq: rec.Version, SnapshotTs: rec.SnapshotTs, Tables: len(tables)}
 	for _, t := range tables {
 		var t0 time.Time
 		if perTable != nil {
 			t0 = time.Now()
 		}
-		ti, tc, err := writeTable(fsys, tmp, t, tx, store)
+		tc, err := w.table(t, tx)
 		if err != nil {
-			return nil, nil, err
+			w.abandon()
+			return nil, err
 		}
 		perTable.RecordSince(t0)
-		man.Tables = append(man.Tables, *ti)
-		info.Rows += ti.Rows
-		info.BytesWritten += ti.DataSize + ti.SlotSize
-		if tc != nil {
-			chunks = append(chunks, *tc)
-		}
+		rec.Tables = append(rec.Tables, *tc)
+		info.Rows += tc.Rows
 	}
 	mgr.Abort(tx)
-	man.LastTs = mgr.CurrentTime()
-	info.LastTs = man.LastTs
-	info.Tables = len(man.Tables)
-
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return nil, nil, err
+	rec.LastTs = mgr.CurrentTime()
+	rec.CreatedUnixNano = time.Now().UnixNano()
+	// The install point: the checkpoint exists iff this record is durable.
+	if err := log.AppendVersion(rec); err != nil {
+		return nil, err
 	}
-	if err := fsutil.WriteFileSync(fsys, filepath.Join(tmp, ManifestName), data); err != nil {
-		return nil, nil, err
-	}
-	info.BytesWritten += int64(len(data))
-	// The temp directory's entries (data, sidecar, manifest) must be
-	// durable before the rename publishes them: a crash after an un-synced
-	// install could expose a checkpoint directory with missing files. A
-	// sync failure aborts the attempt — previous checkpoint stays current.
-	if err := fsys.SyncDir(tmp); err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: syncing %s: %w", tmp, err)
-	}
-
-	// Atomic install: the checkpoint exists iff the rename completed.
-	if err := fsys.Rename(tmp, info.Dir); err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: installing %s: %w", info.Dir, err)
-	}
-	cleanup = false
-	// Failing to sync the parent leaves the rename volatile: recovery could
-	// still see the previous checkpoint after a crash. Propagate so the
-	// caller does not truncate the WAL against a checkpoint that may not
-	// survive.
-	if err := fsys.SyncDir(dir); err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
-	}
-	prune(fsys, dir)
-	return info, chunks, nil
+	info.LastTs = rec.LastTs
+	info.BytesWritten = w.bytes
+	return info, nil
 }
 
-// writeTable writes one table's Arrow IPC stream and slot sidecar into the
-// temp checkpoint directory through fsys. With a non-nil store, each
-// snapshot batch is additionally uploaded as a content-addressed chunk
-// object and the chunk list is returned for the manifest log.
-func writeTable(fsys fault.FS, tmp string, t *catalog.Table, tx *txn.Transaction, store objstore.Store) (*TableInfo, *TableChunks, error) {
-	ti := &TableInfo{
-		ID:       t.ID,
-		Name:     t.Name,
-		DataFile: fmt.Sprintf("t-%d.arrow", t.ID),
-		SlotFile: fmt.Sprintf("t-%d.slots", t.ID),
-	}
+// writer uploads one checkpoint's objects and remembers the ones it
+// created, so that a failed attempt can take them back.
+type writer struct {
+	store   objstore.Store
+	created []string
+	bytes   int64
+}
+
+// table writes one table's snapshot batches as chunk and slot objects.
+func (w *writer) table(t *catalog.Table, tx *txn.Transaction) (*manifestlog.TableChunks, error) {
+	tc := &manifestlog.TableChunks{ID: t.ID, Name: t.Name}
 	for _, f := range t.Schema.Fields {
-		ti.Fields = append(ti.Fields, FieldDef{Name: f.Name, Type: uint8(f.Type), Nullable: f.Nullable})
+		tc.Fields = append(tc.Fields, manifestlog.FieldDef{Name: f.Name, Type: uint8(f.Type), Nullable: f.Nullable})
 	}
-	var tc *TableChunks
-	if store != nil {
-		tc = &TableChunks{ID: t.ID, Name: t.Name, Fields: ti.Fields}
-	}
-
-	df, err := fsys.Create(filepath.Join(tmp, ti.DataFile))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer df.Close()
-	dcw := &crcWriter{w: df}
-	wr := arrow.NewWriter(dcw)
-	if err := wr.WriteSchema(t.Schema); err != nil {
-		return nil, nil, err
-	}
-
-	sf, err := fsys.Create(filepath.Join(tmp, ti.SlotFile))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sf.Close()
-	scw := &crcWriter{w: sf}
-	var slotBuf []byte
-
-	rows, err := t.SnapshotBatches(tx, nil, nil, nil, func(rb *arrow.RecordBatch, slots []storage.TupleSlot) error {
+	_, err := t.SnapshotBatches(tx, nil, nil, nil, func(rb *arrow.RecordBatch, slots []storage.TupleSlot) error {
+		var buf bytes.Buffer
+		wr := arrow.NewWriter(&buf)
+		if err := wr.WriteSchema(t.Schema); err != nil {
+			return err
+		}
 		if err := wr.WriteBatch(rb); err != nil {
 			return err
 		}
-		if tc != nil {
-			ref, err := writeChunk(store, t.Schema, rb)
-			if err != nil {
-				return err
-			}
-			tc.Chunks = append(tc.Chunks, ref)
-			tc.Rows += int64(rb.NumRows)
+		if err := wr.Close(); err != nil {
+			return err
 		}
-		slotBuf = slotBuf[:0]
+		chunk, err := w.put("chunk/", buf.Bytes())
+		if err != nil {
+			return err
+		}
+		slotBytes := make([]byte, 0, 8*len(slots))
 		for _, s := range slots {
-			slotBuf = binary.LittleEndian.AppendUint64(slotBuf, uint64(s))
+			slotBytes = binary.LittleEndian.AppendUint64(slotBytes, uint64(s))
 		}
-		_, err := scw.Write(slotBuf)
-		return err
+		slotRef, err := w.put("slots/", slotBytes)
+		if err != nil {
+			return err
+		}
+		tc.Chunks = append(tc.Chunks, manifestlog.ChunkRef{ObjectRef: chunk, Slots: slotRef, Rows: rb.NumRows, Zones: chunkZones(rb)})
+		tc.Rows += int64(rb.NumRows)
+		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := wr.Close(); err != nil {
-		return nil, nil, err
+	return tc, nil
+}
+
+// put uploads payload under prefix + hex(sha256(payload)).
+func (w *writer) put(prefix string, payload []byte) (manifestlog.ObjectRef, error) {
+	sum := sha256.Sum256(payload)
+	key := prefix + hex.EncodeToString(sum[:])
+	created, err := w.store.PutIfAbsent(key, payload)
+	if err != nil {
+		return manifestlog.ObjectRef{}, fmt.Errorf("checkpoint: writing %s: %w", key, err)
 	}
-	if err := df.Sync(); err != nil {
-		return nil, nil, err
+	if created {
+		w.created = append(w.created, key)
+		w.bytes += int64(len(payload))
 	}
-	if err := sf.Sync(); err != nil {
-		return nil, nil, err
+	return manifestlog.ObjectRef{Key: key, Size: int64(len(payload)), CRC: crc32.Checksum(payload, crcTable)}, nil
+}
+
+// abandon deletes the objects a failed attempt created. No version
+// references them, so a failed delete only leaks space.
+func (w *writer) abandon() {
+	for _, key := range w.created {
+		_ = w.store.Delete(key)
 	}
-	ti.Rows = int64(rows)
-	ti.DataSize, ti.DataCRC = dcw.n, dcw.crc
-	ti.SlotSize, ti.SlotCRC = scw.n, scw.crc
-	return ti, tc, nil
+}
+
+// chunkZones computes per-integer-column min/max/null summaries of one
+// batch.
+func chunkZones(rb *arrow.RecordBatch) []manifestlog.ZoneMap {
+	var zones []manifestlog.ZoneMap
+	for ci, f := range rb.Schema.Fields {
+		switch f.Type {
+		case arrow.INT8, arrow.INT16, arrow.INT32, arrow.INT64:
+		default:
+			continue
+		}
+		col := rb.Columns[ci]
+		z := manifestlog.ZoneMap{Col: ci}
+		for i := 0; i < rb.NumRows; i++ {
+			if col.IsNull(i) {
+				z.Nulls++
+				continue
+			}
+			var v int64
+			switch f.Type {
+			case arrow.INT8:
+				v = int64(col.Int8(i))
+			case arrow.INT16:
+				v = int64(col.Int16(i))
+			case arrow.INT32:
+				v = int64(col.Int32(i))
+			default:
+				v = col.Int64(i)
+			}
+			if !z.HasValues || v < z.Min {
+				z.Min = v
+			}
+			if !z.HasValues || v > z.Max {
+				z.Max = v
+			}
+			z.HasValues = true
+		}
+		zones = append(zones, z)
+	}
+	return zones
 }

@@ -1,15 +1,66 @@
 package checkpoint
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"mainline/internal/arrow"
 	"mainline/internal/catalog"
+	"mainline/internal/checkpoint/manifestlog"
+	"mainline/internal/objstore"
 	"mainline/internal/storage"
 	"mainline/internal/txn"
 )
+
+// testStore opens a manifest log and an FSStore in a fresh directory.
+func testStore(t *testing.T) (*manifestlog.Log, *objstore.FSStore) {
+	t.Helper()
+	dir := t.TempDir()
+	log, err := manifestlog.Open(nil, filepath.Join(dir, manifestlog.LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := objstore.NewFSStore(filepath.Join(dir, "objects"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log, store
+}
+
+// corrupt flips one byte in the middle of an FSStore object.
+func corrupt(t *testing.T, store *objstore.FSStore, key string) {
+	t.Helper()
+	path := filepath.Join(store.Root(), filepath.FromSlash(key))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// referencedKeys lists every object key the log's retained versions name.
+func referencedKeys(log *manifestlog.Log) []string {
+	set := map[string]bool{}
+	for _, v := range log.Versions() {
+		for _, tc := range v.Tables {
+			for _, c := range tc.Chunks {
+				set[c.Key], set[c.Slots.Key] = true, true
+			}
+		}
+	}
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
 func testEngine(t *testing.T) (*txn.Manager, *catalog.Catalog, *catalog.Table) {
 	t.Helper()
@@ -47,7 +98,7 @@ func insertRow(t *testing.T, mgr *txn.Manager, tbl *catalog.Table, id int64, own
 }
 
 func TestTakeRestoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	log, store := testStore(t)
 	mgr, cat, tbl := testEngine(t)
 	var slots []storage.TupleSlot
 	for i := 0; i < 100; i++ {
@@ -69,21 +120,24 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 	}
 	mgr.Commit(tx, nil)
 
-	info, _, err := Take(nil, dir, cat, mgr, nil, nil)
+	info, err := Take(log, store, cat, mgr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Seq != 1 || info.Tables != 1 || info.Rows != 99 {
+	if info.Seq != 1 || info.Tables != 1 || info.Rows != 99 || info.BytesWritten == 0 {
 		t.Fatalf("info = %+v", info)
 	}
 
-	// The data file must read back as a standalone Arrow IPC stream.
-	f, err := os.Open(filepath.Join(info.Dir, "t-1.arrow"))
+	// The chunk object must read back as a standalone Arrow IPC stream.
+	v := log.Latest()
+	if v == nil || len(v.Tables) != 1 || len(v.Tables[0].Chunks) != 1 {
+		t.Fatalf("version record = %+v", v)
+	}
+	data, err := store.Get(v.Tables[0].Chunks[0].Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, err := arrow.ReadTable(f)
-	f.Close()
+	at, err := arrow.ReadTable(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +145,22 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("arrow table rows = %d", at.NumRows())
 	}
 
-	// Restore into a fresh engine.
-	mgr2, cat2, tbl2 := testEngine(t)
-	res, err := Restore(dir, cat2, mgr2)
+	// An unchanged database checkpoints again for free.
+	info2, err := Take(log, store, cat, mgr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res == nil || res.Rows != 99 || res.Manifest.Seq != 1 || res.Fallbacks != 0 {
+	if info2.Seq != 2 || info2.BytesWritten != 0 {
+		t.Fatalf("unchanged checkpoint = %+v, want seq 2 writing 0 bytes", info2)
+	}
+
+	// Restore into a fresh engine.
+	mgr2, cat2, tbl2 := testEngine(t)
+	res, err := Restore(log, store, cat2, mgr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || res.Rows != 99 || res.Version.Version != 2 || res.Fallbacks != 0 {
 		t.Fatalf("res = %+v", res)
 	}
 	if len(res.SlotMap) != 99 {
@@ -128,92 +191,137 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRestoreFallsBackOnCorruption(t *testing.T) {
-	dir := t.TempDir()
+	log, store := testStore(t)
 	mgr, cat, tbl := testEngine(t)
 	insertRow(t, mgr, tbl, 1, "a", 10)
-	if _, _, err := Take(nil, dir, cat, mgr, nil, nil); err != nil {
+	if _, err := Take(log, store, cat, mgr, nil); err != nil {
 		t.Fatal(err)
 	}
 	insertRow(t, mgr, tbl, 2, "b", 20)
-	info2, _, err := Take(nil, dir, cat, mgr, nil, nil)
-	if err != nil {
+	if _, err := Take(log, store, cat, mgr, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the newest checkpoint's data file.
-	path := filepath.Join(info2.Dir, "t-1.arrow")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Corrupt the newest version's chunk object.
+	key := log.Latest().Tables[0].Chunks[0].Key
+	corrupt(t, store, key)
 
 	mgr2, cat2, tbl2 := testEngine(t)
-	res, err := Restore(dir, cat2, mgr2)
+	res, err := Restore(log, store, cat2, mgr2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifest.Seq != 1 || res.Fallbacks != 1 {
-		t.Fatalf("res = seq %d fallbacks %d, want fallback to seq 1", res.Manifest.Seq, res.Fallbacks)
+	if res.Version.Version != 1 || res.Fallbacks != 1 {
+		t.Fatalf("res = version %d fallbacks %d, want fallback to version 1", res.Version.Version, res.Fallbacks)
 	}
 	check := mgr2.Begin()
 	defer mgr2.Commit(check, nil)
 	if n := tbl2.DataTable.CountVisible(check); n != 1 {
 		t.Fatalf("restored %d rows from fallback", n)
 	}
+	// The damaged object is gone, so a later checkpoint of the same
+	// content writes it afresh instead of referencing the damaged copy.
+	if _, err := store.Get(key); err == nil {
+		t.Fatal("corrupt object still in the store")
+	}
 }
 
 func TestRestoreEmptyDirAndAllCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	mgr, cat, _ := testEngine(t)
-	res, err := Restore(filepath.Join(dir, "none"), cat, mgr)
+	log, store := testStore(t)
+	mgr, cat, tbl := testEngine(t)
+	res, err := Restore(log, store, cat, mgr)
 	if err != nil || res != nil {
 		t.Fatalf("empty: %v %v", res, err)
 	}
 
-	// One checkpoint, then destroy it: Restore must error, not silently
-	// start empty.
-	mgr1, cat1, tbl1 := testEngine(t)
-	insertRow(t, mgr1, tbl1, 1, "a", 10)
-	info, _, err := Take(nil, dir, cat1, mgr1, nil, nil)
-	if err != nil {
+	// Three versions, the newest two damaged: Restore must error, not
+	// silently start empty — and must not reach back to version 1, whose
+	// WAL tail a running engine would already have truncated.
+	for i := int64(1); i <= 3; i++ {
+		insertRow(t, mgr, tbl, i, "a", 10)
+		if _, err := Take(log, store, cat, mgr, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs := log.Versions()
+	if err := store.Delete(vs[2].Tables[0].Chunks[0].Slots.Key); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(info.Dir, "t-1.slots")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(dir, cat, mgr); err == nil {
-		t.Fatal("restore of all-corrupt checkpoints must fail")
+	corrupt(t, store, vs[1].Tables[0].Chunks[0].Key)
+	mgr2, cat2, _ := testEngine(t)
+	if _, err := Restore(log, store, cat2, mgr2); err == nil {
+		t.Fatal("restore with the newest two versions damaged must fail")
 	}
 }
 
 func TestPruneKeepsTwo(t *testing.T) {
-	dir := t.TempDir()
+	log, store := testStore(t)
 	mgr, cat, tbl := testEngine(t)
 	for i := 0; i < 4; i++ {
 		insertRow(t, mgr, tbl, int64(i), "x", 1)
-		if _, _, err := Take(nil, dir, cat, mgr, nil, nil); err != nil {
+		if _, err := Take(log, store, cat, mgr, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seqs, err := ListSeqs(dir)
+	pruned, deleted, err := Prune(log, store, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != keepCheckpoints {
-		t.Fatalf("kept %d checkpoints: %v", len(seqs), seqs)
+	vs := log.Versions()
+	if pruned != 2 || len(vs) != 2 || vs[1].Version != 4 {
+		t.Fatalf("pruned %d, kept %d versions, newest %d", pruned, len(vs), vs[len(vs)-1].Version)
 	}
-	if seqs[len(seqs)-1] != 4 {
-		t.Fatalf("newest kept = %d", seqs[len(seqs)-1])
+	// Each version had its own chunk and slot object; the two pruned
+	// versions' four are gone and nothing unreferenced remains.
+	keys, err := store.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referencedKeys(log); deleted != 4 || !equalKeys(keys, want) {
+		t.Fatalf("deleted %d objects, store holds %v, want %v", deleted, keys, want)
+	}
+}
+
+func equalKeys(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFailedTakeLeavesNoObjects: an attempt that fails before its record
+// append deletes the objects it created and leaves the log untouched.
+func TestFailedTakeLeavesNoObjects(t *testing.T) {
+	log, inner := testStore(t)
+	store := objstore.NewFaultStore(inner)
+	mgr, cat, tbl := testEngine(t)
+	for i := 0; i < 10000; i++ { // two chunks
+		insertRow(t, mgr, tbl, int64(i), "x", 1)
+	}
+	// The fourth put (the second chunk's slot object) fails.
+	store.AddRule(objstore.Rule{Op: objstore.OpPut, Skip: 3, Count: 1, Err: os.ErrPermission})
+	if _, err := Take(log, store, cat, mgr, nil); err == nil {
+		t.Fatal("Take with a failing put succeeded")
+	}
+	if keys, _ := inner.List(""); len(keys) != 0 || log.Latest() != nil {
+		t.Fatalf("failed attempt left objects %v / version %v", keys, log.Latest())
+	}
+	if _, err := Take(log, store, cat, mgr, nil); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := inner.List(""); len(keys) != 4 {
+		t.Fatalf("retry stored %d objects, want 4", len(keys))
 	}
 }
 
 func TestEmptyTableCheckpoint(t *testing.T) {
-	dir := t.TempDir()
+	log, store := testStore(t)
 	mgr, cat, _ := testEngine(t)
-	info, _, err := Take(nil, dir, cat, mgr, nil, nil)
+	info, err := Take(log, store, cat, mgr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +329,7 @@ func TestEmptyTableCheckpoint(t *testing.T) {
 		t.Fatalf("rows = %d", info.Rows)
 	}
 	mgr2, cat2, tbl2 := testEngine(t)
-	res, err := Restore(dir, cat2, mgr2)
+	res, err := Restore(log, store, cat2, mgr2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +344,14 @@ func TestEmptyTableCheckpoint(t *testing.T) {
 }
 
 // TestRestoreFallsBackOnCatalogMismatch pins the crash-window rule: a
-// manifest naming a table the durable catalog lacks (CreateTable crashed
+// version naming a table the durable catalog lacks (CreateTable crashed
 // before catalog.json landed) is an invalid checkpoint to fall back from,
 // not a permanent Open failure.
 func TestRestoreFallsBackOnCatalogMismatch(t *testing.T) {
-	dir := t.TempDir()
+	log, store := testStore(t)
 	mgr, cat, tbl := testEngine(t)
 	insertRow(t, mgr, tbl, 1, "a", 10)
-	if _, _, err := Take(nil, dir, cat, mgr, nil, nil); err != nil { // seq 1: accounts only
+	if _, err := Take(log, store, cat, mgr, nil); err != nil { // version 1: accounts only
 		t.Fatal(err)
 	}
 	if _, err := cat.CreateTable("ghost", arrow.NewSchema(
@@ -251,18 +359,18 @@ func TestRestoreFallsBackOnCatalogMismatch(t *testing.T) {
 	)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Take(nil, dir, cat, mgr, nil, nil); err != nil { // seq 2: includes ghost
+	if _, err := Take(log, store, cat, mgr, nil); err != nil { // version 2: includes ghost
 		t.Fatal(err)
 	}
 
 	// Restore into an engine whose durable catalog never learned "ghost".
 	mgr2, cat2, tbl2 := testEngine(t)
-	res, err := Restore(dir, cat2, mgr2)
+	res, err := Restore(log, store, cat2, mgr2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifest.Seq != 1 || res.Fallbacks != 1 {
-		t.Fatalf("anchored on seq %d with %d fallbacks, want seq 1 / 1", res.Manifest.Seq, res.Fallbacks)
+	if res.Version.Version != 1 || res.Fallbacks != 1 {
+		t.Fatalf("anchored on version %d with %d fallbacks, want version 1 / 1", res.Version.Version, res.Fallbacks)
 	}
 	check := mgr2.Begin()
 	defer mgr2.Commit(check, nil)

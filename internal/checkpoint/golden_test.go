@@ -4,28 +4,25 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"mainline/internal/arrow"
 	"mainline/internal/catalog"
 	"mainline/internal/gc"
-	"mainline/internal/objstore"
 	"mainline/internal/storage"
 	"mainline/internal/transform"
 	"mainline/internal/txn"
 )
 
-// Golden digests of the tiered checkpoint goldenTable produces. They pin
-// the on-disk format byte for byte — row order, the 8192-row batch cuts,
+// Golden digests of the checkpoint goldenTable produces. They pin the
+// object format byte for byte — row order, the 8192-row batch cuts,
 // builder buffer shapes, and the chunk keys derived from them — so a
 // change to how snapshot batches are produced cannot silently change
-// what a checkpoint writes. Regenerate only with a deliberate format
-// change (and a FormatVersion bump).
+// what a checkpoint writes. The slots digest covers the slot objects
+// concatenated in chunk order. Regenerate only with a deliberate format
+// change.
 const (
-	goldenArrowSHA = "8b25a43a7c1a3707bb0c04cdd1ac3421bc574263f96af6bfece4e9ad5718ba5d"
 	goldenSlotsSHA = "503c5132b7f48c9888f0504ca2d8c062469c31c461e7c6fa00d21179a6983386"
 	goldenChunkSHA = "f7d338a6ca18d5cf8ceb82a781de14ebf5b15671410e31084f4efb6358896343" // newline-joined chunk keys
 	goldenChunks   = 7
@@ -111,41 +108,33 @@ func goldenTable(t *testing.T) (*txn.Manager, *catalog.Catalog, *catalog.Table) 
 	return mgr, cat, tbl
 }
 
-func fileSHA(t *testing.T, path string) string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
 func TestCheckpointGoldenFormat(t *testing.T) {
-	mgr, cat, tbl := goldenTable(t)
-	dir := t.TempDir()
-	store, err := objstore.NewFSStore(filepath.Join(dir, "objects"), nil)
+	mgr, cat, _ := goldenTable(t)
+	log, store := testStore(t)
+	info, err := Take(log, store, cat, mgr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, chunks, err := Take(nil, filepath.Join(dir, "checkpoints"), cat, mgr, nil, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) != 1 {
-		t.Fatalf("chunk lists = %d, want 1", len(chunks))
+	tables := log.Latest().Tables
+	if len(tables) != 1 {
+		t.Fatalf("chunk lists = %d, want 1", len(tables))
 	}
 	var keys []string
-	for _, c := range chunks[0].Chunks {
+	slots := sha256.New()
+	for _, c := range tables[0].Chunks {
 		keys = append(keys, c.Key)
+		data, err := store.Get(c.Slots.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots.Write(data)
 	}
 	keySum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
 	got := map[string]string{
-		"arrow":  fileSHA(t, filepath.Join(info.Dir, fmt.Sprintf("t-%d.arrow", tbl.ID))),
-		"slots":  fileSHA(t, filepath.Join(info.Dir, fmt.Sprintf("t-%d.slots", tbl.ID))),
+		"slots":  hex.EncodeToString(slots.Sum(nil)),
 		"chunks": hex.EncodeToString(keySum[:]),
 	}
-	want := map[string]string{"arrow": goldenArrowSHA, "slots": goldenSlotsSHA, "chunks": goldenChunkSHA}
+	want := map[string]string{"slots": goldenSlotsSHA, "chunks": goldenChunkSHA}
 	if info.Rows != goldenRows || len(keys) != goldenChunks {
 		t.Errorf("rows=%d chunks=%d, want rows=%d chunks=%d", info.Rows, len(keys), goldenRows, goldenChunks)
 	}

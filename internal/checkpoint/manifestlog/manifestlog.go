@@ -1,7 +1,8 @@
-// Package manifestlog is the append-only commit log of the tiered
-// storage layer's version history — the promotion of the per-checkpoint
-// MANIFEST.json into a durable, CRC-guarded sequence of version
-// records, which is what backs Engine.AsOf time travel.
+// Package manifestlog is the append-only commit log of checkpoint
+// versions: a durable, CRC-guarded sequence of version records over
+// immutable content-addressed objects. It is the engine's only
+// checkpoint metadata — recovery anchors on its newest version — and
+// the history source of Engine.AsOf time travel.
 //
 // # Format
 //
@@ -11,10 +12,11 @@
 //	[u32 payload length][u32 CRC-32C of payload][payload JSON]
 //
 // little-endian, appended with a single write + fsync. Records are
-// either version records — one per installed checkpoint, referencing
-// that snapshot's table content as content-addressed chunk objects in
-// the object store, with per-chunk zone maps for pre-fetch pruning — or
-// prune records marking old versions as dropped.
+// either version records — one per checkpoint, referencing that
+// snapshot's table content as content-addressed chunk and slot objects
+// in the object store, with per-chunk zone maps for pre-fetch pruning —
+// or prune records marking old versions as dropped. A checkpoint exists
+// exactly when its version record is in the log.
 //
 // # Crash tolerance
 //
@@ -37,7 +39,6 @@ import (
 	"sort"
 	"sync"
 
-	"mainline/internal/checkpoint"
 	"mainline/internal/fault"
 )
 
@@ -60,8 +61,84 @@ var (
 	ErrVersionPruned = errors.New("manifestlog: the version covering the requested timestamp was pruned")
 )
 
+// ObjectRef names one immutable object and guards its bytes.
+type ObjectRef struct {
+	// Key is the content-addressed object key.
+	Key string `json:"key"`
+	// Size and CRC (CRC-32C) guard the fetched payload.
+	Size int64  `json:"size"`
+	CRC  uint32 `json:"crc"`
+}
+
+// ZoneMap is the min/max/null summary of one integer column within one
+// chunk. It lives in the manifest record, not the chunk, so time-travel
+// range scans prune cold chunks before any object-store read.
+type ZoneMap struct {
+	// Col is the column's index in the table schema.
+	Col int `json:"col"`
+	// Min and Max bound the column's non-null values in this chunk
+	// (meaningless when HasValues is false).
+	Min int64 `json:"min"`
+	Max int64 `json:"max"`
+	// Nulls counts the chunk's null rows in this column.
+	Nulls int `json:"nulls,omitempty"`
+	// HasValues distinguishes an all-null chunk from a populated one.
+	HasValues bool `json:"has_values"`
+}
+
+// ChunkRef names one chunk of a table: a standalone Arrow IPC stream
+// (schema + one record batch, "chunk/<sha256>") and its slot object
+// ("slots/<sha256>": each row's pre-checkpoint physical slot as a
+// little-endian u64, in row order), which recovery needs to map WAL
+// records onto rebuilt slots.
+type ChunkRef struct {
+	ObjectRef
+	// Slots is the chunk's slot object.
+	Slots ObjectRef `json:"slots"`
+	// Rows is the chunk's row count.
+	Rows int `json:"rows"`
+	// Zones summarizes the integer columns for pruning.
+	Zones []ZoneMap `json:"zones,omitempty"`
+}
+
+// FieldDef mirrors one Arrow schema field, so a version is
+// self-describing even without the engine's catalog file.
+type FieldDef struct {
+	Name     string `json:"name"`
+	Type     uint8  `json:"type"`
+	Nullable bool   `json:"nullable,omitempty"`
+}
+
+// TableChunks describes one table's full content at a snapshot as an
+// ordered list of chunks.
+type TableChunks struct {
+	ID     uint32     `json:"id"`
+	Name   string     `json:"name"`
+	Rows   int64      `json:"rows"`
+	Fields []FieldDef `json:"fields"`
+	Chunks []ChunkRef `json:"chunks"`
+}
+
+// MightMatchRange reports whether a chunk could hold rows with column
+// col in [min, max], according to its zone maps. A chunk with no zone
+// for the column (non-integer, or a record written before zones) must
+// be read.
+func (c *ChunkRef) MightMatchRange(col int, min, max int64) bool {
+	for _, z := range c.Zones {
+		if z.Col != col {
+			continue
+		}
+		if !z.HasValues {
+			return false // all null: no value can match
+		}
+		return z.Min <= max && min <= z.Max
+	}
+	return true
+}
+
 // VersionRecord describes one committed snapshot version: the tables'
-// full content as chunk objects, addressable by AsOf.
+// full content as chunk objects, the recovery anchor and the unit AsOf
+// resolves to.
 type VersionRecord struct {
 	// Version orders records; the engine uses the checkpoint sequence.
 	Version uint64 `json:"version"`
@@ -73,7 +150,7 @@ type VersionRecord struct {
 	// CreatedUnixNano is the wall-clock creation time (informational).
 	CreatedUnixNano int64 `json:"created_unix_nano"`
 	// Tables is the snapshot's content, one chunk list per table.
-	Tables []checkpoint.TableChunks `json:"tables"`
+	Tables []TableChunks `json:"tables"`
 }
 
 // record is the framed payload: exactly one of Version / Prune is set.
@@ -93,6 +170,10 @@ type Log struct {
 	mu       sync.Mutex
 	versions []*VersionRecord // append order; Version strictly increasing
 	pruned   map[uint64]bool
+	// size is the length of the valid log; dirty means a failed append
+	// may have left bytes past it, cut before the next append.
+	size  int64
+	dirty bool
 	// tornBytes is how much invalid tail Open truncated (0 = clean).
 	tornBytes int64
 }
@@ -121,6 +202,7 @@ func Open(fsys fault.FS, path string) (*Log, error) {
 		l.apply(rec)
 		validEnd = next
 	}
+	l.size = int64(validEnd)
 	if validEnd < len(data) {
 		// Torn tail or corrupt mid-log record: the valid prefix is the
 		// log. Truncate so the next append extends valid history instead
@@ -177,7 +259,10 @@ func (l *Log) apply(rec *record) {
 }
 
 // append frames, appends, and fsyncs one record, then applies it.
-// Callers hold l.mu.
+// Callers hold l.mu. A failed append may leave a partial or unsynced
+// record behind; the next append first cuts the file back to the valid
+// log, so a retry extends valid history instead of burying its record
+// behind garbage that Open would stop at.
 func (l *Log) append(rec *record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -187,10 +272,17 @@ func (l *Log) append(rec *record) error {
 	binary.LittleEndian.PutUint32(framed, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(framed[4:], crc32.Checksum(payload, crcTable))
 	copy(framed[8:], payload)
+	if l.dirty {
+		if err := truncateFile(l.path, l.size); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("manifestlog: repairing %s: %w", l.path, err)
+		}
+		l.dirty = false
+	}
 	f, err := l.fsys.Append(l.path)
 	if err != nil {
 		return fmt.Errorf("manifestlog: opening %s: %w", l.path, err)
 	}
+	l.dirty = true
 	if _, err := f.Write(framed); err != nil {
 		f.Close()
 		return fmt.Errorf("manifestlog: appending: %w", err)
@@ -202,6 +294,8 @@ func (l *Log) append(rec *record) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
+	l.dirty = false
+	l.size += int64(len(framed))
 	l.apply(rec)
 	return nil
 }
@@ -262,6 +356,17 @@ func (l *Log) Versions() []*VersionRecord {
 	return out
 }
 
+// NextVersion returns the number the next version record must carry:
+// one past every version the log has ever held, pruned ones included.
+func (l *Log) NextVersion() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.versions); n > 0 {
+		return l.versions[n-1].Version + 1
+	}
+	return 1
+}
+
 // Latest returns the newest retained version (nil when none).
 func (l *Log) Latest() *VersionRecord {
 	vs := l.Versions()
@@ -278,11 +383,12 @@ func (l *Log) TornBytes() int64 {
 	return l.tornBytes
 }
 
-// UnreferencedKeys returns the object keys referenced by the given
-// doomed versions but by no retained version — the set safe to delete
-// after AppendPrune(doomed) commits. Content addressing makes the
-// refcount trivial: identical chunks share a key, so a key is safe to
-// delete only when no retained version references it.
+// UnreferencedKeys returns the object keys (chunk and slot objects)
+// referenced by the given doomed versions but by no retained version —
+// the set safe to delete after AppendPrune(doomed) commits. Content
+// addressing makes the refcount trivial: identical objects share a key,
+// so a key is safe to delete only when no retained version references
+// it.
 func (l *Log) UnreferencedKeys(doomed []uint64) []string {
 	doomedSet := make(map[uint64]bool, len(doomed))
 	for _, v := range doomed {
@@ -296,10 +402,13 @@ func (l *Log) UnreferencedKeys(doomed []uint64) []string {
 		dead := doomedSet[v.Version] || l.pruned[v.Version]
 		for _, t := range v.Tables {
 			for _, c := range t.Chunks {
+				set := retained
 				if dead {
-					candidates[c.Key] = true
-				} else {
-					retained[c.Key] = true
+					set = candidates
+				}
+				set[c.Key] = true
+				if c.Slots.Key != "" {
+					set[c.Slots.Key] = true
 				}
 			}
 		}

@@ -10,25 +10,23 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"mainline/internal/checkpoint"
 )
 
 func testVersion(v, snapTs uint64, keys ...string) *VersionRecord {
-	chunks := make([]checkpoint.ChunkRef, 0, len(keys))
+	chunks := make([]ChunkRef, 0, len(keys))
 	for i, k := range keys {
-		chunks = append(chunks, checkpoint.ChunkRef{
-			Key: k, Size: 100, CRC: uint32(v)*1000 + uint32(i), Rows: 10,
-			Zones: []checkpoint.ZoneMap{{Col: 0, Min: int64(v * 10), Max: int64(v*10 + 9), HasValues: true}},
+		chunks = append(chunks, ChunkRef{
+			ObjectRef: ObjectRef{Key: k, Size: 100, CRC: uint32(v)*1000 + uint32(i)}, Rows: 10,
+			Zones: []ZoneMap{{Col: 0, Min: int64(v * 10), Max: int64(v*10 + 9), HasValues: true}},
 		})
 	}
 	return &VersionRecord{
 		Version:    v,
 		SnapshotTs: snapTs,
 		LastTs:     snapTs + 1,
-		Tables: []checkpoint.TableChunks{
+		Tables: []TableChunks{
 			{ID: 1, Name: "item", Rows: int64(10 * len(keys)), Chunks: chunks,
-				Fields: []checkpoint.FieldDef{{Name: "id", Type: 4}}},
+				Fields: []FieldDef{{Name: "id", Type: 4}}},
 		},
 	}
 }

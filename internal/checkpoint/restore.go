@@ -1,14 +1,17 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 
 	"mainline/internal/arrow"
 	"mainline/internal/catalog"
+	"mainline/internal/checkpoint/manifestlog"
+	"mainline/internal/objstore"
 	"mainline/internal/storage"
 	"mainline/internal/txn"
 )
@@ -18,214 +21,248 @@ const restoreTxnRows = 8192
 
 // RestoreResult reports what a bootstrap loaded.
 type RestoreResult struct {
-	// Manifest is the checkpoint the bootstrap anchored on.
-	Manifest *Manifest
-	// Dir is the checkpoint directory loaded.
-	Dir string
+	// Version is the manifest version the bootstrap anchored on.
+	Version *manifestlog.VersionRecord
 	// Rows is the total rows inserted.
 	Rows int64
 	// SlotMap maps each checkpointed row's pre-crash physical slot to its
 	// rebuilt slot — the seed for WAL-tail replay.
 	SlotMap map[storage.TupleSlot]storage.TupleSlot
-	// Fallbacks counts newer checkpoints skipped due to checksum or
-	// manifest failures before a valid one was found.
+	// Fallbacks counts newer versions skipped because an object or the
+	// catalog failed verification.
 	Fallbacks int
 }
 
-// Restore loads the newest valid checkpoint from dir into the catalog's
-// tables, falling back to older checkpoints when verification fails.
-// (nil, nil) means no checkpoint exists; an error means checkpoints exist
-// but none is loadable — starting empty would silently lose data the WAL
-// alone cannot reproduce, so the caller must surface it.
-func Restore(dir string, cat *catalog.Catalog, mgr *txn.Manager) (*RestoreResult, error) {
-	seqs, err := ListSeqs(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(seqs) == 0 {
-		return nil, nil
-	}
-	var lastErr error
-	fallbacks := 0
-	for i := len(seqs) - 1; i >= 0; i-- {
-		ckptDir := filepath.Join(dir, seqDirName(seqs[i]))
-		man, err := ReadManifest(ckptDir)
-		if err == nil {
-			err = Verify(ckptDir, man)
-		}
-		if err == nil {
-			// Catalog consistency is part of validity, checked BEFORE any
-			// row is inserted so an inconsistent checkpoint falls back
-			// cleanly instead of aborting Open after a partial load. A
-			// manifest can legitimately name a table the durable catalog
-			// lacks: the snapshot listed a table whose CreateTable
-			// registered it but crashed (or failed and rolled back) before
-			// catalog.json landed — no transaction can have touched it, so
-			// the older checkpoint loses nothing.
-			err = checkCatalog(man, cat)
-		}
-		if err != nil {
-			lastErr = err
-			fallbacks++
+// Restore loads the newest retained version of log from store into the
+// catalog's tables, falling back one version when verification fails: the
+// WAL retention rule (a checkpoint's segments are released by its
+// successor) covers exactly one fallback, so an older version would
+// silently miss commits. (nil, nil) means no version exists; an error
+// means versions exist but neither candidate is loadable — starting empty
+// would silently lose data the WAL alone cannot reproduce, so the caller
+// must surface it.
+func Restore(log *manifestlog.Log, store objstore.Store, cat *catalog.Catalog, mgr *txn.Manager) (*RestoreResult, error) {
+	versions := log.Versions()
+	var errs []error
+	for i := len(versions) - 1; i >= 0 && i >= len(versions)-2; i-- {
+		v := versions[i]
+		// Verification is complete BEFORE any row is inserted, so an
+		// invalid version falls back cleanly instead of aborting Open
+		// after a partial load.
+		if err := verify(v, store, cat); err != nil {
+			errs = append(errs, fmt.Errorf("version %d: %w", v.Version, err))
 			continue
 		}
-		res, err := load(ckptDir, man, cat, mgr)
+		res, err := load(v, store, cat, mgr)
 		if err != nil {
 			return nil, err
 		}
-		res.Fallbacks = fallbacks
+		res.Fallbacks = len(errs)
 		return res, nil
 	}
-	return nil, fmt.Errorf("checkpoint: no valid checkpoint among %d in %s: %w", len(seqs), dir, lastErr)
+	if len(errs) == 0 {
+		return nil, nil
+	}
+	return nil, fmt.Errorf("checkpoint: no loadable version among the newest %d: %w", len(errs), errors.Join(errs...))
 }
 
-// checkCatalog verifies every manifest table exists in the catalog with an
-// identical schema.
-func checkCatalog(man *Manifest, cat *catalog.Catalog) error {
-	for i := range man.Tables {
-		ti := &man.Tables[i]
-		t := cat.TableByID(ti.ID)
+// verify checks every version table against the catalog and every object
+// the version names against its recorded size and CRC-32C. A version can
+// legitimately name a table the durable catalog lacks: the snapshot
+// listed a table whose CreateTable registered it but crashed (or failed
+// and rolled back) before catalog.json landed — no transaction can have
+// touched it, so the older version loses nothing.
+func verify(v *manifestlog.VersionRecord, store objstore.Store, cat *catalog.Catalog) error {
+	for i := range v.Tables {
+		tc := &v.Tables[i]
+		t := cat.TableByID(tc.ID)
 		if t == nil {
-			return fmt.Errorf("checkpoint: table %q (id %d) in manifest but not in catalog", ti.Name, ti.ID)
+			return fmt.Errorf("checkpoint: table %q (id %d) in version but not in catalog", tc.Name, tc.ID)
 		}
-		if want := manifestSchema(ti); !t.Schema.Equal(want) {
-			return fmt.Errorf("checkpoint: table %q schema drifted: catalog %s vs checkpoint %s", ti.Name, t.Schema, want)
+		if want := versionSchema(tc); !t.Schema.Equal(want) {
+			return fmt.Errorf("checkpoint: table %q schema drifted: catalog %s vs checkpoint %s", tc.Name, t.Schema, want)
+		}
+		var rows int64
+		for _, c := range tc.Chunks {
+			if c.Slots.Size != int64(c.Rows)*8 {
+				return fmt.Errorf("checkpoint: chunk %s of %q has %d slot bytes for %d rows", c.Key, tc.Name, c.Slots.Size, c.Rows)
+			}
+			for _, ref := range []manifestlog.ObjectRef{c.ObjectRef, c.Slots} {
+				if _, err := ReadObject(store, ref); err != nil {
+					// Content addressing would otherwise let the next
+					// checkpoint's PutIfAbsent of the same bytes keep
+					// referencing the damaged copy.
+					if errors.Is(err, ErrCorrupt) {
+						_ = store.Delete(ref.Key)
+					}
+					return err
+				}
+			}
+			rows += int64(c.Rows)
+		}
+		if rows != tc.Rows {
+			return fmt.Errorf("checkpoint: table %q chunks hold %d rows, version says %d", tc.Name, rows, tc.Rows)
 		}
 	}
 	return nil
 }
 
-// load inserts every row of a verified checkpoint into the catalog's
-// tables, chunked into bounded transactions, and builds the slot map.
-func load(ckptDir string, man *Manifest, cat *catalog.Catalog, mgr *txn.Manager) (*RestoreResult, error) {
-	res := &RestoreResult{
-		Manifest: man,
-		Dir:      ckptDir,
-		SlotMap:  make(map[storage.TupleSlot]storage.TupleSlot),
+// ErrCorrupt reports an object whose bytes do not match the size and
+// CRC-32C its version records.
+var ErrCorrupt = errors.New("checkpoint: object corrupt")
+
+// ReadObject reads one object and checks it against its reference.
+func ReadObject(store objstore.Store, ref manifestlog.ObjectRef) ([]byte, error) {
+	data, err := store.Get(ref.Key)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: reading %s: %w", ref.Key, err)
 	}
-	for i := range man.Tables {
-		ti := &man.Tables[i]
-		t := cat.TableByID(ti.ID)
-		if t == nil {
-			// checkCatalog ran first; reaching here is a caller bug.
-			return nil, fmt.Errorf("checkpoint: table %q (id %d) in manifest but not in catalog", ti.Name, ti.ID)
-		}
-		if err := loadTable(ckptDir, ti, t, mgr, res); err != nil {
-			return nil, fmt.Errorf("checkpoint: loading table %q: %w", ti.Name, err)
-		}
+	if int64(len(data)) != ref.Size || crc32.Checksum(data, crcTable) != ref.CRC {
+		return nil, fmt.Errorf("%w: %s (size %d/%d)", ErrCorrupt, ref.Key, len(data), ref.Size)
 	}
-	return res, nil
+	return data, nil
 }
 
-// manifestSchema rebuilds the Arrow schema a manifest records for a table.
-func manifestSchema(ti *TableInfo) *arrow.Schema {
-	fields := make([]arrow.Field, 0, len(ti.Fields))
-	for _, f := range ti.Fields {
+// versionSchema rebuilds the Arrow schema a version records for a table.
+func versionSchema(tc *manifestlog.TableChunks) *arrow.Schema {
+	fields := make([]arrow.Field, 0, len(tc.Fields))
+	for _, f := range tc.Fields {
 		fields = append(fields, arrow.Field{Name: f.Name, Type: arrow.TypeID(f.Type), Nullable: f.Nullable})
 	}
 	return arrow.NewSchema(fields...)
 }
 
-// loadTable reads one table's slot sidecar and Arrow stream and re-inserts
-// every row.
-func loadTable(ckptDir string, ti *TableInfo, t *catalog.Table, mgr *txn.Manager, res *RestoreResult) error {
-	slots, err := readSlots(filepath.Join(ckptDir, ti.SlotFile), ti.Rows)
-	if err != nil {
-		return err
-	}
-	df, err := os.Open(filepath.Join(ckptDir, ti.DataFile))
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	rd := arrow.NewReader(df)
-
-	proj := t.AllColumnsProjection()
-	row := proj.NewRow()
-	layout := t.Layout()
-
-	var (
-		tx     *txn.Transaction
-		inTxn  int
-		global int64
-	)
-	commit := func() {
-		if tx != nil {
-			mgr.Commit(tx, nil)
-			tx = nil
-			inTxn = 0
+// load inserts every row of a verified version into the catalog's tables,
+// chunked into bounded transactions, and builds the slot map.
+func load(v *manifestlog.VersionRecord, store objstore.Store, cat *catalog.Catalog, mgr *txn.Manager) (*RestoreResult, error) {
+	res := &RestoreResult{Version: v, SlotMap: make(map[storage.TupleSlot]storage.TupleSlot)}
+	for i := range v.Tables {
+		tc := &v.Tables[i]
+		if err := loadTable(tc, cat.TableByID(tc.ID), store, mgr, res); err != nil {
+			return nil, fmt.Errorf("checkpoint: loading table %q: %w", tc.Name, err)
 		}
 	}
+	return res, nil
+}
+
+// loadTable re-inserts every row of one table's chunks.
+func loadTable(tc *manifestlog.TableChunks, t *catalog.Table, store objstore.Store, mgr *txn.Manager, res *RestoreResult) error {
+	row := t.AllColumnsProjection().NewRow()
+	layout := t.Layout()
+	var (
+		tx    *txn.Transaction
+		inTxn int
+	)
 	defer func() {
 		if tx != nil {
 			mgr.Abort(tx)
 		}
 	}()
-
-	for {
-		rb, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
+	for _, c := range tc.Chunks {
+		rb, slots, err := readChunk(store, c)
 		if err != nil {
 			return err
 		}
 		if !rb.Schema.Equal(t.Schema) {
-			return fmt.Errorf("batch schema %s != table schema %s", rb.Schema, t.Schema)
+			return fmt.Errorf("chunk %s schema %s != table schema %s", c.Key, rb.Schema, t.Schema)
 		}
 		for r := 0; r < rb.NumRows; r++ {
-			if global >= int64(len(slots)) {
-				return fmt.Errorf("more rows than slots (%d)", len(slots))
-			}
 			if tx == nil {
 				tx = mgr.Begin()
 			}
 			row.Reset()
-			for c, arr := range rb.Columns {
+			for col, arr := range rb.Columns {
 				if arr.IsNull(r) {
-					row.SetNull(c)
+					row.SetNull(col)
 					continue
 				}
-				col := storage.ColumnID(c)
-				if layout.IsVarlen(col) {
-					row.SetVarlen(c, arr.Bytes(r))
+				if layout.IsVarlen(storage.ColumnID(col)) {
+					row.SetVarlen(col, arr.Bytes(r))
 				} else {
 					w := arr.Type.ByteWidth()
-					copy(row.FixedBytes(c), arr.Values[r*w:(r+1)*w])
-					row.Nulls.Clear(c)
+					copy(row.FixedBytes(col), arr.Values[r*w:(r+1)*w])
+					row.Nulls.Clear(col)
 				}
 			}
 			newSlot, err := t.DataTable.Insert(tx, row)
 			if err != nil {
 				return err
 			}
-			res.SlotMap[slots[global]] = newSlot
-			global++
+			res.SlotMap[slots[r]] = newSlot
 			res.Rows++
 			if inTxn++; inTxn >= restoreTxnRows {
-				commit()
+				mgr.Commit(tx, nil)
+				tx, inTxn = nil, 0
 			}
 		}
 	}
-	commit()
-	if global != ti.Rows {
-		return fmt.Errorf("restored %d rows, manifest says %d", global, ti.Rows)
+	if tx != nil {
+		mgr.Commit(tx, nil)
+		tx = nil
 	}
 	return nil
 }
 
-// readSlots loads a slot sidecar (rows little-endian u64 values).
-func readSlots(path string, rows int64) ([]storage.TupleSlot, error) {
-	data, err := os.ReadFile(path)
+// readChunk fetches and decodes one chunk's record batch and slots.
+func readChunk(store objstore.Store, c manifestlog.ChunkRef) (*arrow.RecordBatch, []storage.TupleSlot, error) {
+	data, err := ReadObject(store, c.ObjectRef)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if int64(len(data)) != rows*8 {
-		return nil, fmt.Errorf("slot sidecar %s has %d bytes, want %d", filepath.Base(path), len(data), rows*8)
+	slotBytes, err := ReadObject(store, c.Slots)
+	if err != nil {
+		return nil, nil, err
 	}
-	slots := make([]storage.TupleSlot, rows)
+	rd := arrow.NewReader(bytes.NewReader(data))
+	rb, err := rd.Next()
+	if err != nil {
+		return nil, nil, fmt.Errorf("decoding chunk %s: %w", c.Key, err)
+	}
+	if _, err := rd.Next(); err != io.EOF {
+		return nil, nil, fmt.Errorf("chunk %s holds more than one batch", c.Key)
+	}
+	if rb.NumRows != c.Rows || len(slotBytes) != 8*c.Rows {
+		return nil, nil, fmt.Errorf("chunk %s: %d rows and %d slot bytes, version says %d rows", c.Key, rb.NumRows, len(slotBytes), c.Rows)
+	}
+	slots := make([]storage.TupleSlot, c.Rows)
 	for i := range slots {
-		slots[i] = storage.TupleSlot(binary.LittleEndian.Uint64(data[i*8:]))
+		slots[i] = storage.TupleSlot(binary.LittleEndian.Uint64(slotBytes[i*8:]))
 	}
-	return slots, nil
+	return rb, slots, nil
+}
+
+// Prune drops all but the newest keep retained versions from log and
+// deletes the objects no retained version references. The prune record
+// commits (and fsyncs) before any object is deleted, so a crash mid-prune
+// can only over-retain objects — a retained version never references a
+// deleted one. Callers serialize Prune with Take (see Take). Returns how
+// many versions were pruned and how many objects deleted; keep < 1 keeps 1.
+func Prune(log *manifestlog.Log, store objstore.Store, keep int) (versionsPruned, objectsDeleted int, err error) {
+	if keep < 1 {
+		keep = 1
+	}
+	retained := log.Versions()
+	if len(retained) <= keep {
+		return 0, 0, nil
+	}
+	doomed := make([]uint64, 0, len(retained)-keep)
+	for _, v := range retained[:len(retained)-keep] {
+		doomed = append(doomed, v.Version)
+	}
+	// Compute the orphan set BEFORE the prune record lands: afterwards
+	// the doomed versions are flagged pruned and no longer distinguish
+	// "referenced only by doomed" from "referenced by nothing".
+	orphans := log.UnreferencedKeys(doomed)
+	if err := log.AppendPrune(doomed); err != nil {
+		return 0, 0, err
+	}
+	for _, key := range orphans {
+		// A failed delete leaves an unreferenced object behind that no
+		// later prune revisits, so report the error.
+		if derr := store.Delete(key); derr != nil {
+			return len(doomed), objectsDeleted, derr
+		}
+		objectsDeleted++
+	}
+	return len(doomed), objectsDeleted, nil
 }

@@ -1,5 +1,5 @@
 // Package fsutil holds the small durability helpers the persistence
-// layers (WAL segments, checkpoints, catalog) share. Every helper takes a
+// layers (WAL segments, catalog, data directory lock) share. Every helper takes a
 // fault.FS so the fault-injection layer sees each operation; production
 // callers pass fault.OS{}.
 package fsutil
@@ -14,8 +14,8 @@ import (
 // WriteFileSync writes data to path (truncating), fsyncs the file, and —
 // because the file may be newly created — fsyncs the parent directory
 // too: a synced file whose directory entry was never synced can vanish
-// whole across a crash, which for a checkpoint manifest would silently
-// drop the checkpoint.
+// whole across a crash, which for the catalog would silently drop a
+// table.
 func WriteFileSync(fsys fault.FS, path string, data []byte) error {
 	f, err := fsys.Create(path)
 	if err != nil {

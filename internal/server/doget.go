@@ -307,24 +307,21 @@ func (s *session) ingest(tbl *mainline.Table, tx *mainline.Txn, pr *putReader, d
 					continue
 				}
 				var v any
-				switch {
-				case f.Type == arrow.FLOAT64:
+				switch f.Type {
+				case arrow.FLOAT64:
 					v = a.Float64(i)
-				case f.Type.FixedWidth():
-					switch f.Type {
-					case arrow.INT64:
-						v = a.Int64(i)
-					case arrow.INT32:
-						v = int64(a.Int32(i))
-					case arrow.INT16:
-						v = int64(a.Int16(i))
-					case arrow.INT8:
-						v = int64(a.Int8(i))
-					default:
-						return rows, fmt.Errorf("%w: unsupported ingest type %v", ErrBadRequest, f.Type)
-					}
-				default:
+				case arrow.INT64:
+					v = a.Int64(i)
+				case arrow.INT32:
+					v = int64(a.Int32(i))
+				case arrow.INT16:
+					v = int64(a.Int16(i))
+				case arrow.INT8:
+					v = int64(a.Int8(i))
+				case arrow.STRING, arrow.BINARY, arrow.DICT32:
 					v = a.Bytes(i)
+				default:
+					return rows, fmt.Errorf("%w: unsupported ingest type %v", ErrBadRequest, f.Type)
 				}
 				if err := row.Set(names[ci], v); err != nil {
 					return rows, err

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mainline"
+	"mainline/internal/arrow"
 )
 
 // mkFrame builds a raw frame for hand-crafted protocol abuse.
@@ -395,3 +396,63 @@ func FuzzServerFrame(f *testing.F) {
 }
 
 var _ = io.Discard // keep io imported for future cases
+
+// hugeBufferIPC is an Arrow IPC stream whose batch header declares a
+// 1<<63-byte value buffer for its one INT64 column — a length no reader
+// may allocate up front.
+func hugeBufferIPC() []byte {
+	var w wbuf
+	w.b = append(w.b, "MLARROW1"...)
+	w.u8(1) // schema message
+	w.u32(10)
+	w.u32(1) // one field
+	w.u16(2)
+	w.b = append(w.b, "id"...)
+	w.u8(byte(arrow.INT64))
+	w.u8(0)
+	w.b = append(w.b, make([]byte, 6)...) // pad the header to 8
+	w.u8(2)                               // batch message
+	w.u32(8 + 58)
+	w.u32(1) // rows
+	w.u32(1) // columns
+	w.u8(byte(arrow.INT64))
+	w.u32(0) // null count
+	w.u8(0)  // no dictionary
+	w.u32(0)
+	for _, n := range []uint64{0, 0, 1 << 63, 0, 0, 0} {
+		w.u64(n)
+	}
+	w.b = append(w.b, make([]byte, 6)...)
+	return w.b
+}
+
+// TestDoPutHugeBufferLengthRejected sends a DoPut whose IPC batch header
+// declares an absurd buffer length: the put fails with ErrBadRequest and
+// the server keeps serving other connections.
+func TestDoPutHugeBufferLengthRejected(t *testing.T) {
+	_, _, addr := startServer(t, Config{})
+	c := mustDial(t, addr)
+	if err := c.CreateTable("item", mainline.NewSchema(mainline.Field{Name: "id", Type: mainline.INT64})); err != nil {
+		t.Fatal(err)
+	}
+	conn := rawConn(t, addr)
+	var req wbuf
+	req.u32(0) // no deadline
+	req.str("item")
+	frames := append(mkFrame(reqDoPut, req.b), mkFrame(putChunk, hugeBufferIPC())...)
+	frames = append(frames, mkFrame(putDone, nil)...)
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	kind, payload, err := readFrame(conn, DefaultMaxFrame, nil)
+	if err != nil {
+		t.Fatalf("connection died: %v", err)
+	}
+	if kind != respErr || !errors.Is(DecodeRemoteError(payload), ErrBadRequest) {
+		t.Fatalf("got %s %v, want respErr ErrBadRequest", kindName(kind), DecodeRemoteError(payload))
+	}
+	if err := mustDial(t, addr).Ping(); err != nil {
+		t.Fatalf("server stopped answering after the malformed put: %v", err)
+	}
+}

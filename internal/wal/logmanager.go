@@ -20,6 +20,10 @@ import (
 // and the root cause.
 var ErrLogFailed = errors.New("wal: log failed; durability unavailable")
 
+// errSeal marks a truncation that failed while sealing (fsyncing) the
+// active segment.
+var errSeal = errors.New("wal: sealing the active segment")
+
 // Sink abstracts the durable device so tests can inject failures and
 // benchmarks can swap in a null device.
 type Sink interface {
@@ -580,10 +584,17 @@ func (l *LogManager) FailedFlushes() int64 { return l.failedFlushes.Load() }
 func (l *LogManager) Truncate(ts uint64) (int, error) {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
-	if tr, ok := l.sink.(Truncator); ok {
-		return tr.TruncateThrough(ts)
+	tr, ok := l.sink.(Truncator)
+	if !ok {
+		return 0, nil
 	}
-	return 0, nil
+	n, err := tr.TruncateThrough(ts)
+	if errors.Is(err, errSeal) {
+		// Sealing fsyncs the active segment, and a failed WAL fsync is
+		// fail-stop here exactly as on the flush path.
+		l.failFlush(nil, err)
+	}
+	return n, err
 }
 
 // Close stops the manager and closes the sink.

@@ -264,7 +264,7 @@ func (ss *SegmentedSink) TruncateThrough(ts uint64) (int, error) {
 	defer ss.mu.Unlock()
 	if ss.size > 0 {
 		if err := ss.rotateLocked(); err != nil {
-			return 0, err
+			return 0, fmt.Errorf("%w: %w", errSeal, err)
 		}
 	}
 	removed := 0

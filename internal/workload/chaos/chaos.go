@@ -7,8 +7,8 @@
 //   - No lost acks: every commit the engine acked durable is present
 //     after recovery, byte for byte.
 //   - No torn state: every recovered row carries a payload whose checksum
-//     and content match what was written, and every installed checkpoint
-//     passes its manifest CRC verification.
+//     and content match what was written, and every object a retained
+//     checkpoint version names matches its recorded size and CRC.
 //
 // Rows that were committed in memory but never acked durable MAY survive
 // (the OS can keep unsynced bytes); the harness counts them as Extra —
@@ -59,10 +59,8 @@ const (
 	// ObjStore attaches a cold tier whose object store fails and stalls on
 	// a seeded schedule (Get EIO, Put ENOSPC, ReadRange stalls) while an
 	// evictor and a cold reader race the committers and the checkpointer.
-	// Beyond the two standard promises, verification proves that every
-	// chunk referenced by an installed manifest version exists in the
-	// store with its recorded size and CRC — a half-uploaded object is
-	// never referenced.
+	// The checkpoints live in that store too, so recovery reads them back
+	// from it.
 	ObjStore Scenario = "objstore"
 )
 
@@ -227,11 +225,11 @@ func arm(inj *fault.Injector, s Scenario, rng *rand.Rand) {
 		// Two checkpoint write sites, several firings each: attempts abort
 		// and retry while the workload keeps going.
 		inj.AddRule(fault.Rule{
-			Op: fault.OpWrite, Path: ".arrow",
+			Op: fault.OpWrite, Path: "chunk/",
 			Skip: rng.Intn(3), Count: 2, Err: syscall.ENOSPC,
 		})
 		inj.AddRule(fault.Rule{
-			Op: fault.OpWrite, Path: checkpoint.ManifestName,
+			Op: fault.OpWrite, Path: manifestlog.LogName,
 			Skip: rng.Intn(2), Count: 2, Err: syscall.ENOSPC,
 		})
 	case SIGKILL, ObjStore:
@@ -475,11 +473,18 @@ func VerifyJournal(dir, ackedPath string, seed int64) (*Result, error) {
 	return res, nil
 }
 
-// verify reopens dir with a clean filesystem and checks the two promises:
-// every acked commit present and untorn, every installed checkpoint
-// passing its CRC manifest.
+// verify reopens dir with a clean filesystem (and the run's object store,
+// which holds its checkpoints, when there was one) and checks the two
+// promises: every acked commit present and untorn, every object of every
+// retained checkpoint version matching its recorded size and CRC.
 func verify(dir string, seed int64, acked map[ackKey]struct{}, res *Result) error {
-	eng, err := mainline.Open(mainline.WithDataDir(dir))
+	opts := []mainline.Option{mainline.WithDataDir(dir)}
+	objects := filepath.Join(dir, "objects")
+	if _, err := os.Stat(coldDir(dir)); err == nil {
+		objects = coldDir(dir)
+		opts = append(opts, mainline.WithObjectStore(objects))
+	}
+	eng, err := mainline.Open(opts...)
 	if err != nil {
 		return fmt.Errorf("chaos: reopen for verify: %w", err)
 	}
@@ -521,46 +526,24 @@ func verify(dir string, seed int64, acked map[ackKey]struct{}, res *Result) erro
 			res.Extra++
 		}
 	}
-	// Installed checkpoints must verify: a checkpoint is installed by the
-	// final rename, so a torn one here means the atomic-install protocol
-	// broke.
-	ckptDir := filepath.Join(dir, "checkpoints")
-	seqs, err := checkpoint.ListSeqs(ckptDir)
+	// Retained versions must reference only fully written objects: a
+	// version record is appended after every object it names is durable,
+	// so a crash or a write fault can orphan objects but never leave a
+	// version pointing at a missing or torn one.
+	log, err := manifestlog.Open(fault.OS{}, filepath.Join(dir, manifestlog.LogName))
+	if err != nil {
+		res.Torn++
+		return nil
+	}
+	store, err := objstore.NewFSStore(objects, nil)
 	if err != nil {
 		return err
 	}
-	for _, seq := range seqs {
-		cdir := filepath.Join(ckptDir, fmt.Sprintf("%08d", seq))
-		m, merr := checkpoint.ReadManifest(cdir)
-		if merr != nil {
-			res.Torn++
-			continue
-		}
-		if verr := checkpoint.Verify(cdir, m); verr != nil {
-			res.Torn++
-		}
-	}
-	// With a cold tier, installed manifest versions must reference only
-	// fully uploaded chunks: a version record is appended after its
-	// checkpoint installs, so a crash or a Put fault can orphan objects
-	// but never leave a version pointing at a missing or torn one.
-	manPath := filepath.Join(dir, manifestlog.LogName)
-	if _, serr := os.Stat(manPath); serr == nil {
-		log, lerr := manifestlog.Open(fault.OS{}, manPath)
-		if lerr != nil {
-			res.Torn++
-			return nil
-		}
-		store, oerr := os2store(dir)
-		if oerr != nil {
-			return oerr
-		}
-		for _, v := range log.Versions() {
-			for _, tc := range v.Tables {
-				for _, c := range tc.Chunks {
-					data, gerr := store.Get(c.Key)
-					if gerr != nil || int64(len(data)) != c.Size ||
-						crc32.Checksum(data, crcTable) != c.CRC {
+	for _, v := range log.Versions() {
+		for _, tc := range v.Tables {
+			for _, c := range tc.Chunks {
+				for _, ref := range []manifestlog.ObjectRef{c.ObjectRef, c.Slots} {
+					if _, err := checkpoint.ReadObject(store, ref); err != nil {
 						res.Torn++
 					}
 				}
@@ -568,9 +551,4 @@ func verify(dir string, seed int64, acked map[ackKey]struct{}, res *Result) erro
 		}
 	}
 	return nil
-}
-
-// os2store opens the run's cold store fault-free for verification.
-func os2store(dir string) (objstore.Store, error) {
-	return objstore.NewFSStore(coldDir(dir), nil)
 }

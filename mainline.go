@@ -34,18 +34,17 @@ package mainline
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
 	"mainline/internal/arrow"
 	"mainline/internal/catalog"
+	"mainline/internal/checkpoint/manifestlog"
 	"mainline/internal/core"
 	"mainline/internal/exec"
 	"mainline/internal/fault"
 	"mainline/internal/gc"
 	"mainline/internal/index"
-	"mainline/internal/checkpoint/manifestlog"
 	"mainline/internal/objstore"
 	"mainline/internal/storage"
 	"mainline/internal/tier"
@@ -144,7 +143,11 @@ type Engine struct {
 	logMgr      *wal.LogManager
 	cat         *catalog.Catalog
 	tier        *tier.Manager
-	manifest    *manifestlog.Log
+	// manifest and objects hold the checkpoints in DataDir mode: the
+	// version log and the store its chunk and slot objects live in (the
+	// tier's store, or an FSStore under <DataDir>/objects without one).
+	manifest *manifestlog.Log
+	objects  objstore.Store
 
 	// walRunning records that the log flush loop was started; durable
 	// commits block on it. When false, durable commits drive the flush
@@ -201,12 +204,6 @@ type Engine struct {
 	// recovery records what Open's bootstrap did; immutable afterwards.
 	recovery RecoveryStats
 
-	// needReanchor is set by the bootstrap when prior state was loaded;
-	// Open takes the re-anchor checkpoint after the cold tier and
-	// manifest log are wired so it commits a version record like every
-	// other checkpoint. Cleared before Open returns.
-	needReanchor bool
-
 	// execCounters accumulates analytical-executor statistics
 	// (Stats().Exec) across every Aggregate/Join on this engine.
 	execCounters exec.Counters
@@ -223,8 +220,7 @@ type Engine struct {
 // Open assembles an engine. With no options it is purely in-memory with
 // the background loops off (drive them with RunGC / RunTransform /
 // FreezeAll); see the With* options for WAL, background loops, and
-// transformation tuning. The legacy Options struct is itself an Option, so
-// Open(Options{...}) keeps working.
+// transformation tuning.
 func Open(opts ...Option) (*Engine, error) {
 	var o Options
 	for _, opt := range opts {
@@ -275,32 +271,12 @@ func Open(opts ...Option) (*Engine, error) {
 		// The single-file WAL never rotates; ignoring the size silently
 		// would be the same trap.
 		return nil, fmt.Errorf("mainline: WithWALSegmentSize requires WithDataDir")
-	case o.DataDir != "":
-		// Durable data directory: rehydrate catalog, load the newest
-		// valid checkpoint, replay the WAL tail, open the segmented log.
-		if err := e.bootstrapDataDir(); err != nil {
-			if e.dirLock != nil {
-				e.dirLock()
-			}
-			return nil, err
-		}
-	case o.LogPath != "":
-		sink, err := wal.OpenFileSinkFS(e.fsys, o.LogPath)
-		if err != nil {
-			return nil, err
-		}
-		e.logMgr = wal.NewLogManager(sink)
-		e.logMgr.SyncDelay = o.LogSyncDelay
-		e.logMgr.Attach(e.mgr)
 	}
 	if o.ObjectStoreDir != "" || o.ObjectStore != nil {
 		store := o.ObjectStore
 		if store == nil {
 			fsStore, err := objstore.NewFSStore(o.ObjectStoreDir, e.fsys)
 			if err != nil {
-				if e.dirLock != nil {
-					e.dirLock()
-				}
 				return nil, err
 			}
 			store = fsStore
@@ -316,35 +292,25 @@ func Open(opts ...Option) (*Engine, error) {
 		// readers that raced an eviction (and fell back to version-chain
 		// reads holding slices into the buffer) finish first.
 		e.tier = tier.NewManager(store, budget, o.TierEvictAfterSweeps, e.collector.RegisterAction)
-		// Tables restored by the data-directory bootstrap above get the
-		// tier too; their blocks all start resident (eviction state is
-		// in-RAM only), so no cold read can have been attempted yet.
-		for _, t := range e.cat.Tables() {
-			t.DataTable.AttachColdTier(e.tier)
-		}
-		// With a data directory too, checkpoints commit version records
-		// into the manifest log — Engine.AsOf's history source. Open
-		// tolerates (and repairs) a torn or corrupted tail.
-		if o.DataDir != "" {
-			log, err := manifestlog.Open(e.fsys, filepath.Join(o.DataDir, manifestlog.LogName))
-			if err != nil {
-				if e.dirLock != nil {
-					e.dirLock()
-				}
-				return nil, err
-			}
-			e.manifest = log
-		}
 	}
-	// Deferred from bootstrap step 6: with the tier and manifest wired,
-	// the re-anchor checkpoint is tiered too.
-	if e.needReanchor {
-		if err := e.reanchor(); err != nil {
+	switch {
+	case o.DataDir != "":
+		// Durable data directory: rehydrate catalog, restore the newest
+		// valid checkpoint, replay the WAL tail, open the segmented log.
+		if err := e.bootstrapDataDir(); err != nil {
 			if e.dirLock != nil {
 				e.dirLock()
 			}
 			return nil, err
 		}
+	case o.LogPath != "":
+		sink, err := wal.OpenFileSinkFS(e.fsys, o.LogPath)
+		if err != nil {
+			return nil, err
+		}
+		e.logMgr = wal.NewLogManager(sink)
+		e.logMgr.SyncDelay = o.LogSyncDelay
+		e.logMgr.Attach(e.mgr)
 	}
 	if e.logMgr != nil {
 		e.obs.wireWAL(e.logMgr)

@@ -31,17 +31,15 @@ type optionFunc func(*Options)
 
 func (f optionFunc) apply(o *Options) { f(o) }
 
-// Options is the engine configuration. It predates the functional options
-// and is kept as a thin compatibility shim: an Options value is itself an
-// Option that REPLACES the whole configuration, so legacy
-// Open(Options{...}) call sites keep compiling unchanged. New code should
-// prefer the With* options.
+// Options is the engine configuration the With* options fill in.
 type Options struct {
 	// DataDir enables the durable data directory: a segmented WAL
-	// (DataDir/wal), Arrow-IPC checkpoints (DataDir/checkpoints), and a
-	// persisted schema catalog (DataDir/catalog.json). Open bootstraps
-	// from the newest valid checkpoint and replays only the WAL tail.
-	// Mutually exclusive with LogPath.
+	// (DataDir/wal), checkpoints as content-addressed Arrow chunk and slot
+	// objects (DataDir/objects, or the object store when one is
+	// configured) committed by version records in DataDir/MANIFEST.log,
+	// and a persisted schema catalog (DataDir/catalog.json). Open
+	// bootstraps from the newest valid checkpoint and replays only the
+	// WAL tail. Mutually exclusive with LogPath.
 	DataDir string
 	// CheckpointInterval runs the background checkpointer every interval
 	// (requires DataDir; 0 disables — call Engine.Checkpoint manually).
@@ -119,10 +117,6 @@ type Options struct {
 	TierEvictAfterSweeps int
 }
 
-// apply makes a legacy Options value usable as an Option: it replaces the
-// entire accumulated configuration.
-func (o Options) apply(dst *Options) { *dst = o }
-
 func (o *Options) defaults() {
 	if o.LogFlushInterval == 0 {
 		o.LogFlushInterval = 5 * time.Millisecond
@@ -159,12 +153,18 @@ func (o *Options) defaults() {
 
 // WithDataDir enables the durable data directory rooted at dir: WAL
 // segments under dir/wal (rotated at the configured segment size,
-// truncated by checkpoints), Arrow IPC checkpoints under dir/checkpoints,
-// and the schema catalog at dir/catalog.json. Open bootstraps from the
-// newest valid checkpoint (falling back one on checksum failure), replays
-// only the WAL tail beyond its snapshot timestamp, and re-anchors with a
-// fresh checkpoint so retained segments always address the live slot
-// space. Mutually exclusive with WithWAL.
+// truncated by checkpoints), the schema catalog at dir/catalog.json, and
+// checkpoints written once as content-addressed Arrow chunk and slot
+// objects committed by version records in dir/MANIFEST.log. The objects
+// go to an FSStore under dir/objects, which keeps the newest two
+// versions; with WithObjectStore or WithObjectStoreBackend they go to
+// that store instead, which keeps every version until
+// Admin().PruneSnapshots — reopen such a directory with the same store.
+// Open bootstraps from the newest valid checkpoint (falling back one
+// version on a size, CRC or schema mismatch), replays only the WAL tail
+// beyond its snapshot timestamp, and re-anchors with a fresh checkpoint
+// so retained segments always address the live slot space. Mutually
+// exclusive with WithWAL.
 func WithDataDir(dir string) Option {
 	return optionFunc(func(o *Options) { o.DataDir = dir })
 }
