@@ -1,13 +1,12 @@
 package mainline
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 
 	"mainline/internal/arrow"
 	"mainline/internal/checkpoint"
 	"mainline/internal/checkpoint/manifestlog"
+	"mainline/internal/objstore"
 )
 
 // Time travel: every checkpoint commits a version record into the
@@ -137,23 +136,15 @@ func (s *Snapshot) ScanTableRange(name, col string, min, max int64, fn func(*Rec
 
 // scanChunk fetches, verifies, decodes, and delivers one chunk.
 func (s *Snapshot) scanChunk(t *manifestlog.TableChunks, c *manifestlog.ChunkRef, fn func(*RecordBatch) error) error {
-	data, err := checkpoint.ReadObject(s.eng.objects, c.ObjectRef)
+	data, err := objstore.GetVerified(s.eng.objects, c.ObjectRef)
 	if err != nil {
 		return fmt.Errorf("mainline: chunk of %s@%d: %w", t.Name, s.rec.Version, err)
 	}
-	rd := arrow.NewReader(bytes.NewReader(data))
-	for {
-		rb, err := rd.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("mainline: decoding chunk %s: %w", c.Key, err)
-		}
-		if err := fn(rb); err != nil {
-			return err
-		}
+	rb, err := arrow.DecodeBatch(data)
+	if err != nil {
+		return fmt.Errorf("mainline: decoding chunk %s: %w", c.Key, err)
 	}
+	return fn(rb)
 }
 
 // PruneSnapshots drops all but the newest keep versions from the

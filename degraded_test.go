@@ -5,9 +5,9 @@ import (
 	"syscall"
 	"testing"
 
-	"mainline/internal/checkpoint"
 	"mainline/internal/checkpoint/manifestlog"
 	"mainline/internal/fault"
+	"mainline/internal/objstore"
 )
 
 // degradeEngine opens an engine over dir with a fault schedule that fails
@@ -235,7 +235,7 @@ func TestCheckpointENOSPCEverySite(t *testing.T) {
 			}
 			for _, c := range vs[0].Tables[0].Chunks {
 				for _, ref := range []manifestlog.ObjectRef{c.ObjectRef, c.Slots} {
-					if _, err := checkpoint.ReadObject(eng.objects, ref); err != nil {
+					if _, err := objstore.GetVerified(eng.objects, ref); err != nil {
 						t.Fatalf("previous version's object damaged by the failed attempt: %v", err)
 					}
 				}

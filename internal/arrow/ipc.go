@@ -2,6 +2,7 @@ package arrow
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -205,66 +206,153 @@ func WriteTable(w io.Writer, t *Table) error {
 	return wr.Close()
 }
 
+// EncodeBatch writes rb as a standalone stream — its schema, rb and the
+// end-of-stream marker — the form DecodeBatch reads back.
+func EncodeBatch(rb *RecordBatch) ([]byte, error) {
+	var buf bytes.Buffer
+	wr := NewWriter(&buf)
+	if err := wr.WriteBatch(rb); err != nil {
+		return nil, err
+	}
+	if err := wr.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // Reader consumes an IPC stream. The stream is untrusted: every length in
 // a header is checked against what the header can hold or the row count
-// and type imply before anything is allocated, buffers are allocated as
-// their bytes arrive, and every batch is checked so that no Array
-// accessor can index out of range.
+// and type imply before anything is allocated or sliced, and every batch
+// is checked so that no Array accessor can index out of range.
 type Reader struct {
-	r         *bufio.Reader
+	src       source
 	schema    *Schema
 	readMagic bool
 }
 
-// NewReader wraps r in an IPC stream reader.
+// source yields a stream's bytes. next returns the next n bytes, with
+// io.EOF when none remain and io.ErrUnexpectedEOF when fewer than n do;
+// skip drops n bytes.
+type source interface {
+	next(n int) ([]byte, error)
+	skip(n int) error
+}
+
+// NewReader wraps r in an IPC stream reader. Buffers are allocated as
+// their bytes arrive.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{src: streamSource{bufio.NewReaderSize(r, 1<<16)}}
+}
+
+// DecodeBatch decodes a stream held whole in memory that carries exactly
+// one record batch, as EncodeBatch writes it. The batch's buffers are
+// sliced out of data, not copied, so data must stay unchanged while the
+// batch is in use. The checks are the streaming Reader's.
+func DecodeBatch(data []byte) (*RecordBatch, error) {
+	return oneBatch(&Reader{src: &bytesSource{data: data}})
+}
+
+// oneBatch reads a stream's only record batch.
+func oneBatch(rd *Reader) (*RecordBatch, error) {
+	rb, err := rd.Next()
+	if err == io.EOF {
+		return nil, fmt.Errorf("arrow/ipc: stream holds no record batch")
+	}
+	if err != nil {
+		return nil, err
+	}
+	if _, err := rd.Next(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("arrow/ipc: stream holds more than one record batch")
+		}
+		return nil, err
+	}
+	return rb, nil
 }
 
 // Schema returns the stream schema once a schema message has been read.
 func (rd *Reader) Schema() *Schema { return rd.schema }
 
-// readStep is the most a read allocates ahead of the bytes it has
+// readStep is the most a stream read allocates ahead of the bytes it has
 // received: buffers up to a block's size take one exact allocation,
 // longer ones grow as their bytes arrive.
 const readStep = 1 << 20
 
-func (rd *Reader) readPadded(n int) ([]byte, error) {
+// streamSource reads from an io.Reader into fresh buffers.
+type streamSource struct{ r *bufio.Reader }
+
+func (s streamSource) next(n int) ([]byte, error) {
 	buf := make([]byte, 0, min(n, readStep))
 	for len(buf) < n {
 		start := len(buf)
 		buf = append(buf, make([]byte, min(n-start, readStep))...)
-		if _, err := io.ReadFull(rd.r, buf[start:]); err != nil {
-			if err == io.EOF {
+		if _, err := io.ReadFull(s.r, buf[start:]); err != nil {
+			if err == io.EOF && start > 0 {
 				err = io.ErrUnexpectedEOF
 			}
-			return nil, err
-		}
-	}
-	if rem := n % 8; rem != 0 {
-		if _, err := rd.r.Discard(8 - rem); err != nil {
 			return nil, err
 		}
 	}
 	return buf, nil
 }
 
+func (s streamSource) skip(n int) error {
+	_, err := s.r.Discard(n)
+	return err
+}
+
+// bytesSource slices a stream held in memory; nothing is copied.
+type bytesSource struct {
+	data []byte
+	off  int
+}
+
+func (s *bytesSource) next(n int) ([]byte, error) {
+	if rem := len(s.data) - s.off; n > rem {
+		s.off = len(s.data)
+		if rem == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := s.data[s.off : s.off+n : s.off+n]
+	s.off += n
+	return b, nil
+}
+
+func (s *bytesSource) skip(n int) error {
+	_, err := s.next(n)
+	return err
+}
+
+// readPadded reads an n-byte header or buffer and the padding after it.
+func (rd *Reader) readPadded(n int) ([]byte, error) {
+	buf, err := rd.src.next(n)
+	if rem := n % 8; err == nil && rem != 0 {
+		err = rd.src.skip(8 - rem)
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
+}
+
 // Next returns the next record batch, or io.EOF at end of stream. Schema
 // messages are consumed transparently.
 func (rd *Reader) Next() (*RecordBatch, error) {
 	if !rd.readMagic {
-		var m [8]byte
-		if _, err := io.ReadFull(rd.r, m[:]); err != nil {
+		m, err := rd.src.next(len(streamMagic))
+		if err != nil {
 			return nil, err
 		}
-		if m != streamMagic {
+		if string(m) != string(streamMagic[:]) {
 			return nil, ErrBadMagic
 		}
 		rd.readMagic = true
 	}
 	for {
-		var h [5]byte
-		if _, err := io.ReadFull(rd.r, h[:]); err != nil {
+		h, err := rd.src.next(5)
+		if err != nil {
 			return nil, err
 		}
 		typ := h[0]

@@ -77,46 +77,81 @@ func TestIPCHugeBufferLengthRejected(t *testing.T) {
 	}
 }
 
+// sameArray reports whether two arrays carry the same type, shape and
+// buffer bytes.
+func sameArray(a, b *Array) bool {
+	if (a.Dict == nil) != (b.Dict == nil) || (a.Dict != nil && !sameArray(a.Dict, b.Dict)) {
+		return false
+	}
+	return a.Type == b.Type && a.Length == b.Length && a.NullCount == b.NullCount &&
+		bytes.Equal(a.Validity, b.Validity) && bytes.Equal(a.Offsets, b.Offsets) && bytes.Equal(a.Values, b.Values)
+}
+
 // FuzzIPCReader feeds arbitrary bytes to the IPC reader, the decoder
 // DoPut runs on client input: it must return batches or an error, never
 // panic or allocate from an unchecked length, and every value of every
-// batch it returns must be readable through the Array accessors.
+// batch it returns must be readable through the Array accessors. The
+// in-memory entry point (DecodeBatch, which the cold tier, restore and
+// AsOf run on stored objects) must agree with the streaming reader on
+// every input: both fail, or both return the same batch. The seed corpus
+// under testdata/ adds an evicted block's object (dictionary + NULLs).
 func FuzzIPCReader(f *testing.F) {
 	valid := everyTypeStream(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(hugeBufferStream())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		streamed, streamErr := oneBatch(NewReader(bytes.NewReader(data)))
+		inMemory, memErr := DecodeBatch(data)
+		if (streamErr == nil) != (memErr == nil) {
+			t.Fatalf("streaming reader err=%v, DecodeBatch err=%v", streamErr, memErr)
+		}
+		if streamErr == nil {
+			if !streamed.Schema.Equal(inMemory.Schema) || streamed.NumRows != inMemory.NumRows || len(streamed.Columns) != len(inMemory.Columns) {
+				t.Fatalf("streaming reader and DecodeBatch disagree on the batch shape")
+			}
+			for c := range streamed.Columns {
+				if !sameArray(streamed.Columns[c], inMemory.Columns[c]) {
+					t.Fatalf("streaming reader and DecodeBatch disagree on column %d", c)
+				}
+			}
+			readAll(inMemory)
+		}
 		rd := NewReader(bytes.NewReader(data))
 		for {
 			rb, err := rd.Next()
 			if err != nil {
 				return
 			}
-			for _, col := range rb.Columns {
-				for i := 0; i < rb.NumRows; i++ {
-					if col.IsNull(i) {
-						continue
-					}
-					switch col.Type {
-					case BOOL:
-						col.Bool(i)
-					case INT8:
-						col.Int8(i)
-					case INT16:
-						col.Int16(i)
-					case INT32:
-						col.Int32(i)
-					case INT64:
-						col.Int64(i)
-					case FLOAT64:
-						col.Float64(i)
-					default:
-						col.Bytes(i)
-						col.ValueLen(i)
-					}
-				}
-			}
+			readAll(rb)
 		}
 	})
+}
+
+// readAll reads every value of every column through the Array accessors.
+func readAll(rb *RecordBatch) {
+	for _, col := range rb.Columns {
+		for i := 0; i < rb.NumRows; i++ {
+			if col.IsNull(i) {
+				continue
+			}
+			switch col.Type {
+			case BOOL:
+				col.Bool(i)
+			case INT8:
+				col.Int8(i)
+			case INT16:
+				col.Int16(i)
+			case INT32:
+				col.Int32(i)
+			case INT64:
+				col.Int64(i)
+			case FLOAT64:
+				col.Float64(i)
+			default:
+				col.Bytes(i)
+				col.ValueLen(i)
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"unsafe"
 
 	"mainline/internal/util"
 )
@@ -212,4 +213,55 @@ func TestWriterCountsBytes(t *testing.T) {
 	if w.BytesWritten != int64(buf.Len()) {
 		t.Fatalf("BytesWritten = %d, buffer has %d", w.BytesWritten, buf.Len())
 	}
+}
+
+// TestDecodeBatchAliasesInput: EncodeBatch and DecodeBatch round-trip a
+// batch, the decoded buffers are slices of the input rather than copies,
+// and a stream of zero or two batches is refused.
+func TestDecodeBatchAliasesInput(t *testing.T) {
+	schema, rb := sampleBatch(t, 50)
+	data, err := EncodeBatch(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBatch(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Schema.Equal(schema) || got.NumRows != 50 || got.Column("name").Str(3) != rb.Column("name").Str(3) {
+		t.Fatal("decoded batch differs from the encoded one")
+	}
+	for _, col := range got.Columns {
+		if !inside(col.Values, data) {
+			t.Fatalf("%s values were copied out of the input", col.Type)
+		}
+	}
+	two, err := ReadTable(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, &Table{Schema: schema, Batches: []*RecordBatch{two.Batches[0], two.Batches[0]}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBatch(buf.Bytes()); err == nil {
+		t.Fatal("a two-batch stream decoded as one batch")
+	}
+	buf.Reset()
+	if err := WriteTable(&buf, &Table{Schema: schema}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBatch(buf.Bytes()); err == nil {
+		t.Fatal("a stream with no batch decoded")
+	}
+}
+
+// inside reports whether b's first byte lies within data.
+func inside(b, data []byte) bool {
+	if len(b) == 0 {
+		return true
+	}
+	p := uintptr(unsafe.Pointer(&b[0]))
+	lo := uintptr(unsafe.Pointer(&data[0]))
+	return p >= lo && p < lo+uintptr(len(data))
 }

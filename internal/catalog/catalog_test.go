@@ -260,7 +260,7 @@ func TestWrapFrozenUnderThawingRegistration(t *testing.T) {
 	if _, err := tbl.ExportBlockZeroCopy(b); err == nil {
 		t.Fatal("ExportBlockZeroCopy accepted a thawing block")
 	}
-	rb, err := tbl.wrapFrozen(b)
+	rb, err := tbl.FrozenBatch(b)
 	if err != nil {
 		t.Fatalf("wrap under a held registration: %v", err)
 	}

@@ -29,15 +29,17 @@ func (t *Table) ExportBlockZeroCopy(b *storage.Block) (*arrow.RecordBatch, error
 		// copies such blocks out of the cold tier instead.
 		return nil, fmt.Errorf("catalog: block %d is evicted, cannot export zero-copy", b.ID)
 	}
-	return t.wrapFrozen(b)
+	return t.FrozenBatch(b)
 }
 
-// wrapFrozen wraps a resident frozen block's buffers without checking its
+// FrozenBatch wraps a resident frozen block's buffers without checking its
 // state. Under an in-place read registration taken while the block was
 // Frozen, a writer (MarkHot) or the evictor may already have moved the
 // state on to Thawing or Freezing, but both wait for the registration to
-// end before they touch the buffers.
-func (t *Table) wrapFrozen(b *storage.Block) (*arrow.RecordBatch, error) {
+// end before they touch the buffers. It is also the evictor's encoder
+// (tier.Producer): an evicted block is stored as the IPC stream of this
+// batch.
+func (t *Table) FrozenBatch(b *storage.Block) (*arrow.RecordBatch, error) {
 	rows := b.FrozenRows()
 	layout := t.Layout()
 	cols := make([]*arrow.Array, 0, t.Schema.NumFields())
@@ -139,7 +141,7 @@ func (t *Table) StreamBatches(tx *txn.Transaction, fn func(rb *arrow.RecordBatch
 				appendRows(bb, batch, 0, batch.Len())
 				return true
 			}
-			rb, e := t.wrapFrozen(blk)
+			rb, e := t.FrozenBatch(blk)
 			if e == nil {
 				frozen++
 				e = fn(rb, true)

@@ -34,12 +34,8 @@
 package checkpoint
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"time"
 
@@ -51,8 +47,6 @@ import (
 	"mainline/internal/storage"
 	"mainline/internal/txn"
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Info summarizes one taken checkpoint.
 type Info struct {
@@ -156,18 +150,11 @@ func (w *writer) table(t *catalog.Table, tx *txn.Transaction) (*manifestlog.Tabl
 		tc.Fields = append(tc.Fields, manifestlog.FieldDef{Name: f.Name, Type: uint8(f.Type), Nullable: f.Nullable})
 	}
 	_, err := t.SnapshotBatches(tx, nil, nil, nil, func(rb *arrow.RecordBatch, slots []storage.TupleSlot) error {
-		var buf bytes.Buffer
-		wr := arrow.NewWriter(&buf)
-		if err := wr.WriteSchema(t.Schema); err != nil {
+		data, err := arrow.EncodeBatch(rb)
+		if err != nil {
 			return err
 		}
-		if err := wr.WriteBatch(rb); err != nil {
-			return err
-		}
-		if err := wr.Close(); err != nil {
-			return err
-		}
-		chunk, err := w.put("chunk/", buf.Bytes())
+		chunk, err := w.put("chunk/", data)
 		if err != nil {
 			return err
 		}
@@ -191,17 +178,15 @@ func (w *writer) table(t *catalog.Table, tx *txn.Transaction) (*manifestlog.Tabl
 
 // put uploads payload under prefix + hex(sha256(payload)).
 func (w *writer) put(prefix string, payload []byte) (manifestlog.ObjectRef, error) {
-	sum := sha256.Sum256(payload)
-	key := prefix + hex.EncodeToString(sum[:])
-	created, err := w.store.PutIfAbsent(key, payload)
+	ref, created, err := objstore.PutContent(w.store, prefix, payload)
 	if err != nil {
-		return manifestlog.ObjectRef{}, fmt.Errorf("checkpoint: writing %s: %w", key, err)
+		return ref, fmt.Errorf("checkpoint: %w", err)
 	}
 	if created {
-		w.created = append(w.created, key)
+		w.created = append(w.created, ref.Key)
 		w.bytes += int64(len(payload))
 	}
-	return manifestlog.ObjectRef{Key: key, Size: int64(len(payload)), CRC: crc32.Checksum(payload, crcTable)}, nil
+	return ref, nil
 }
 
 // abandon deletes the objects a failed attempt created. No version

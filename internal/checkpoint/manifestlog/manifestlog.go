@@ -40,6 +40,7 @@ import (
 	"sync"
 
 	"mainline/internal/fault"
+	"mainline/internal/objstore"
 )
 
 // LogName is the manifest log's filename inside a data directory.
@@ -62,13 +63,7 @@ var (
 )
 
 // ObjectRef names one immutable object and guards its bytes.
-type ObjectRef struct {
-	// Key is the content-addressed object key.
-	Key string `json:"key"`
-	// Size and CRC (CRC-32C) guard the fetched payload.
-	Size int64  `json:"size"`
-	CRC  uint32 `json:"crc"`
-}
+type ObjectRef = objstore.Ref
 
 // ZoneMap is the min/max/null summary of one integer column within one
 // chunk. It lives in the manifest record, not the chunk, so time-travel

@@ -1,12 +1,9 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 
 	"mainline/internal/arrow"
 	"mainline/internal/catalog"
@@ -88,11 +85,11 @@ func verify(v *manifestlog.VersionRecord, store objstore.Store, cat *catalog.Cat
 				return fmt.Errorf("checkpoint: chunk %s of %q has %d slot bytes for %d rows", c.Key, tc.Name, c.Slots.Size, c.Rows)
 			}
 			for _, ref := range []manifestlog.ObjectRef{c.ObjectRef, c.Slots} {
-				if _, err := ReadObject(store, ref); err != nil {
+				if _, err := objstore.GetVerified(store, ref); err != nil {
 					// Content addressing would otherwise let the next
 					// checkpoint's PutIfAbsent of the same bytes keep
 					// referencing the damaged copy.
-					if errors.Is(err, ErrCorrupt) {
+					if errors.Is(err, objstore.ErrCorrupt) {
 						_ = store.Delete(ref.Key)
 					}
 					return err
@@ -105,22 +102,6 @@ func verify(v *manifestlog.VersionRecord, store objstore.Store, cat *catalog.Cat
 		}
 	}
 	return nil
-}
-
-// ErrCorrupt reports an object whose bytes do not match the size and
-// CRC-32C its version records.
-var ErrCorrupt = errors.New("checkpoint: object corrupt")
-
-// ReadObject reads one object and checks it against its reference.
-func ReadObject(store objstore.Store, ref manifestlog.ObjectRef) ([]byte, error) {
-	data, err := store.Get(ref.Key)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading %s: %w", ref.Key, err)
-	}
-	if int64(len(data)) != ref.Size || crc32.Checksum(data, crcTable) != ref.CRC {
-		return nil, fmt.Errorf("%w: %s (size %d/%d)", ErrCorrupt, ref.Key, len(data), ref.Size)
-	}
-	return data, nil
 }
 
 // versionSchema rebuilds the Arrow schema a version records for a table.
@@ -205,21 +186,17 @@ func loadTable(tc *manifestlog.TableChunks, t *catalog.Table, store objstore.Sto
 
 // readChunk fetches and decodes one chunk's record batch and slots.
 func readChunk(store objstore.Store, c manifestlog.ChunkRef) (*arrow.RecordBatch, []storage.TupleSlot, error) {
-	data, err := ReadObject(store, c.ObjectRef)
+	data, err := objstore.GetVerified(store, c.ObjectRef)
 	if err != nil {
 		return nil, nil, err
 	}
-	slotBytes, err := ReadObject(store, c.Slots)
+	slotBytes, err := objstore.GetVerified(store, c.Slots)
 	if err != nil {
 		return nil, nil, err
 	}
-	rd := arrow.NewReader(bytes.NewReader(data))
-	rb, err := rd.Next()
+	rb, err := arrow.DecodeBatch(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("decoding chunk %s: %w", c.Key, err)
-	}
-	if _, err := rd.Next(); err != io.EOF {
-		return nil, nil, fmt.Errorf("chunk %s holds more than one batch", c.Key)
 	}
 	if rb.NumRows != c.Rows || len(slotBytes) != 8*c.Rows {
 		return nil, nil, fmt.Errorf("chunk %s: %d rows and %d slot bytes, version says %d rows", c.Key, rb.NumRows, len(slotBytes), c.Rows)

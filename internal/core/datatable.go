@@ -380,8 +380,8 @@ func (t *DataTable) Select(tx *txn.Transaction, slot storage.TupleSlot, out *sto
 	// the early materialization the paper elides for cold blocks.
 	if block.BeginInPlaceRead() {
 		if !block.Resident() {
-			// Buffers are evicted; serve the cached cold payload. The
-			// registration is released first — the payload is an immutable
+			// Buffers are evicted; serve the cached record batch. The
+			// registration is released first — the batch is an immutable
 			// copy of the observed frozen epoch, so it needs no pin.
 			block.EndInPlaceRead()
 			return t.selectCold(block, offset, out)
@@ -461,11 +461,11 @@ func (t *DataTable) scanBlock(tx *txn.Transaction, block *storage.Block, proj *s
 	if block.BeginInPlaceRead() {
 		if !block.Resident() {
 			block.EndInPlaceRead()
-			cb, err := t.fetchCold(block)
+			rb, err := t.fetchCold(block)
 			if err != nil {
 				return false, err
 			}
-			return t.scanColdBlock(block, cb, row, fn), nil
+			return t.scanColdBlock(block, rb, row, fn), nil
 		}
 		defer func() {
 			block.EndInPlaceRead()

@@ -291,9 +291,9 @@ func (b *Batch) Projection() *storage.Projection { return b.proj }
 // InPlaceBlock returns the block when the batch is the whole of a resident
 // frozen block read in place — unfiltered, under the block's in-place read
 // registration, which the scan holds until the callback returns — and nil
-// for hot batches, cold payloads, and predicate selections. Inside the
-// callback the block's frozen buffers cannot change, so a consumer may
-// alias them directly (the zero-copy export).
+// for hot batches, evicted blocks' batches, and predicate selections.
+// Inside the callback the block's frozen buffers cannot change, so a
+// consumer may alias them directly (the zero-copy export).
 func (b *Batch) InPlaceBlock() *storage.Block {
 	if !b.frozen || b.cold || b.sel != nil {
 		return nil
@@ -778,8 +778,9 @@ func (t *DataTable) frozenBatch(tx *txn.Transaction, block *storage.Block, batch
 }
 
 // frozenViewSource is the common shape of resident frozen blocks and
-// decoded cold payloads: both expose typed zero-copy column views, so
-// the predicate kernels run identically over either.
+// evicted blocks' record batches (coldSource): both expose typed
+// zero-copy column views, so the predicate kernels run identically over
+// either.
 type frozenViewSource interface {
 	FrozenFixedView(storage.ColumnID) storage.FixedColView
 	FrozenVarlenView(storage.ColumnID) storage.VarlenColView

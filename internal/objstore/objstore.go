@@ -4,7 +4,10 @@
 // engine's fault.FS seam so the PR 9 injector covers the cold tier for
 // free. Objects are written once (PutIfAbsent is the idiom for
 // content-hash keys — a second writer of the same bytes is a no-op) and
-// read back whole (Get) or by range (ReadRange).
+// read back whole (Get) or by range (ReadRange). PutContent and
+// GetVerified are the one content-addressed write and the one verified
+// read every caller uses: the key is the SHA-256 of the bytes, and a Ref
+// records the size and CRC-32C a read must find.
 //
 // The read path has no fault.FS analogue (fault.FS is write-only by
 // design), so read-side chaos — fail-N-then-succeed Get, stalled
@@ -15,8 +18,11 @@
 package objstore
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,6 +35,47 @@ import (
 
 // ErrNotFound reports a Get/ReadRange/Delete of a key with no object.
 var ErrNotFound = errors.New("objstore: object not found")
+
+// ErrCorrupt reports an object whose bytes do not match the size and
+// CRC-32C its Ref records.
+var ErrCorrupt = errors.New("objstore: object corrupt")
+
+// Ref names one immutable content-addressed object and guards its bytes.
+type Ref struct {
+	// Key is prefix + hex(sha256(bytes)).
+	Key string `json:"key"`
+	// Size and CRC (CRC-32C) guard the fetched bytes.
+	Size int64  `json:"size"`
+	CRC  uint32 `json:"crc"`
+}
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// PutContent uploads data under prefix + hex(sha256(data)) unless the
+// store already holds that key, and reports whether this call created the
+// object.
+func PutContent(s Store, prefix string, data []byte) (Ref, bool, error) {
+	sum := sha256.Sum256(data)
+	ref := Ref{Key: prefix + hex.EncodeToString(sum[:]), Size: int64(len(data)), CRC: crc32.Checksum(data, crcTable)}
+	created, err := s.PutIfAbsent(ref.Key, data)
+	if err != nil {
+		return Ref{}, false, fmt.Errorf("objstore: writing %s: %w", ref.Key, err)
+	}
+	return ref, created, nil
+}
+
+// GetVerified reads the object ref names and checks its size and CRC-32C;
+// a mismatch is an error wrapping ErrCorrupt.
+func GetVerified(s Store, ref Ref) ([]byte, error) {
+	data, err := s.Get(ref.Key)
+	if err != nil {
+		return nil, fmt.Errorf("objstore: reading %s: %w", ref.Key, err)
+	}
+	if int64(len(data)) != ref.Size || crc32.Checksum(data, crcTable) != ref.CRC {
+		return nil, fmt.Errorf("%w: %s (size %d/%d)", ErrCorrupt, ref.Key, len(data), ref.Size)
+	}
+	return data, nil
+}
 
 // Store is the object-store surface the tiered storage layer needs.
 // Implementations must be safe for concurrent use. Keys are opaque

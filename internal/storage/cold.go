@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"runtime"
-
-	"mainline/internal/util"
-)
+import "runtime"
 
 // Cold-tier residency: a frozen block's buffers can be evicted to an
 // object store and fetched back on demand. Residency is a second, small
@@ -14,7 +10,9 @@ import (
 //
 //	Resident  — buffers in RAM; all existing paths work unchanged.
 //	Evicted   — buf and the frozen varlen/dict buffers are dropped; the
-//	            encoded payload lives at ColdRef in the object store.
+//	            block lives at ColdRef in the object store as the Arrow
+//	            IPC stream of its export batch (schema + one record
+//	            batch), the same format as a checkpoint chunk.
 //	            Metadata that pruning and visibility need — the zone map,
 //	            allocation/validity bitmaps, frozenRows, nullCounts, the
 //	            (empty) version-chain array — stays in RAM.
@@ -55,12 +53,15 @@ func (r Residency) String() string {
 	}
 }
 
-// ColdRef names the object holding a block's encoded cold payload.
+// ColdRef names the object holding an evicted block and guards its bytes:
+// a fetch checks Size and CRC before it decodes.
 type ColdRef struct {
 	// Key is the content-hash object key ("blk/<hex sha-256>").
 	Key string
-	// Size is the encoded payload length in bytes.
+	// Size is the object's length in bytes.
 	Size int64
+	// CRC is the object's CRC-32C.
+	CRC uint32
 }
 
 // Residency returns the block's current residency state.
@@ -78,7 +79,7 @@ func (b *Block) CASResidency(from, to Residency) bool {
 // critical sections only).
 func (b *Block) SetResidency(r Residency) { b.residency.Store(uint32(r)) }
 
-// SetColdRef records the object holding the block's encoded payload.
+// SetColdRef records the object holding the block's evicted content.
 func (b *Block) SetColdRef(ref *ColdRef) { b.coldRef.Store(ref) }
 
 // ColdKey returns the block's cold-object reference, or nil if it was
@@ -100,7 +101,7 @@ func (b *Block) BumpSweepAge() uint32 { return b.sweepAge.Add(1) }
 func (b *Block) ResetSweepAge() { b.sweepAge.Store(0) }
 
 // DropColdBuffers releases the block's in-RAM data buffers after its
-// payload is safely in the object store: the 1 MB backing buffer and the
+// content is safely in the object store: the 1 MB backing buffer and the
 // gathered varlen/dict buffers. Everything reads and writes need to
 // *decide* — zone map, allocation and validity bitmaps, null counts,
 // frozenRows, version-chain slots, insertHead — stays. The caller must
@@ -168,64 +169,4 @@ func (b *Block) MarkHotResident() bool {
 			runtime.Gosched()
 		}
 	}
-}
-
-// --- ColdBlock: decoded cold-tier content ------------------------------------
-
-// ColdColKind classifies a decoded cold column.
-type ColdColKind uint8
-
-// Cold column kinds.
-const (
-	ColdFixed ColdColKind = iota
-	ColdVarlen
-	ColdDict
-)
-
-// ColdBlock is the decoded form of an evicted block's payload: enough to
-// serve frozen-path reads (views, zone checks, point lookups) without
-// re-installing anything into the Block. Scans over evicted blocks read
-// a ColdBlock out of the tier cache; writers re-thaw by copying its
-// buffers back into a fresh block buffer. All buffers are immutable
-// after decode and may be shared between the cache and concurrent
-// readers.
-type ColdBlock struct {
-	// Rows is the frozen row count the payload covers.
-	Rows int
-	// Kinds classifies each column.
-	Kinds []ColdColKind
-	// Fixed holds each fixed-width column's contiguous value bytes
-	// (nil for varlen/dict columns).
-	Fixed [][]byte
-	// Validity holds each column's serialized validity bitmap, nil when
-	// the column had no nulls at freeze time.
-	Validity []util.Bitmap
-	// Var holds each plain-gathered varlen column's buffers.
-	Var []*FrozenVarlen
-	// Dict holds each dictionary-compressed column's buffers.
-	Dict []*FrozenDict
-	// NullCounts per column, from freeze time.
-	NullCounts []int
-	// Widths holds each fixed column's attribute size.
-	Widths []int
-}
-
-// FrozenFixedView builds the typed view of fixed-width column col. The
-// name matches Block's accessor so the two satisfy one view-source
-// interface in the scan layer.
-func (cb *ColdBlock) FrozenFixedView(col ColumnID) FixedColView {
-	v := FixedColView{Data: cb.Fixed[col], Width: cb.Widths[col]}
-	if cb.NullCounts[col] > 0 {
-		v.Valid = cb.Validity[col]
-	}
-	return v
-}
-
-// FrozenVarlenView builds the view of varlen column col (plain or dict).
-func (cb *ColdBlock) FrozenVarlenView(col ColumnID) VarlenColView {
-	var valid util.Bitmap
-	if cb.NullCounts[col] > 0 {
-		valid = cb.Validity[col]
-	}
-	return NewVarlenColView(cb.Var[col], cb.Dict[col], valid)
 }

@@ -80,20 +80,25 @@ func (v *FixedColView) IntAt(i int) int64 {
 // dictionary-compressed columns resolve lazily through the code array —
 // the dictionary is only consulted for rows actually read.
 type VarlenColView struct {
-	fv    *FrozenVarlen
-	dict  *FrozenDict
-	Valid util.Bitmap // nil when the column has no nulls
+	offsets, values []byte // the plain-gathered buffers
+	dict            *FrozenDict
+	Valid           util.Bitmap // nil when the column has no nulls
 }
 
 // NewVarlenColView assembles a view from explicit buffers — the cold
-// path builds views from decoded payloads rather than block memory.
-func NewVarlenColView(fv *FrozenVarlen, dict *FrozenDict, valid util.Bitmap) VarlenColView {
-	return VarlenColView{fv: fv, dict: dict, Valid: valid}
+// path builds views from an evicted block's record batch rather than
+// block memory. dict, when non-nil, takes precedence over the plain
+// offsets+values pair.
+func NewVarlenColView(offsets, values []byte, dict *FrozenDict, valid util.Bitmap) VarlenColView {
+	return VarlenColView{offsets: offsets, values: values, dict: dict, Valid: valid}
 }
 
 // FrozenVarlenView builds the zero-copy view of varlen column col.
 func (b *Block) FrozenVarlenView(col ColumnID) VarlenColView {
-	v := VarlenColView{fv: b.frozenVar[col], dict: b.frozenDict[col]}
+	v := VarlenColView{dict: b.frozenDict[col]}
+	if fv := b.frozenVar[col]; fv != nil {
+		v.offsets, v.values = fv.Offsets, fv.Values
+	}
 	if b.nullCounts[col] > 0 {
 		v.Valid = b.FrozenValidity(col)
 	}
@@ -115,9 +120,9 @@ func (v *VarlenColView) BytesAt(i int) []byte {
 	if v.dict != nil {
 		return v.dict.Value(int(v.dict.CodeAt(i)))
 	}
-	off := binary.LittleEndian.Uint32(v.fv.Offsets[i*4:])
-	end := binary.LittleEndian.Uint32(v.fv.Offsets[(i+1)*4:])
-	return v.fv.Values[off:end:end]
+	off := binary.LittleEndian.Uint32(v.offsets[i*4:])
+	end := binary.LittleEndian.Uint32(v.offsets[(i+1)*4:])
+	return v.values[off:end:end]
 }
 
 // --- FrozenDict accessors ----------------------------------------------------

@@ -5,19 +5,20 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mainline/internal/storage"
+	"mainline/internal/arrow"
 )
 
 // Cache is the byte-budgeted LRU block cache between the scan paths and
-// the object store. Entries are decoded ColdBlocks keyed by object key
-// (content hash — entries never go stale; a re-frozen block gets a new
-// key). Concurrent misses on the same key are single-flighted: one
+// the object store. Entries are decoded record batches keyed by object
+// key (content hash — entries never go stale; a re-frozen block gets a
+// new key), each charged its object's byte size, which is its footprint:
+// the batch's buffers alias the fetched bytes. Concurrent misses on the same key are single-flighted: one
 // caller fetches, the rest wait for its result.
 //
 // Budget semantics: budget < 0 is unlimited retention; budget == 0
 // retains nothing (every read fetches — the degenerate configuration the
 // equivalence suite sweeps); budget > 0 evicts least-recently-used
-// entries until the decoded footprint fits.
+// entries until the charged bytes fit.
 type Cache struct {
 	budget int64
 
@@ -34,13 +35,14 @@ type Cache struct {
 
 type cacheEntry struct {
 	key  string
-	cb   *storage.ColdBlock
+	rb   *arrow.RecordBatch
 	size int64
 }
 
 type flight struct {
 	done chan struct{}
-	cb   *storage.ColdBlock
+	rb   *arrow.RecordBatch
+	size int64
 	err  error
 }
 
@@ -63,23 +65,24 @@ func (c *Cache) Misses() int64 { return c.misses.Load() }
 // Evictions reports entries dropped to fit the budget.
 func (c *Cache) Evictions() int64 { return c.evictions.Load() }
 
-// Bytes reports the current decoded footprint.
+// Bytes reports the bytes the cached entries are charged.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
 }
 
-// GetOrFetch returns the cached block for key, or runs fetch (once,
-// however many callers race) and caches the result within budget.
-func (c *Cache) GetOrFetch(key string, fetch func() (*storage.ColdBlock, error)) (*storage.ColdBlock, error) {
+// GetOrFetch returns the cached batch for key, or runs fetch (once,
+// however many callers race) and caches the result within budget,
+// charged the size fetch reports.
+func (c *Cache) GetOrFetch(key string, fetch func() (*arrow.RecordBatch, int64, error)) (*arrow.RecordBatch, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
-		cb := el.Value.(*cacheEntry).cb
+		rb := el.Value.(*cacheEntry).rb
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return cb, nil
+		return rb, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
@@ -87,28 +90,27 @@ func (c *Cache) GetOrFetch(key string, fetch func() (*storage.ColdBlock, error))
 		if f.err == nil {
 			c.hits.Add(1)
 		}
-		return f.cb, f.err
+		return f.rb, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	f.cb, f.err = fetch()
+	f.rb, f.size, f.err = fetch()
 	close(f.done)
 
 	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil && c.budget != 0 {
 		if _, ok := c.entries[key]; !ok {
-			size := Size(f.cb)
-			c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, cb: f.cb, size: size})
-			c.bytes += size
+			c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, rb: f.rb, size: f.size})
+			c.bytes += f.size
 			c.trimLocked()
 		}
 	}
 	c.mu.Unlock()
-	return f.cb, f.err
+	return f.rb, f.err
 }
 
 // trimLocked evicts LRU entries until the footprint fits the budget.

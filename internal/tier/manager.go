@@ -1,13 +1,29 @@
+// Package tier is the cold-storage tier: a temperature-driven evictor
+// that demotes long-frozen blocks to an object store (internal/objstore)
+// and drops their in-RAM buffers, and an LRU byte-budgeted cache of
+// decoded record batches with single-flight fetch that the scan paths
+// fall through to when they hit an evicted block.
+//
+// An evicted block is stored as its Arrow IPC stream: the zero-copy
+// export batch of the block (catalog.Table.FrozenBatch), written by
+// internal/arrow's writer as a schema plus one record batch — the format
+// of a checkpoint chunk — under blk/<sha256>. The block's ColdRef records
+// the object's size and CRC-32C; a fetch checks both before it decodes
+// the stream in place, so the cached batch aliases the fetched bytes.
+//
+// The package imports only storage, arrow and objstore — core defines
+// its own ColdTier interface that *Manager satisfies implicitly, so there
+// is no tier<->core cycle, and the engine hands each table's batch
+// producer to the sweep.
 package tier
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync/atomic"
 
+	"mainline/internal/arrow"
 	"mainline/internal/objstore"
 	"mainline/internal/storage"
 )
@@ -87,28 +103,27 @@ func (m *Manager) Snapshot() Counters {
 	}
 }
 
-// BlockKey derives the content-addressed object key for a payload.
-func BlockKey(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return "blk/" + hex.EncodeToString(sum[:])
-}
+// Producer wraps a frozen, resident block's buffers as its table's Arrow
+// record batch without copying (catalog.Table.FrozenBatch).
+type Producer func(*storage.Block) (*arrow.RecordBatch, error)
 
 // EvictBlock demotes one frozen, resident block to the object store and
-// schedules its in-RAM buffers for release. Reports whether the block
-// was evicted; a block that is not Frozen+Resident, still carries
-// version chains, or loses the Freezing race is skipped without error.
+// schedules its in-RAM buffers for release. produce is the block's table
+// batch producer. Reports whether the block was evicted; a block that is
+// not Frozen+Resident, still carries version chains, or loses the
+// Freezing race is skipped without error.
 //
 // Protocol: CAS Frozen->Freezing claims the same exclusive section the
 // gather phase uses (writers wait in MarkHot, new in-place readers
-// bounce), readers are drained, the payload is encoded and uploaded
-// under its content hash, then — in this order — the cold ref is
-// recorded, residency flips to Evicted, and the state is restored to
-// Frozen. Readers check residency only after BeginInPlaceRead succeeds,
-// so by the time any reader can observe Frozen again the Evicted flag
-// is already visible. Buffers are dropped via deferFn because hot-path
-// readers that bounced off Freezing fall back to version-chain reads
-// that may still hold slices into the buffer.
-func (m *Manager) EvictBlock(b *storage.Block) (bool, error) {
+// bounce), readers are drained, the block's batch is written as an Arrow
+// IPC stream and uploaded under its content hash, then — in this order —
+// the cold ref is recorded, residency flips to Evicted, and the state is
+// restored to Frozen. Readers check residency only after BeginInPlaceRead
+// succeeds, so by the time any reader can observe Frozen again the
+// Evicted flag is already visible. Buffers are dropped via deferFn
+// because hot-path readers that bounced off Freezing fall back to
+// version-chain reads that may still hold slices into the buffer.
+func (m *Manager) EvictBlock(b *storage.Block, produce Producer) (bool, error) {
 	if b.State() != storage.StateFrozen || !b.Resident() {
 		return false, nil
 	}
@@ -123,18 +138,22 @@ func (m *Manager) EvictBlock(b *storage.Block) (bool, error) {
 	for b.InPlaceReaders() > 0 {
 		runtime.Gosched()
 	}
-	payload, err := Encode(b)
+	rb, err := produce(b)
+	var data []byte
+	if err == nil {
+		data, err = arrow.EncodeBatch(rb)
+	}
 	if err != nil {
 		restore()
-		return false, err
+		return false, fmt.Errorf("tier: encoding block %d: %w", b.ID, err)
 	}
-	key := BlockKey(payload)
-	if _, err := m.store.PutIfAbsent(key, payload); err != nil {
+	ref, _, err := objstore.PutContent(m.store, "blk/", data)
+	if err != nil {
 		restore()
-		return false, fmt.Errorf("tier: uploading %s: %w", key, err)
+		return false, fmt.Errorf("tier: %w", err)
 	}
-	m.bytesUploaded.Add(int64(len(payload)))
-	b.SetColdRef(&storage.ColdRef{Key: key, Size: int64(len(payload))})
+	m.bytesUploaded.Add(int64(len(data)))
+	b.SetColdRef(&storage.ColdRef{Key: ref.Key, Size: ref.Size, CRC: ref.CRC})
 	b.SetResidency(storage.ResidencyEvicted)
 	restore()
 	m.evictions.Add(1)
@@ -152,11 +171,12 @@ func (m *Manager) EvictBlock(b *storage.Block) (bool, error) {
 	return true, nil
 }
 
-// SweepBlocks ages every frozen resident block and evicts those whose
-// sweep age crosses the threshold. force evicts regardless of age.
-// Returns how many blocks were evicted; the first eviction error aborts
-// the sweep (the store is likely unreachable — retry next sweep).
-func (m *Manager) SweepBlocks(blocks []*storage.Block, force bool) (int, error) {
+// SweepBlocks ages every frozen resident block of one table and evicts
+// those whose sweep age crosses the threshold; produce is the table's
+// batch producer. force evicts regardless of age. Returns how many blocks
+// were evicted; the first eviction error aborts the sweep (the store is
+// likely unreachable — retry next sweep).
+func (m *Manager) SweepBlocks(blocks []*storage.Block, produce Producer, force bool) (int, error) {
 	evicted := 0
 	for _, b := range blocks {
 		if b.State() != storage.StateFrozen || !b.Resident() {
@@ -165,7 +185,7 @@ func (m *Manager) SweepBlocks(blocks []*storage.Block, force bool) (int, error) 
 		if !force && b.BumpSweepAge() < m.evictAfter {
 			continue
 		}
-		ok, err := m.EvictBlock(b)
+		ok, err := m.EvictBlock(b, produce)
 		if err != nil {
 			return evicted, err
 		}
@@ -176,65 +196,82 @@ func (m *Manager) SweepBlocks(blocks []*storage.Block, force bool) (int, error) 
 	return evicted, nil
 }
 
-// Fetch returns the decoded cold payload of an evicted block, through
-// the cache. The content-addressed key makes cached entries immune to
-// staleness: a block that re-freezes with different content gets a new
-// key at its next eviction.
-func (m *Manager) Fetch(b *storage.Block) (*storage.ColdBlock, error) {
+// Fetch returns the decoded record batch of an evicted block, through
+// the cache. The object's size and CRC-32C are checked before it is
+// decoded, and the batch's shape against the block's layout before it is
+// returned; either failure is an error wrapping objstore.ErrCorrupt, and
+// nothing is cached. The content-addressed key makes cached entries
+// immune to staleness: a block that re-freezes with different content
+// gets a new key at its next eviction.
+func (m *Manager) Fetch(b *storage.Block) (*arrow.RecordBatch, error) {
 	ref := b.ColdKey()
 	if ref == nil {
 		return nil, fmt.Errorf("tier: block %d has no cold ref", b.ID)
 	}
-	return m.cache.GetOrFetch(ref.Key, func() (*storage.ColdBlock, error) {
-		data, err := m.store.Get(ref.Key)
+	return m.cache.GetOrFetch(ref.Key, func() (*arrow.RecordBatch, int64, error) {
+		data, err := objstore.GetVerified(m.store, objstore.Ref{Key: ref.Key, Size: ref.Size, CRC: ref.CRC})
 		if err != nil {
-			return nil, fmt.Errorf("tier: fetching %s: %w", ref.Key, err)
+			return nil, 0, fmt.Errorf("tier: %w", err)
 		}
 		m.fetches.Add(1)
 		m.bytesFetched.Add(int64(len(data)))
-		return Decode(data)
+		rb, err := arrow.DecodeBatch(data)
+		if err == nil {
+			err = checkLayout(rb, b)
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("tier: %w: %s: %w", objstore.ErrCorrupt, ref.Key, err)
+		}
+		// Decoding aliases data, so its length is the batch's footprint.
+		return rb, int64(len(data)), nil
 	})
 }
 
+// checkLayout verifies that a decoded batch fits the block it stands
+// for — the frozen row count, the column count, and each column's kind
+// and fixed width — so the read paths and Rethaw can index it through
+// the block's layout.
+func checkLayout(rb *arrow.RecordBatch, b *storage.Block) error {
+	layout := b.Layout
+	if rb.NumRows != b.FrozenRows() || len(rb.Columns) != layout.NumColumns() {
+		return fmt.Errorf("%d rows of %d columns for a block of %d rows of %d columns",
+			rb.NumRows, len(rb.Columns), b.FrozenRows(), layout.NumColumns())
+	}
+	for c, a := range rb.Columns {
+		col := storage.ColumnID(c)
+		if layout.IsVarlen(col) {
+			if !a.Type.VarLen() && a.Type != arrow.DICT32 {
+				return fmt.Errorf("column %d is %s, the block's is variable-length", c, a.Type)
+			}
+		} else if a.Type.ByteWidth() != layout.AttrSize(col) {
+			return fmt.Errorf("column %d is %s, the block's is %d bytes wide", c, a.Type, layout.AttrSize(col))
+		}
+	}
+	return nil
+}
+
 // Rethaw re-installs an evicted block's buffers from the store so a
-// writer can thaw it. The caller must hold the Rethawing residency
-// state (won by CAS from Evicted) and flips it to Resident on success
-// or back to Evicted on error; Rethaw itself only rebuilds RAM state.
-// The block stays Frozen throughout — concurrent readers keep taking
-// the cold path until residency flips.
+// writer can thaw it. The caller must hold the Rethawing residency state
+// (won by CAS from Evicted) and flips it to Resident on success or back
+// to Evicted on error; Rethaw itself only rebuilds RAM state, and only
+// after Fetch has checked the batch against the block's layout. The block
+// stays Frozen throughout — concurrent readers keep taking the cold path
+// until residency flips.
 func (m *Manager) Rethaw(b *storage.Block) error {
-	cb, err := m.Fetch(b)
+	rb, err := m.Fetch(b)
 	if err != nil {
 		return err
 	}
-	rows := b.FrozenRows()
-	if cb.Rows != rows {
-		return fmt.Errorf("tier: cold payload rows %d != frozen rows %d", cb.Rows, rows)
-	}
+	rows := rb.NumRows
 	layout := b.Layout
-	if len(cb.Kinds) != layout.NumColumns() {
-		return fmt.Errorf("tier: cold payload has %d columns, layout %d", len(cb.Kinds), layout.NumColumns())
-	}
 	b.AttachBuffer(make([]byte, storage.BlockSize))
-	for c := 0; c < layout.NumColumns(); c++ {
+	for c, a := range rb.Columns {
 		col := storage.ColumnID(c)
-		switch cb.Kinds[c] {
-		case storage.ColdFixed:
-			b.RestoreFixedData(col, cb.Fixed[c][:rows*layout.AttrSize(col)])
-		case storage.ColdVarlen:
-			fv := cb.Var[c]
-			b.SetFrozenVarlenAlias(col, fv)
-			b.SetFrozenDict(col, nil)
-			for s := 0; s < rows; s++ {
-				if !b.IsValid(col, uint32(s)) {
-					continue
-				}
-				off := binary.LittleEndian.Uint32(fv.Offsets[s*4:])
-				end := binary.LittleEndian.Uint32(fv.Offsets[(s+1)*4:])
-				b.RewriteVarlenEntry(col, uint32(s), fv.Values[off:end:end], int(off))
-			}
-		case storage.ColdDict:
-			d := cb.Dict[c]
+		switch {
+		case !layout.IsVarlen(col):
+			b.RestoreFixedData(col, a.Values[:rows*layout.AttrSize(col)])
+		case a.Dict != nil:
+			d := &storage.FrozenDict{Codes: a.Values, DictOffsets: a.Dict.Offsets, DictValues: a.Dict.Values, NumEntries: a.Dict.Length}
 			b.SetFrozenDict(col, d)
 			b.SetFrozenVarlenAlias(col, &storage.FrozenVarlen{Values: d.DictValues})
 			for s := 0; s < rows; s++ {
@@ -244,6 +281,18 @@ func (m *Manager) Rethaw(b *storage.Block) error {
 				code := int(d.CodeAt(s))
 				off := binary.LittleEndian.Uint32(d.DictOffsets[code*4:])
 				b.RewriteVarlenEntry(col, uint32(s), d.Value(code), int(off))
+			}
+		default:
+			fv := &storage.FrozenVarlen{Offsets: a.Offsets, Values: a.Values}
+			b.SetFrozenVarlenAlias(col, fv)
+			b.SetFrozenDict(col, nil)
+			for s := 0; s < rows; s++ {
+				if !b.IsValid(col, uint32(s)) {
+					continue
+				}
+				off := binary.LittleEndian.Uint32(fv.Offsets[s*4:])
+				end := binary.LittleEndian.Uint32(fv.Offsets[(s+1)*4:])
+				b.RewriteVarlenEntry(col, uint32(s), fv.Values[off:end:end], int(off))
 			}
 		}
 		// The serialized validity region is rebuilt from the atomic

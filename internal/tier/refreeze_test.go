@@ -6,7 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"mainline/internal/core"
+	"mainline/internal/arrow"
+	"mainline/internal/catalog"
 	"mainline/internal/gc"
 	"mainline/internal/objstore"
 	"mainline/internal/storage"
@@ -15,17 +16,20 @@ import (
 	"mainline/internal/txn"
 )
 
-// frozenBlockSpilled is frozenBlock with varlen values long enough to
-// spill (>12 bytes), returning the block in the Frozen state.
-func frozenBlockSpilled(t *testing.T, mode transform.Mode, rows int64) *storage.Block {
+// frozenBlockSpilled builds a table (id INT64, v STRING) with varlen
+// values long enough to spill (>12 bytes), returning the table and its
+// first block in the Frozen state.
+func frozenBlockSpilled(t *testing.T, mode transform.Mode, rows int64) (*catalog.Table, *storage.Block) {
 	t.Helper()
 	reg := storage.NewRegistry()
-	layout, err := storage.NewBlockLayout([]storage.AttrDef{storage.FixedAttr(8), storage.VarlenAttr()})
+	m := txn.NewManager(reg)
+	table, err := catalog.New(reg).CreateTable("tier-test", arrow.NewSchema(
+		arrow.Field{Name: "id", Type: arrow.INT64},
+		arrow.Field{Name: "v", Type: arrow.STRING, Nullable: true},
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := txn.NewManager(reg)
-	table := core.NewDataTable(reg, layout, 1, "tier-test")
 
 	tx := m.Begin()
 	row := table.AllColumnsProjection().NewRow()
@@ -62,7 +66,7 @@ func frozenBlockSpilled(t *testing.T, mode transform.Mode, rows int64) *storage.
 	if blk.State() != storage.StateFrozen {
 		t.Fatalf("fixture state %v", blk.State())
 	}
-	return blk
+	return table, blk
 }
 
 func spilledPayload(id int64) string {
@@ -95,7 +99,7 @@ func checkSpilledValues(t *testing.T, tag string, b *storage.Block, rows int64) 
 func TestRefreezeAfterRethaw(t *testing.T) {
 	const rows = 50
 	for _, mode := range []transform.Mode{transform.ModeGather, transform.ModeDictionary} {
-		b := frozenBlockSpilled(t, mode, rows)
+		table, b := frozenBlockSpilled(t, mode, rows)
 		store, err := objstore.NewFSStore(t.TempDir(), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -104,21 +108,16 @@ func TestRefreezeAfterRethaw(t *testing.T) {
 
 		for cycle := 0; cycle < 2; cycle++ {
 			tag := fmt.Sprintf("mode %v cycle %d", mode, cycle)
-			ok, err := m.EvictBlock(b)
+			ok, err := m.EvictBlock(b, table.FrozenBatch)
 			if err != nil || !ok {
 				t.Fatalf("%s: evict = %v, %v", tag, ok, err)
 			}
-			key := b.ColdKey().Key
-			payload, err := store.Get(key)
+			rb, err := m.Fetch(b)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: fetch: %v", tag, err)
 			}
-			cb, err := tier.Decode(payload)
-			if err != nil {
-				t.Fatalf("%s: decode: %v", tag, err)
-			}
-			if cb.Rows != rows {
-				t.Fatalf("%s: cold rows %d", tag, cb.Rows)
+			if rb.NumRows != rows {
+				t.Fatalf("%s: cold rows %d", tag, rb.NumRows)
 			}
 
 			if !b.CASResidency(storage.ResidencyEvicted, storage.ResidencyRethawing) {
@@ -143,12 +142,12 @@ func TestRefreezeAfterRethaw(t *testing.T) {
 
 			// The refrozen content is identical, so the next eviction must
 			// re-derive the same content-addressed key.
-			wantValues := cb.Var[1]
+			wantValues := rb.Columns[1].Values
 			if mode == transform.ModeDictionary {
-				wantValues = &storage.FrozenVarlen{Values: cb.Dict[1].DictValues}
+				wantValues = rb.Columns[1].Dict.Values
 			}
 			gotFV := b.FrozenVarlenCol(1)
-			if gotFV == nil || !bytes.Equal(gotFV.Values, wantValues.Values) {
+			if gotFV == nil || !bytes.Equal(gotFV.Values, wantValues) {
 				t.Fatalf("%s: refrozen values buffer diverged from cold epoch", tag)
 			}
 		}

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"mainline"
-	"mainline/internal/checkpoint"
 	"mainline/internal/checkpoint/manifestlog"
 	"mainline/internal/fault"
 	"mainline/internal/objstore"
@@ -543,7 +542,7 @@ func verify(dir string, seed int64, acked map[ackKey]struct{}, res *Result) erro
 		for _, tc := range v.Tables {
 			for _, c := range tc.Chunks {
 				for _, ref := range []manifestlog.ObjectRef{c.ObjectRef, c.Slots} {
-					if _, err := checkpoint.ReadObject(store, ref); err != nil {
+					if _, err := objstore.GetVerified(store, ref); err != nil {
 						res.Torn++
 					}
 				}

@@ -281,8 +281,9 @@ func WithObjectStoreBackend(store objstore.Store) Option {
 	return optionFunc(func(o *Options) { o.ObjectStore = store })
 }
 
-// WithBlockCacheBytes sets the cold-block cache budget: decoded cold
-// payloads are retained LRU up to n bytes (0 = 64MB default;
+// WithBlockCacheBytes sets the cold-block cache budget: evicted blocks'
+// decoded record batches are retained LRU up to n bytes of their objects
+// (0 = 64MB default;
 // BlockCacheUnlimited / BlockCacheNone are sentinels). Requires an
 // object store option.
 func WithBlockCacheBytes(n int64) Option {

@@ -22,7 +22,7 @@ type TierStats struct {
 	// evicted blocks whose buffers were re-installed for a write.
 	Evictions int64
 	Rethaws   int64
-	// Fetches counts object-store reads of cold payloads (cache misses
+	// Fetches counts object-store reads of evicted blocks (cache misses
 	// that reached the store); CacheHits / CacheMisses / CacheEvictions
 	// count block-cache traffic, and CacheBytes is its current footprint.
 	Fetches        int64
@@ -77,7 +77,7 @@ func (e *Engine) stopTierSweeper() {
 func (e *Engine) tierSweepOnce(force bool) (int, error) {
 	total := 0
 	for _, t := range e.cat.Tables() {
-		n, err := e.tier.SweepBlocks(t.Blocks(), force)
+		n, err := e.tier.SweepBlocks(t.Blocks(), t.FrozenBatch, force)
 		total += n
 		if err != nil {
 			return total, err
