@@ -187,7 +187,7 @@ func (e *Engine) bootstrapDataDir() error {
 		slotMap = make(map[storage.TupleSlot]storage.TupleSlot)
 		maxTs   uint64
 	)
-	restored, err := checkpoint.Restore(e.manifest, e.objects, e.cat, e.mgr)
+	restored, err := checkpoint.Restore(e.manifest, e.objects, e.cat)
 	if err != nil {
 		return err
 	}

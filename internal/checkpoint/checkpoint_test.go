@@ -156,7 +156,7 @@ func TestTakeRestoreRoundTrip(t *testing.T) {
 
 	// Restore into a fresh engine.
 	mgr2, cat2, tbl2 := testEngine(t)
-	res, err := Restore(log, store, cat2, mgr2)
+	res, err := Restore(log, store, cat2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestRestoreFallsBackOnCorruption(t *testing.T) {
 	corrupt(t, store, key)
 
 	mgr2, cat2, tbl2 := testEngine(t)
-	res, err := Restore(log, store, cat2, mgr2)
+	res, err := Restore(log, store, cat2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRestoreFallsBackOnCorruption(t *testing.T) {
 func TestRestoreEmptyDirAndAllCorrupt(t *testing.T) {
 	log, store := testStore(t)
 	mgr, cat, tbl := testEngine(t)
-	res, err := Restore(log, store, cat, mgr)
+	res, err := Restore(log, store, cat)
 	if err != nil || res != nil {
 		t.Fatalf("empty: %v %v", res, err)
 	}
@@ -247,8 +247,8 @@ func TestRestoreEmptyDirAndAllCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupt(t, store, vs[1].Tables[0].Chunks[0].Key)
-	mgr2, cat2, _ := testEngine(t)
-	if _, err := Restore(log, store, cat2, mgr2); err == nil {
+	_, cat2, _ := testEngine(t)
+	if _, err := Restore(log, store, cat2); err == nil {
 		t.Fatal("restore with the newest two versions damaged must fail")
 	}
 }
@@ -329,7 +329,7 @@ func TestEmptyTableCheckpoint(t *testing.T) {
 		t.Fatalf("rows = %d", info.Rows)
 	}
 	mgr2, cat2, tbl2 := testEngine(t)
-	res, err := Restore(log, store, cat2, mgr2)
+	res, err := Restore(log, store, cat2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestRestoreFallsBackOnCatalogMismatch(t *testing.T) {
 
 	// Restore into an engine whose durable catalog never learned "ghost".
 	mgr2, cat2, tbl2 := testEngine(t)
-	res, err := Restore(log, store, cat2, mgr2)
+	res, err := Restore(log, store, cat2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,17 +10,13 @@ import (
 	"mainline/internal/checkpoint/manifestlog"
 	"mainline/internal/objstore"
 	"mainline/internal/storage"
-	"mainline/internal/txn"
 )
-
-// restoreTxnRows bounds the undo/redo footprint of one restore transaction.
-const restoreTxnRows = 8192
 
 // RestoreResult reports what a bootstrap loaded.
 type RestoreResult struct {
 	// Version is the manifest version the bootstrap anchored on.
 	Version *manifestlog.VersionRecord
-	// Rows is the total rows inserted.
+	// Rows is the total rows loaded.
 	Rows int64
 	// SlotMap maps each checkpointed row's pre-crash physical slot to its
 	// rebuilt slot — the seed for WAL-tail replay.
@@ -37,20 +33,23 @@ type RestoreResult struct {
 // silently miss commits. (nil, nil) means no version exists; an error
 // means versions exist but neither candidate is loadable — starting empty
 // would silently lose data the WAL alone cannot reproduce, so the caller
-// must surface it.
-func Restore(log *manifestlog.Log, store objstore.Store, cat *catalog.Catalog, mgr *txn.Manager) (*RestoreResult, error) {
+// must surface it. Rows are installed as committed base tuples with no
+// transaction (DataTable.LoadBatch), so Restore belongs to bootstrap:
+// before any transaction begins and any background loop starts, and
+// before the catalog's declared indexes are attached.
+func Restore(log *manifestlog.Log, store objstore.Store, cat *catalog.Catalog) (*RestoreResult, error) {
 	versions := log.Versions()
 	var errs []error
 	for i := len(versions) - 1; i >= 0 && i >= len(versions)-2; i-- {
 		v := versions[i]
-		// Verification is complete BEFORE any row is inserted, so an
+		// Verification is complete BEFORE any row is loaded, so an
 		// invalid version falls back cleanly instead of aborting Open
 		// after a partial load.
 		if err := verify(v, store, cat); err != nil {
 			errs = append(errs, fmt.Errorf("version %d: %w", v.Version, err))
 			continue
 		}
-		res, err := load(v, store, cat, mgr)
+		res, err := load(v, store, cat)
 		if err != nil {
 			return nil, err
 		}
@@ -113,32 +112,27 @@ func versionSchema(tc *manifestlog.TableChunks) *arrow.Schema {
 	return arrow.NewSchema(fields...)
 }
 
-// load inserts every row of a verified version into the catalog's tables,
-// chunked into bounded transactions, and builds the slot map.
-func load(v *manifestlog.VersionRecord, store objstore.Store, cat *catalog.Catalog, mgr *txn.Manager) (*RestoreResult, error) {
-	res := &RestoreResult{Version: v, SlotMap: make(map[storage.TupleSlot]storage.TupleSlot)}
+// load installs every row of a verified version into the catalog's
+// tables as committed base tuples and builds the slot map.
+func load(v *manifestlog.VersionRecord, store objstore.Store, cat *catalog.Catalog) (*RestoreResult, error) {
+	var rows int64
+	for i := range v.Tables {
+		rows += v.Tables[i].Rows
+	}
+	res := &RestoreResult{Version: v, SlotMap: make(map[storage.TupleSlot]storage.TupleSlot, rows)}
 	for i := range v.Tables {
 		tc := &v.Tables[i]
-		if err := loadTable(tc, cat.TableByID(tc.ID), store, mgr, res); err != nil {
+		if err := loadTable(tc, cat.TableByID(tc.ID), store, res); err != nil {
 			return nil, fmt.Errorf("checkpoint: loading table %q: %w", tc.Name, err)
 		}
 	}
 	return res, nil
 }
 
-// loadTable re-inserts every row of one table's chunks.
-func loadTable(tc *manifestlog.TableChunks, t *catalog.Table, store objstore.Store, mgr *txn.Manager, res *RestoreResult) error {
-	row := t.AllColumnsProjection().NewRow()
-	layout := t.Layout()
-	var (
-		tx    *txn.Transaction
-		inTxn int
-	)
-	defer func() {
-		if tx != nil {
-			mgr.Abort(tx)
-		}
-	}()
+// loadTable loads one table's chunks through DataTable.LoadBatch: no
+// transaction, undo, redo or index delta (the bootstrap rebuilds indexes
+// afterwards).
+func loadTable(tc *manifestlog.TableChunks, t *catalog.Table, store objstore.Store, res *RestoreResult) error {
 	for _, c := range tc.Chunks {
 		rb, slots, err := readChunk(store, c)
 		if err != nil {
@@ -147,39 +141,14 @@ func loadTable(tc *manifestlog.TableChunks, t *catalog.Table, store objstore.Sto
 		if !rb.Schema.Equal(t.Schema) {
 			return fmt.Errorf("chunk %s schema %s != table schema %s", c.Key, rb.Schema, t.Schema)
 		}
-		for r := 0; r < rb.NumRows; r++ {
-			if tx == nil {
-				tx = mgr.Begin()
-			}
-			row.Reset()
-			for col, arr := range rb.Columns {
-				if arr.IsNull(r) {
-					row.SetNull(col)
-					continue
-				}
-				if layout.IsVarlen(storage.ColumnID(col)) {
-					row.SetVarlen(col, arr.Bytes(r))
-				} else {
-					w := arr.Type.ByteWidth()
-					copy(row.FixedBytes(col), arr.Values[r*w:(r+1)*w])
-					row.Nulls.Clear(col)
-				}
-			}
-			newSlot, err := t.DataTable.Insert(tx, row)
-			if err != nil {
-				return err
-			}
-			res.SlotMap[slots[r]] = newSlot
-			res.Rows++
-			if inTxn++; inTxn >= restoreTxnRows {
-				mgr.Commit(tx, nil)
-				tx, inTxn = nil, 0
-			}
+		newSlots, err := t.DataTable.LoadBatch(rb)
+		if err != nil {
+			return err
 		}
-	}
-	if tx != nil {
-		mgr.Commit(tx, nil)
-		tx = nil
+		for r, s := range newSlots {
+			res.SlotMap[slots[r]] = s
+		}
+		res.Rows += int64(len(newSlots))
 	}
 	return nil
 }

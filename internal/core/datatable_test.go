@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"mainline/internal/arrow"
+	"mainline/internal/index"
 	"mainline/internal/raceflag"
 	"mainline/internal/storage"
 	"mainline/internal/txn"
@@ -707,5 +710,87 @@ func TestNullColumns(t *testing.T) {
 	m.Commit(reader, nil)
 	if !found || !out.IsNull(1) || out.IsNull(0) {
 		t.Fatal("null column handling wrong")
+	}
+}
+
+// loadTestBatch builds an (int64, string) batch matching testEnv's layout:
+// every seventh name NULL, the rest alternating inline and spilled values.
+func loadTestBatch(t *testing.T, rows int) *arrow.RecordBatch {
+	t.Helper()
+	ids, names := arrow.NewBuilder(arrow.INT64), arrow.NewBuilder(arrow.STRING)
+	for i := 0; i < rows; i++ {
+		ids.AppendInt64(int64(i))
+		switch {
+		case i%7 == 0:
+			names.AppendNull()
+		case i%2 == 0:
+			names.AppendString(fmt.Sprintf("n%d", i))
+		default:
+			names.AppendString(fmt.Sprintf("a-spilled-name-%010d", i))
+		}
+	}
+	schema := arrow.NewSchema(arrow.Field{Name: "id", Type: arrow.INT64},
+		arrow.Field{Name: "name", Type: arrow.STRING, Nullable: true})
+	rb, err := arrow.NewRecordBatch(schema, []*arrow.Array{ids.Finish(), names.Finish()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rb
+}
+
+// TestLoadBatchCommittedBaseTuples checks the bootstrap primitive: rows
+// spanning several blocks land as committed base tuples — readable by
+// every snapshot, no version pointer, no transaction.
+func TestLoadBatchCommittedBaseTuples(t *testing.T) {
+	m, table := testEnv(t)
+	rows := 2*int(table.Layout().NumSlots) + 7
+	rb := loadTestBatch(t, rows)
+	slots, err := table.LoadBatch(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slots) != rows || table.NumBlocks() != 3 {
+		t.Fatalf("%d slots over %d blocks, want %d over 3", len(slots), table.NumBlocks(), rows)
+	}
+	tx := m.Begin()
+	defer m.Commit(tx, nil)
+	out := table.AllColumnsProjection().NewRow()
+	for i, slot := range slots {
+		block := table.Registry().BlockFor(slot)
+		if !block.Allocated(slot.Offset()) || block.VersionPtr(slot.Offset()) != nil {
+			t.Fatalf("row %d: allocated=%v version=%v", i, block.Allocated(slot.Offset()), block.VersionPtr(slot.Offset()))
+		}
+		found, err := table.Select(tx, slot, out)
+		if err != nil || !found {
+			t.Fatalf("row %d unreadable: %v", i, err)
+		}
+		if out.Int64(0) != int64(i) || out.IsNull(1) != (i%7 == 0) ||
+			(!out.IsNull(1) && string(out.Varlen(1)) != rb.Columns[1].Str(i)) {
+			t.Fatalf("row %d = (%d, %q, null=%v)", i, out.Int64(0), out.Varlen(1), out.IsNull(1))
+		}
+	}
+	if n := table.CountVisible(tx); n != rows {
+		t.Fatalf("%d visible rows, want %d", n, rows)
+	}
+	if done := m.DrainCompleted(); len(done) != 0 {
+		t.Fatalf("LoadBatch finished %d transactions", len(done))
+	}
+}
+
+// TestLoadBatchRefusesIndexedTable: a bulk load would skip index
+// maintenance, so an attached index makes LoadBatch fail before any slot
+// is taken.
+func TestLoadBatchRefusesIndexedTable(t *testing.T) {
+	_, table := testEnv(t)
+	ti, err := NewTableIndex(table, "by_id", []KeyCol{{Col: 0, Kind: KeyInt, Width: 8}}, index.NewBTree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	table.AttachIndex(ti)
+	if _, err := table.LoadBatch(loadTestBatch(t, 10)); !errors.Is(err, ErrIndexAttached) {
+		t.Fatalf("LoadBatch on an indexed table: err = %v, want ErrIndexAttached", err)
+	}
+	if head := table.Blocks()[0].InsertHead(); head != 0 {
+		t.Fatalf("refused load took %d slots", head)
 	}
 }

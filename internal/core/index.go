@@ -434,7 +434,7 @@ func (ti *TableIndex) Backfill(tx *txn.Transaction) (int64, error) {
 	kb := index.NewKeyBuilder(ti.keyHint)
 	err := ti.table.Scan(tx, ti.keyProj, func(slot storage.TupleSlot, row *storage.ProjectedRow) bool {
 		if ti.encodeFromRow(row, kb) {
-			ti.tree.Insert(kb.Clone(), slot)
+			ti.tree.Insert(kb.Bytes(), slot)
 			n++
 		}
 		return true

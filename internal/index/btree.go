@@ -150,8 +150,10 @@ func (t *BTree) splitLeaf(leaf *leafNode, path []*innerNode) {
 		vals: append([][]storage.TupleSlot(nil), leaf.vals[mid:]...),
 		next: leaf.next,
 	}
-	leaf.keys = leaf.keys[:mid:mid]
-	leaf.vals = leaf.vals[:mid:mid]
+	// The left half moves to exact-size arrays: re-slicing would keep the
+	// whole grown pre-split array alive for half its entries.
+	leaf.keys = append([][]byte(nil), leaf.keys[:mid]...)
+	leaf.vals = append([][]storage.TupleSlot(nil), leaf.vals[:mid]...)
 	leaf.next = right
 	t.insertIntoParent(leaf, right.keys[0], right, path)
 }
@@ -181,8 +183,8 @@ func (t *BTree) splitInner(in *innerNode, path []*innerNode) {
 		keys:     append([][]byte(nil), in.keys[mid+1:]...),
 		children: append([]node(nil), in.children[mid+1:]...),
 	}
-	in.keys = in.keys[:mid:mid]
-	in.children = in.children[: mid+1 : mid+1]
+	in.keys = append([][]byte(nil), in.keys[:mid]...)
+	in.children = append([]node(nil), in.children[:mid+1]...)
 	t.insertIntoParent(in, sep, right, path)
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -400,6 +401,39 @@ func TestBTreeLargeSplits(t *testing.T) {
 		if _, ok := tr.GetOne(k); !ok {
 			t.Fatalf("missing key %d", i)
 		}
+	}
+}
+
+// liveHeap returns the live heap after forcing collections.
+func liveHeap() float64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
+}
+
+// TestBTreeAscendingInsertHeap bounds the heap an ascending load costs per
+// entry — the recovery backfill's order. A split that re-slices its left
+// half keeps the whole grown pre-split array alive for half its entries,
+// and ascending inserts never touch the left node again to release it.
+// Not parallel: it reads the process heap.
+func TestBTreeAscendingInsertHeap(t *testing.T) {
+	const n = 200_000
+	before := liveHeap()
+	tr := NewBTree()
+	kb := NewKeyBuilder(8)
+	for i := 0; i < n; i++ {
+		tr.Insert(kb.Reset().Int64(int64(i)).Bytes(), slotOf(i))
+	}
+	perEntry := (liveHeap() - before) / n
+	runtime.KeepAlive(tr)
+	if tr.Len() != n {
+		t.Fatalf("tree holds %d entries, want %d", tr.Len(), n)
+	}
+	t.Logf("%.1f B/entry", perEntry)
+	if perEntry > 100 {
+		t.Fatalf("ascending inserts cost %.1f B/entry, want <= 100", perEntry)
 	}
 }
 

@@ -137,6 +137,9 @@ func (s *Sharded) ScanPrefix(prefix []byte, fn func(key []byte, slot storage.Tup
 
 // Index is the interface shared by BTree and Sharded; table code programs
 // against it.
+//
+// Insert, InsertMulti and InsertUnique copy the key, so callers may pass a
+// reused buffer.
 type Index interface {
 	Insert(key []byte, slot storage.TupleSlot)
 	InsertMulti(key []byte, slot storage.TupleSlot)
