@@ -156,8 +156,7 @@ func main() {
 			return nil, err
 		}
 		// Acceptance: at an unlimited cache the steady-state cold scan
-		// keeps >= 0.8x of the resident throughput, both medians of
-		// timed windows (see coldbench.Config).
+		// keeps >= 0.8x of the resident throughput.
 		for _, pt := range pts {
 			if pt.Budget == mainline.BlockCacheUnlimited && pt.WarmRate < 0.8*pt.ResidentRate {
 				return nil, fmt.Errorf("cache-warm cold scan %.1f Mrows/s < 0.8x resident %.1f Mrows/s",

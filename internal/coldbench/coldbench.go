@@ -9,7 +9,6 @@ package coldbench
 import (
 	"fmt"
 	"os"
-	"slices"
 	"time"
 
 	"mainline"
@@ -24,13 +23,8 @@ type Config struct {
 	// Blocks and PerBlock size the table (sealed blocks × rows).
 	Blocks   int
 	PerBlock int
-	// Reps is the number of timed windows behind each resident and warm
-	// rate, which reports their median.
-	Reps int
-	// Window is the least time one window scans for. One scan of the
-	// default table takes a few microseconds, well inside scheduler and GC
-	// noise, so a window repeats it until this much time has passed.
-	Window time.Duration
+	// Iters is the measured scan repetitions per point.
+	Iters int
 	// Budgets are the block cache budgets to sweep
 	// (mainline.BlockCacheNone / byte counts / mainline.BlockCacheUnlimited).
 	Budgets []int64
@@ -44,8 +38,7 @@ func DefaultConfig() Config {
 	return Config{
 		Blocks:   6,
 		PerBlock: 4000,
-		Reps:     9,
-		Window:   50 * time.Millisecond,
+		Iters:    8,
 		Budgets:  []int64{mainline.BlockCacheNone, 4 << 20, mainline.BlockCacheUnlimited},
 	}
 }
@@ -86,9 +79,8 @@ func ColdScan(cfg Config) (*benchutil.Table, []Point, error) {
 		d := DefaultConfig()
 		cfg.Blocks, cfg.PerBlock = d.Blocks, d.PerBlock
 	}
-	if cfg.Reps <= 0 || cfg.Window <= 0 {
-		d := DefaultConfig()
-		cfg.Reps, cfg.Window = d.Reps, d.Window
+	if cfg.Iters <= 0 {
+		cfg.Iters = DefaultConfig().Iters
 	}
 	if len(cfg.Budgets) == 0 {
 		cfg.Budgets = DefaultConfig().Budgets
@@ -105,8 +97,8 @@ func ColdScan(cfg Config) (*benchutil.Table, []Point, error) {
 
 	t := &benchutil.Table{
 		Title: "Cold-tier scan throughput vs block cache budget",
-		Note: fmt.Sprintf("%d blocks × %d rows, batch scans; resident and warm = median of %d windows of >= %v of interleaved scans; warm = steady-state after the cold pass refilled the cache",
-			cfg.Blocks, cfg.PerBlock, cfg.Reps, cfg.Window),
+		Note: fmt.Sprintf("%d blocks × %d rows, batch scans; warm = steady-state after the cold pass refilled the cache",
+			cfg.Blocks, cfg.PerBlock),
 		Header: []string{"cache", "resident Mrows/s", "cold Mrows/s", "warm Mrows/s", "warm/resident", "warm fetches", "pruned blocks", "pruned fetches"},
 	}
 	var points []Point
@@ -146,114 +138,16 @@ func coldPoint(dir string, budget int64, cfg Config) (Point, error) {
 		return pt, err
 	}
 	defer eng.Close()
-	// Two identical tables: "cold" is evicted, its twin "resident" stays
-	// in RAM as the baseline.
-	resident, total, err := loadFrozen(eng, "resident", cfg)
-	if err != nil {
-		return pt, err
-	}
-	cold, _, err := loadFrozen(eng, "cold", cfg)
-	if err != nil {
-		return pt, err
-	}
-
-	scanOnce := func(t *mainline.Table) error {
-		return eng.View(func(tx *mainline.Txn) error {
-			seen := int64(0)
-			if err := t.ScanBatches(tx, nil, nil, func(b *mainline.Batch) bool {
-				seen += int64(b.Len())
-				return true
-			}); err != nil {
-				return err
-			}
-			if seen != total {
-				return fmt.Errorf("scan of %s saw %d rows, want %d", t.Name, seen, total)
-			}
-			return nil
-		})
-	}
-	// window alternates scans of the resident and the cold table for at
-	// least cfg.Window, timing each scan, and reports both rates: host
-	// noise and GC pauses fall on the two sides alike.
-	window := func() (res, warm float64, err error) {
-		var resT, warmT time.Duration
-		scans, start := 0, time.Now()
-		for scans == 0 || time.Since(start) < cfg.Window {
-			t0 := time.Now()
-			if err := scanOnce(resident); err != nil {
-				return 0, 0, err
-			}
-			t1 := time.Now()
-			if err := scanOnce(cold); err != nil {
-				return 0, 0, err
-			}
-			resT += t1.Sub(t0)
-			warmT += time.Since(t1)
-			scans++
-		}
-		rows := float64(total) * float64(scans)
-		return rows / resT.Seconds(), rows / warmT.Seconds(), nil
-	}
-
-	if _, err := eng.Admin().Tier().SweepBlocks(cold.Blocks(), cold.FrozenBatch, true); err != nil {
-		return pt, err
-	}
-	// Cold pass: every block fetched (or refetched, for budgets too small
-	// to retain them). It is one scan by definition.
-	start := time.Now()
-	if err := scanOnce(cold); err != nil {
-		return pt, err
-	}
-	pt.ColdRate = float64(total) / time.Since(start).Seconds()
-	// Warm passes: steady state at this budget, interleaved with the
-	// resident baseline; each column reports its median window.
-	fetches0 := eng.Stats().Tier.Fetches
-	residentRates, warmRates := make([]float64, cfg.Reps), make([]float64, cfg.Reps)
-	for i := 0; i < cfg.Reps; i++ {
-		if residentRates[i], warmRates[i], err = window(); err != nil {
-			return pt, err
-		}
-	}
-	pt.WarmFetches = eng.Stats().Tier.Fetches - fetches0
-	pt.ResidentRate, pt.WarmRate = median(residentRates), median(warmRates)
-
-	// Selective predicate: block 0's id range only; every other cold
-	// block must be pruned by its manifest zone map without a store read.
-	scanBefore, gets := eng.Stats().Scan, cs.Gets()
-	if err := eng.View(func(tx *mainline.Txn) error {
-		n := 0
-		if err := cold.Filter(tx, mainline.Between("id", 0, int64(cfg.PerBlock)-1), nil,
-			func(_ mainline.TupleSlot, _ *mainline.Row) bool {
-				n++
-				return true
-			}); err != nil {
-			return err
-		}
-		if n != cfg.PerBlock {
-			return fmt.Errorf("selective scan matched %d rows, want %d", n, cfg.PerBlock)
-		}
-		return nil
-	}); err != nil {
-		return pt, err
-	}
-	pt.PrunedBlocks = eng.Stats().Scan.BlocksPrunedCold - scanBefore.BlocksPrunedCold
-	pt.PrunedFetches = cs.Gets() - gets
-	return pt, nil
-}
-
-// loadFrozen creates table name with cfg.Blocks sealed, frozen blocks and
-// returns it with its row count.
-func loadFrozen(eng *mainline.Engine, name string, cfg Config) (*mainline.Table, int64, error) {
-	tbl, err := eng.CreateTable(name, mainline.NewSchema(
+	tbl, err := eng.CreateTable("cold", mainline.NewSchema(
 		mainline.Field{Name: "id", Type: mainline.INT64},
 		mainline.Field{Name: "payload", Type: mainline.STRING},
 		mainline.Field{Name: "amount", Type: mainline.INT64},
 	))
 	if err != nil {
-		return nil, 0, err
+		return pt, err
 	}
 	// Sealed blocks with disjoint, 1e6-spaced id ranges so the selective
-	// predicate prunes all but one block by zone map alone.
+	// predicate below prunes all but one block by zone map alone.
 	total := int64(0)
 	for b := 0; b < cfg.Blocks; b++ {
 		if err := eng.Update(func(tx *mainline.Txn) error {
@@ -271,7 +165,7 @@ func loadFrozen(eng *mainline.Engine, name string, cfg Config) (*mainline.Table,
 			}
 			return nil
 		}); err != nil {
-			return nil, 0, err
+			return pt, err
 		}
 		blks := tbl.Blocks()
 		blks[len(blks)-1].SetInsertHead(blks[len(blks)-1].Layout.NumSlots)
@@ -283,18 +177,79 @@ func loadFrozen(eng *mainline.Engine, name string, cfg Config) (*mainline.Table,
 	}
 	for _, blk := range tbl.Blocks() {
 		if blk.HasActiveVersions() {
-			return nil, 0, fmt.Errorf("version chains not pruned; cannot freeze")
+			return pt, fmt.Errorf("version chains not pruned; cannot freeze")
 		}
 		blk.SetState(storage.StateFreezing)
 		if err := transform.GatherBlock(blk, transform.ModeGather); err != nil {
-			return nil, 0, err
+			return pt, err
 		}
 	}
-	return tbl, total, nil
-}
 
-// median returns the middle value of xs, sorting it in place.
-func median(xs []float64) float64 {
-	slices.Sort(xs)
-	return xs[len(xs)/2]
+	scanOnce := func() error {
+		return eng.View(func(tx *mainline.Txn) error {
+			seen := int64(0)
+			if err := tbl.ScanBatches(tx, nil, nil, func(b *mainline.Batch) bool {
+				seen += int64(b.Len())
+				return true
+			}); err != nil {
+				return err
+			}
+			if seen != total {
+				return fmt.Errorf("scan saw %d rows, want %d", seen, total)
+			}
+			return nil
+		})
+	}
+	rate := func(iters int) (float64, error) {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			if err := scanOnce(); err != nil {
+				return 0, err
+			}
+		}
+		return float64(total) * float64(iters) / time.Since(start).Seconds(), nil
+	}
+
+	// Resident baseline: frozen, never evicted.
+	if pt.ResidentRate, err = rate(cfg.Iters); err != nil {
+		return pt, err
+	}
+
+	if _, err := eng.Admin().EvictAll(); err != nil {
+		return pt, err
+	}
+	// Cold pass: every block fetched (or refetched, for budgets too small
+	// to retain them).
+	if pt.ColdRate, err = rate(1); err != nil {
+		return pt, err
+	}
+	// Warm passes: steady state at this budget.
+	fetches0 := eng.Stats().Tier.Fetches
+	if pt.WarmRate, err = rate(cfg.Iters); err != nil {
+		return pt, err
+	}
+	pt.WarmFetches = eng.Stats().Tier.Fetches - fetches0
+
+	// Selective predicate: block 0's id range only; every other cold
+	// block must be pruned by its manifest zone map without a store read.
+	scanBefore, gets := eng.Stats().Scan, cs.Gets()
+	if err := eng.View(func(tx *mainline.Txn) error {
+		n := 0
+		if err := tbl.Filter(tx, mainline.Between("id", 0, int64(cfg.PerBlock)-1), nil,
+			func(_ mainline.TupleSlot, _ *mainline.Row) bool {
+				n++
+				return true
+			}); err != nil {
+			return err
+		}
+		if n != cfg.PerBlock {
+			return fmt.Errorf("selective scan matched %d rows, want %d", n, cfg.PerBlock)
+		}
+		return nil
+	}); err != nil {
+		return pt, err
+	}
+	pt.PrunedBlocks = eng.Stats().Scan.BlocksPrunedCold - scanBefore.BlocksPrunedCold
+	pt.PrunedFetches = cs.Gets() - gets
+	return pt, nil
 }

@@ -127,19 +127,12 @@ func (t *DataTable) RemoveBlock(b *storage.Block) {
 // allocateSlot reserves an insertion slot, growing the table when the tail
 // block fills.
 func (t *DataTable) allocateSlot() (*storage.Block, uint32) {
-	block, slot, _ := t.allocateRun(1)
-	return block, slot
-}
-
-// allocateRun reserves between 1 and max consecutive insertion slots in one
-// block, growing the table when the tail block fills.
-func (t *DataTable) allocateRun(max uint32) (block *storage.Block, first, n uint32) {
 	for {
 		t.mu.RLock()
 		tail := t.tail
 		t.mu.RUnlock()
-		if first, n := tail.TryAllocateRun(max); n > 0 {
-			return tail, first, n
+		if slot, ok := tail.TryAllocateSlot(); ok {
+			return tail, slot
 		}
 		t.mu.Lock()
 		if t.tail == tail { // nobody else grew the table yet
@@ -220,10 +213,10 @@ func (t *DataTable) InsertIntoSlot(tx *txn.Transaction, slot storage.TupleSlot, 
 // index delta is produced, so LoadBatch is for bootstrap only: the caller
 // holds the table alone, with no transaction active and no background loop
 // running. It refuses a table with an attached index rather than skip that
-// index's maintenance. rb's columns must match the layout in order. Fixed-
-// width values are copied one run per (block, column) straight from the
-// Arrow value buffers, whose layout the block shares; varlen values go
-// through WriteVarlen. Returns the new slots in row order.
+// index's maintenance. rb's schema must be the table's; fixed-width values
+// are copied from the Arrow value buffers, whose layout the block shares,
+// and varlen values go through WriteVarlen. Returns the new slots in row
+// order.
 func (t *DataTable) LoadBatch(rb *arrow.RecordBatch) ([]storage.TupleSlot, error) {
 	if len(t.indexList()) > 0 {
 		return nil, ErrIndexAttached
@@ -231,39 +224,30 @@ func (t *DataTable) LoadBatch(rb *arrow.RecordBatch) ([]storage.TupleSlot, error
 	if len(rb.Columns) != t.layout.NumColumns() {
 		return nil, fmt.Errorf("core: batch has %d columns, table %q has %d", len(rb.Columns), t.Name, t.layout.NumColumns())
 	}
-	for c, arr := range rb.Columns {
-		col := storage.ColumnID(c)
-		varlen := arr.Type.VarLen() || arr.Type == arrow.DICT32
-		if varlen != t.layout.IsVarlen(col) || (!varlen && arr.Type.ByteWidth() != t.layout.AttrSize(col)) {
-			return nil, fmt.Errorf("core: batch column %d of type %s does not fit table %q", c, arr.Type, t.Name)
-		}
-	}
 	slots := make([]storage.TupleSlot, rb.NumRows)
-	for r := 0; r < rb.NumRows; {
-		block, first, n := t.allocateRun(uint32(rb.NumRows - r))
-		if err := t.markHot(block); err != nil {
-			return nil, err
+	var hot *storage.Block
+	for r := range slots {
+		block, slot := t.allocateSlot()
+		if block != hot {
+			if err := t.markHot(block); err != nil {
+				return nil, err
+			}
+			hot = block
 		}
 		for c, arr := range rb.Columns {
 			col := storage.ColumnID(c)
-			varlen := t.layout.IsVarlen(col)
-			if !varlen {
+			switch {
+			case arr.IsNull(r):
+				block.WriteNull(col, slot)
+			case t.layout.IsVarlen(col):
+				block.WriteVarlen(col, slot, arr.Bytes(r))
+			default:
 				w := t.layout.AttrSize(col)
-				block.WriteFixedRun(col, first, arr.Values[r*w:(r+int(n))*w])
-			}
-			for i := uint32(0); i < n; i++ {
-				if arr.IsNull(r + int(i)) {
-					block.WriteNull(col, first+i)
-				} else if varlen {
-					block.WriteVarlen(col, first+i, arr.Bytes(r+int(i)))
-				}
+				block.WriteFixed(col, slot, arr.Values[r*w:(r+1)*w])
 			}
 		}
-		for i := uint32(0); i < n; i++ {
-			block.SetAllocated(first+i, true)
-			slots[r+int(i)] = storage.NewTupleSlot(block.ID, first+i)
-		}
-		r += int(n)
+		block.SetAllocated(slot, true)
+		slots[r] = storage.NewTupleSlot(block.ID, slot)
 	}
 	return slots, nil
 }

@@ -231,22 +231,13 @@ func (b *Block) MarkHot() {
 // yet visible: the inserter must install the version chain and set the
 // allocation bit.
 func (b *Block) TryAllocateSlot() (uint32, bool) {
-	first, n := b.TryAllocateRun(1)
-	return first, n == 1
-}
-
-// TryAllocateRun reserves up to max consecutive never-used slots, starting
-// at first; n is 0 when the block is full. The slots carry the same
-// obligations as TryAllocateSlot's.
-func (b *Block) TryAllocateRun(max uint32) (first, n uint32) {
 	for {
 		cur := b.insertHead.Load()
 		if cur >= b.Layout.NumSlots {
-			return 0, 0
+			return 0, false
 		}
-		n := min(max, b.Layout.NumSlots-cur)
-		if b.insertHead.CompareAndSwap(cur, cur+n) {
-			return cur, n
+		if b.insertHead.CompareAndSwap(cur, cur+1) {
+			return cur, true
 		}
 	}
 }
@@ -332,18 +323,6 @@ func (b *Block) SetValid(col ColumnID, slot uint32, v bool) {
 func (b *Block) WriteFixed(col ColumnID, slot uint32, src []byte) {
 	copy(b.AttrBytes(col, slot), src)
 	b.SetValid(col, slot, true)
-}
-
-// WriteFixedRun stores consecutive fixed-width values, starting at slot
-// first, from src — an Arrow value buffer, whose layout the column region
-// shares — and marks them valid. len(src) must be a multiple of the
-// attribute size.
-func (b *Block) WriteFixedRun(col ColumnID, first uint32, src []byte) {
-	size := b.Layout.AttrSize(col)
-	copy(b.fixedRegion(col)[int(first)*size:], src)
-	for i := 0; i < len(src)/size; i++ {
-		b.SetValid(col, first+uint32(i), true)
-	}
 }
 
 // WriteNull marks (col, slot) null and zeroes its storage so gathered Arrow
