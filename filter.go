@@ -3,6 +3,7 @@ package mainline
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"mainline/internal/arrow"
 	"mainline/internal/catalog"
@@ -272,12 +273,21 @@ func (t *Table) ScanBatches(tx *Txn, cols []string, pred *Pred, fn func(b *Batch
 	if err != nil {
 		return err
 	}
-	pub := &Batch{schema: t.Schema}
+	pub := batchPool.Get().(*Batch)
+	pub.schema = t.Schema
+	defer func() {
+		*pub = Batch{}
+		batchPool.Put(pub)
+	}()
 	return t.DataTable.ScanBatches(tx.raw, proj, cpred, func(b *core.Batch) bool {
 		pub.b = b
 		return fn(pub)
 	})
 }
+
+// batchPool recycles the wrappers ScanBatches hands its callback: a batch
+// is valid only until the callback returns.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 // Filter visits every tuple visible to tx that satisfies pred,
 // materializing the named columns (all when cols is nil) into row and

@@ -3,6 +3,7 @@ package mainline
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -691,5 +692,61 @@ func TestIndexMVCCStressRekey(t *testing.T) {
 	}
 	if got := idx.Len(); got != rows {
 		t.Fatalf("tree holds %d entries after quiescence, want %d", got, rows)
+	}
+}
+
+// TestIndexFloatNegativeZero pins that a FLOAT64 index key treats -0 and
+// +0 as the one value they compare equal as, like an equality filter: a
+// row stored with x = -0 is found by GetBy(0.0), by GetBy(-0.0) and by a
+// range starting at 0.0.
+func TestIndexFloatNegativeZero(t *testing.T) {
+	eng := openEngine(t)
+	tbl, err := eng.CreateTable("f", NewSchema(
+		Field{Name: "id", Type: INT64},
+		Field{Name: "x", Type: FLOAT64},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := tbl.CreateIndex("by_x", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := math.Copysign(0, -1)
+	if err := eng.Update(func(tx *Txn) error {
+		row := tbl.NewRow()
+		row.Set("id", int64(1))
+		row.Set("x", negZero)
+		_, err := tbl.Insert(tx, row)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx := begin(t, eng)
+	defer tx.Abort()
+	filtered := 0
+	if err := tbl.Filter(tx, Eq("x", 0.0), []string{"id"}, func(TupleSlot, *Row) bool {
+		filtered++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if filtered != 1 {
+		t.Fatalf("filter x == 0.0 matched %d rows, want 1", filtered)
+	}
+	for _, key := range []float64{0, negZero} {
+		if _, ok, err := tx.GetBy(idx, nil, key); err != nil || !ok {
+			t.Fatalf("GetBy(%v) = %v, %v; want found", key, ok, err)
+		}
+		ranged := 0
+		if err := tx.RangeBy(idx, []any{key}, []any{math.SmallestNonzeroFloat64}, []string{"id"}, func(TupleSlot, *Row) bool {
+			ranged++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ranged != 1 {
+			t.Fatalf("RangeBy from %v found %d rows, want 1", key, ranged)
+		}
 	}
 }

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -90,9 +91,17 @@ func (t *DataTable) AllColumnsProjection() *storage.Projection { return t.allCol
 
 // Blocks returns a snapshot of the table's block list.
 func (t *DataTable) Blocks() []*storage.Block {
+	return append([]*storage.Block(nil), t.blockList()...)
+}
+
+// blockList returns the current block list without copying it, for
+// readers that only iterate. Appends write past the returned length and
+// RemoveBlock replaces the array, so the result never changes under its
+// holder; it must not be modified.
+func (t *DataTable) blockList() []*storage.Block {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append([]*storage.Block(nil), t.blocks...)
+	return t.blocks[:len(t.blocks):len(t.blocks)]
 }
 
 // NumBlocks reports the current block count.
@@ -106,11 +115,8 @@ func (t *DataTable) NumBlocks() int {
 // the registry (compaction recycles blocks; paper §4.3 Phase 1).
 func (t *DataTable) RemoveBlock(b *storage.Block) {
 	t.mu.Lock()
-	for i, x := range t.blocks {
-		if x == b {
-			t.blocks = append(t.blocks[:i], t.blocks[i+1:]...)
-			break
-		}
+	if i := slices.Index(t.blocks, b); i >= 0 {
+		t.blocks = slices.Delete(slices.Clone(t.blocks), i, i+1)
 	}
 	if t.tail == b {
 		if n := len(t.blocks); n > 0 {
@@ -493,7 +499,7 @@ func (t *DataTable) Scan(tx *txn.Transaction, proj *storage.Projection, fn func(
 	row := proj.NewRow()
 	arena := storage.GetValueArena()
 	defer storage.PutValueArena(arena)
-	for _, block := range t.Blocks() {
+	for _, block := range t.blockList() {
 		cont, err := t.scanBlock(tx, block, proj, row, arena, fn)
 		if err != nil {
 			return err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -793,4 +795,65 @@ func TestLoadBatchRefusesIndexedTable(t *testing.T) {
 	if head := table.Blocks()[0].InsertHead(); head != 0 {
 		t.Fatalf("refused load took %d slots", head)
 	}
+}
+
+// TestBackfillHeapPerEntry bounds the heap a backfilled index costs per
+// entry when the table's slot order is not its key order, as after a
+// restore of a table whose keys were written out of order. Backfill sorts
+// the (key, slot) pairs, so the tree fills every leaf as an ascending load
+// does. Not parallel: it reads the process heap.
+func TestBackfillHeapPerEntry(t *testing.T) {
+	m, table := testEnv(t)
+	const rows = 200_000
+	load := func() error {
+		ids, names := arrow.NewBuilder(arrow.INT64), arrow.NewBuilder(arrow.STRING)
+		for _, id := range rand.New(rand.NewSource(7)).Perm(rows) {
+			ids.AppendInt64(int64(id))
+			names.AppendNull()
+		}
+		schema := arrow.NewSchema(arrow.Field{Name: "id", Type: arrow.INT64},
+			arrow.Field{Name: "name", Type: arrow.STRING, Nullable: true})
+		rb, err := arrow.NewRecordBatch(schema, []*arrow.Array{ids.Finish(), names.Finish()})
+		if err != nil {
+			return err
+		}
+		_, err = table.LoadBatch(rb)
+		return err
+	}
+	if err := load(); err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	tree := index.NewBTree()
+	ti, err := NewTableIndex(table, "by_id", []KeyCol{{Col: 0, Kind: KeyInt, Width: 8}}, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := m.Begin()
+	n, err := ti.Backfill(tx)
+	m.Commit(tx, nil)
+	if err != nil || n != rows || tree.Len() != rows {
+		t.Fatalf("Backfill = %d, %v; tree holds %d, want %d", n, err, tree.Len(), rows)
+	}
+	perEntry := (liveHeap() - before) / rows
+	runtime.KeepAlive(ti)
+	t.Logf("%.1f B/entry", perEntry)
+	if perEntry > 24 {
+		t.Fatalf("backfilled index costs %.1f B/entry, want <= 24", perEntry)
+	}
+	kb := index.NewKeyBuilder(8)
+	for _, id := range []int64{0, 1, rows / 2, rows - 1} {
+		if _, ok := tree.GetOne(kb.Reset().Int64(id).Bytes()); !ok {
+			t.Fatalf("key %d missing after backfill", id)
+		}
+	}
+}
+
+// liveHeap returns the live heap after forcing collections.
+func liveHeap() float64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
 }

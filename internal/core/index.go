@@ -26,6 +26,8 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -426,20 +428,47 @@ func (ti *TableIndex) AscendPrefix(tx *txn.Transaction, prefix []byte, out *stor
 }
 
 // Backfill populates the tree from every tuple visible to tx — index
-// creation over a non-empty table, and the recovery rebuild. Concurrent
+// creation over a non-empty table, and the recovery rebuild. It collects
+// the (key, slot) pairs, sorts them and inserts them in ascending order,
+// so the tree's append splits leave every leaf full. Concurrent
 // maintenance may insert the same (key, slot) pair; the trees deduplicate.
 // Returns the number of entries inserted.
 func (ti *TableIndex) Backfill(tx *txn.Transaction) (int64, error) {
-	var n int64
+	var keys []byte
+	var ends []int
+	var slots []storage.TupleSlot
 	kb := index.NewKeyBuilder(ti.keyHint)
 	err := ti.table.Scan(tx, ti.keyProj, func(slot storage.TupleSlot, row *storage.ProjectedRow) bool {
 		if ti.encodeFromRow(row, kb) {
-			ti.tree.Insert(kb.Bytes(), slot)
-			n++
+			keys = append(keys, kb.Bytes()...)
+			ends = append(ends, len(keys))
+			slots = append(slots, slot)
 		}
 		return true
 	})
-	return n, err
+	if err != nil {
+		return 0, err
+	}
+	key := func(i int32) []byte {
+		if i == 0 {
+			return keys[:ends[0]]
+		}
+		return keys[ends[i-1]:ends[i]]
+	}
+	order := make([]int32, len(slots))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := bytes.Compare(key(a), key(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(slots[a], slots[b])
+	})
+	for _, i := range order {
+		ti.tree.Insert(key(i), slots[i])
+	}
+	return int64(len(order)), nil
 }
 
 // --- DataTable side: attachment and write-path maintenance. ---

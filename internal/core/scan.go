@@ -276,6 +276,27 @@ type Batch struct {
 	scr *scratch
 }
 
+// batchPool recycles scan batches with their column-view arrays, so a
+// scan over frozen or evicted blocks allocates no batch state. A batch is
+// valid only until the scan callback returns, so the scan that took one
+// puts it back when it ends.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
+func getBatch(proj *storage.Projection) *Batch {
+	b := batchPool.Get().(*Batch)
+	b.proj = proj
+	return b
+}
+
+// putBatch drops the batch's references to block memory, cached payloads
+// and scratch, keeping only its view arrays, and pools it.
+func putBatch(b *Batch) {
+	clear(b.fixedViews)
+	clear(b.varlenViews)
+	*b = Batch{fixedViews: b.fixedViews[:0], varlenViews: b.varlenViews[:0]}
+	batchPool.Put(b)
+}
+
 // Len returns the number of rows in the batch.
 func (b *Batch) Len() int { return b.n }
 
@@ -679,14 +700,15 @@ func (t *DataTable) ScanBatches(tx *txn.Transaction, proj *storage.Projection, p
 	if err != nil || plan.empty {
 		return err
 	}
-	batch := &Batch{proj: plan.proj}
+	batch := getBatch(plan.proj)
 	var scr *scratch
 	defer func() {
 		if scr != nil {
 			t.putScratch(scr)
 		}
+		putBatch(batch)
 	}()
-	for _, block := range t.Blocks() {
+	for _, block := range t.blockList() {
 		cont, err := t.batchScanBlock(tx, block, batch, &scr, &plan, fn)
 		if err != nil {
 			return err
@@ -712,12 +734,13 @@ func (t *DataTable) ScanBlockBatches(tx *txn.Transaction, block *storage.Block, 
 	if err != nil || plan.empty {
 		return err
 	}
-	batch := &Batch{proj: plan.proj}
+	batch := getBatch(plan.proj)
 	var scr *scratch
 	_, err = t.batchScanBlock(tx, block, batch, &scr, &plan, fn)
 	if scr != nil {
 		t.putScratch(scr)
 	}
+	putBatch(batch)
 	return err
 }
 

@@ -2,24 +2,27 @@ package index
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"sync"
 
 	"mainline/internal/storage"
 )
 
-// Fanout bounds for nodes. 64-wide nodes keep the tree shallow while
-// bounding copy costs on splits.
+// Node capacities. A leaf holds up to maxLeafEntries (key, slot) entries
+// in three flat arrays, so a full leaf of 8-byte keys is 2.5 KB in three
+// allocations; inner nodes fan out to maxInnerKeys+1 children.
 const (
-	maxLeafKeys  = 64
-	maxInnerKeys = 64
+	maxLeafEntries = 128
+	maxInnerKeys   = 64
 )
 
-// BTree is an ordered map from memcomparable keys to TupleSlots supporting
-// duplicate keys (each key holds a small set of slots). A single RWMutex
-// guards the tree: point and range reads run concurrently; writers
-// serialize. The Sharded wrapper spreads disjoint key spaces (e.g. TPC-C
-// warehouses) over many trees to recover write concurrency.
+// BTree is an ordered multiset of (key, slot) entries over memcomparable
+// keys. Entries are ordered by key, then by slot — the heap-TID tie-break
+// of Postgres' nbtree — so a key's duplicates are ordinary entries that
+// may span leaves. A single RWMutex guards the tree: point and range reads
+// run concurrently; writers serialize. The Sharded wrapper spreads
+// disjoint key spaces (e.g. TPC-C warehouses) over many trees to recover
+// write concurrency.
 type BTree struct {
 	mu   sync.RWMutex
 	root node
@@ -31,21 +34,139 @@ type node interface {
 	isLeaf() bool
 }
 
+// leafNode packs its entries: entry i's key is keys[ends[i-1]:ends[i]]
+// (keys[:ends[0]] for i == 0) and its slot is slots[i]. InsertMulti's
+// multiplicity is kept as adjacent identical entries.
 type leafNode struct {
-	keys [][]byte
-	vals [][]storage.TupleSlot
-	next *leafNode
+	keys  []byte
+	ends  []uint32
+	slots []storage.TupleSlot
+	next  *leafNode
 }
 
 func (*leafNode) isLeaf() bool { return true }
 
 type innerNode struct {
-	// keys[i] is the smallest key in children[i+1].
+	// (keys[i], slots[i]) separates children[i], whose entries are all
+	// <= it, from children[i+1], whose entries are all >= it. Equality
+	// on both sides lets identical InsertMulti entries straddle a split.
 	keys     [][]byte
+	slots    []storage.TupleSlot
 	children []node
 }
 
 func (*innerNode) isLeaf() bool { return false }
+
+// compareEntry orders (ak, as) against (bk, bs): by key, then by slot.
+func compareEntry(ak []byte, as storage.TupleSlot, bk []byte, bs storage.TupleSlot) int {
+	if c := bytes.Compare(ak, bk); c != 0 {
+		return c
+	}
+	switch {
+	case as < bs:
+		return -1
+	case as > bs:
+		return 1
+	}
+	return 0
+}
+
+func (l *leafNode) len() int { return len(l.slots) }
+
+func (l *leafNode) start(i int) uint32 {
+	if i == 0 {
+		return 0
+	}
+	return l.ends[i-1]
+}
+
+// key returns entry i's key, capacity-capped so a caller's append cannot
+// overwrite the next entry's bytes.
+func (l *leafNode) key(i int) []byte {
+	s, e := l.start(i), l.ends[i]
+	return l.keys[s:e:e]
+}
+
+// search returns the index of the first entry >= (key, slot).
+func (l *leafNode) search(key []byte, slot storage.TupleSlot) int {
+	lo, hi := 0, l.len()
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if compareEntry(l.key(m), l.slots[m], key, slot) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// insertAt places (key, slot) at entry index i, copying the key.
+func (l *leafNode) insertAt(i int, key []byte, slot storage.TupleSlot) {
+	s, k := l.start(i), uint32(len(key))
+	l.keys = append(l.keys, key...)
+	copy(l.keys[s+k:], l.keys[s:uint32(len(l.keys))-k])
+	copy(l.keys[s:], key)
+	l.ends = slices.Insert(l.ends, i, s)
+	for j := i; j < len(l.ends); j++ {
+		l.ends[j] += k
+	}
+	l.slots = slices.Insert(l.slots, i, slot)
+}
+
+// removeRange drops entries [i, j).
+func (l *leafNode) removeRange(i, j int) {
+	s, e := l.start(i), l.start(j)
+	l.keys = append(l.keys[:s], l.keys[e:]...)
+	l.ends = append(l.ends[:i], l.ends[j:]...)
+	for x := i; x < len(l.ends); x++ {
+		l.ends[x] -= e - s
+	}
+	l.slots = append(l.slots[:i], l.slots[j:]...)
+}
+
+// split moves entries [at, len) into a new right sibling. Both halves move
+// to exact-size arrays: re-slicing would keep the whole pre-split arrays
+// alive for half their entries.
+func (l *leafNode) split(at int) *leafNode {
+	s := l.start(at)
+	r := &leafNode{
+		keys:  append([]byte(nil), l.keys[s:]...),
+		ends:  make([]uint32, l.len()-at),
+		slots: append([]storage.TupleSlot(nil), l.slots[at:]...),
+		next:  l.next,
+	}
+	for i := range r.ends {
+		r.ends[i] = l.ends[at+i] - s
+	}
+	l.keys = append([]byte(nil), l.keys[:s]...)
+	l.ends = append([]uint32(nil), l.ends[:at]...)
+	l.slots = append([]storage.TupleSlot(nil), l.slots[:at]...)
+	l.next = r
+	return r
+}
+
+// search returns the number of separators < (key, slot): the child whose
+// leaves hold the first entry >= (key, slot), or whose range ends just
+// before it.
+func (in *innerNode) search(key []byte, slot storage.TupleSlot) int {
+	lo, hi := 0, len(in.keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if compareEntry(in.keys[m], in.slots[m], key, slot) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// pathStep records one inner node of a descent and the child taken.
+type pathStep struct {
+	in    *innerNode
+	child int
+}
 
 // NewBTree returns an empty tree.
 func NewBTree() *BTree {
@@ -59,22 +180,36 @@ func (t *BTree) Len() int {
 	return t.size
 }
 
-// findLeaf descends to the leaf that owns key, remembering the path.
-func (t *BTree) findLeaf(key []byte, path *[]*innerNode) *leafNode {
+// descend returns the leaf where an entry (key, slot) belongs, appending
+// the inner nodes passed to path. Slot 0 sorts before every real slot, so
+// (key, 0) lands at the key's first entry.
+func (t *BTree) descend(key []byte, slot storage.TupleSlot, path []pathStep) (*leafNode, []pathStep) {
 	n := t.root
 	for !n.isLeaf() {
 		in := n.(*innerNode)
-		if path != nil {
-			*path = append(*path, in)
-		}
-		idx := sort.Search(len(in.keys), func(i int) bool { return bytes.Compare(in.keys[i], key) > 0 })
-		n = in.children[idx]
+		i := in.search(key, slot)
+		path = append(path, pathStep{in, i})
+		n = in.children[i]
 	}
-	return n.(*leafNode)
+	return n.(*leafNode), path
+}
+
+// seek returns the position of the first entry >= (key, slot). The
+// descent's leaf may hold only smaller entries (or none, after deletes),
+// so it walks next; leaf is nil when no such entry exists.
+func (t *BTree) seek(key []byte, slot storage.TupleSlot) (*leafNode, int) {
+	leaf, _ := t.descend(key, slot, nil)
+	i := leaf.search(key, slot)
+	for leaf != nil && i == leaf.len() {
+		leaf, i = leaf.next, 0
+	}
+	return leaf, i
 }
 
 // Insert adds (key, slot). Duplicate (key, slot) pairs are ignored.
 func (t *BTree) Insert(key []byte, slot storage.TupleSlot) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.insert(key, slot, true)
 }
 
@@ -84,38 +219,9 @@ func (t *BTree) Insert(key []byte, slot storage.TupleSlot) {
 // cancelled by exactly one deferred removal, so a re-published pair whose
 // earlier incarnation still has a removal in flight survives it.
 func (t *BTree) InsertMulti(key []byte, slot storage.TupleSlot) {
-	t.insert(key, slot, false)
-}
-
-func (t *BTree) insert(key []byte, slot storage.TupleSlot, dedup bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var path []*innerNode
-	leaf := t.findLeaf(key, &path)
-	idx := sort.Search(len(leaf.keys), func(i int) bool { return bytes.Compare(leaf.keys[i], key) >= 0 })
-	if idx < len(leaf.keys) && bytes.Equal(leaf.keys[idx], key) {
-		if dedup {
-			for _, v := range leaf.vals[idx] {
-				if v == slot {
-					return
-				}
-			}
-		}
-		leaf.vals[idx] = append(leaf.vals[idx], slot)
-		t.size++
-		return
-	}
-	owned := append([]byte(nil), key...)
-	leaf.keys = append(leaf.keys, nil)
-	copy(leaf.keys[idx+1:], leaf.keys[idx:])
-	leaf.keys[idx] = owned
-	leaf.vals = append(leaf.vals, nil)
-	copy(leaf.vals[idx+1:], leaf.vals[idx:])
-	leaf.vals[idx] = []storage.TupleSlot{slot}
-	t.size++
-	if len(leaf.keys) > maxLeafKeys {
-		t.splitLeaf(leaf, path)
-	}
+	t.insert(key, slot, false)
 }
 
 // InsertUnique adds (key, slot) only if the key is absent; reports whether
@@ -123,152 +229,168 @@ func (t *BTree) insert(key []byte, slot storage.TupleSlot, dedup bool) {
 func (t *BTree) InsertUnique(key []byte, slot storage.TupleSlot) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var path []*innerNode
-	leaf := t.findLeaf(key, &path)
-	idx := sort.Search(len(leaf.keys), func(i int) bool { return bytes.Compare(leaf.keys[i], key) >= 0 })
-	if idx < len(leaf.keys) && bytes.Equal(leaf.keys[idx], key) {
+	if l, i := t.seek(key, 0); l != nil && bytes.Equal(l.key(i), key) {
 		return false
 	}
-	owned := append([]byte(nil), key...)
-	leaf.keys = append(leaf.keys, nil)
-	copy(leaf.keys[idx+1:], leaf.keys[idx:])
-	leaf.keys[idx] = owned
-	leaf.vals = append(leaf.vals, nil)
-	copy(leaf.vals[idx+1:], leaf.vals[idx:])
-	leaf.vals[idx] = []storage.TupleSlot{slot}
-	t.size++
-	if len(leaf.keys) > maxLeafKeys {
-		t.splitLeaf(leaf, path)
-	}
+	t.insert(key, slot, false)
 	return true
 }
 
-func (t *BTree) splitLeaf(leaf *leafNode, path []*innerNode) {
-	mid := len(leaf.keys) / 2
-	right := &leafNode{
-		keys: append([][]byte(nil), leaf.keys[mid:]...),
-		vals: append([][]storage.TupleSlot(nil), leaf.vals[mid:]...),
-		next: leaf.next,
+// insert places (key, slot) in the leaf its descent reaches; with dedup
+// it does nothing if the pair is already stored. A full leaf splits
+// first: at its end when the entry goes past its last one — an ascending
+// stream such as the recovery backfill, or one TPC-C district's new
+// orders, then leaves every leaf full — and in the middle otherwise.
+func (t *BTree) insert(key []byte, slot storage.TupleSlot, dedup bool) {
+	var buf [8]pathStep
+	leaf, path := t.descend(key, slot, buf[:0])
+	i := leaf.search(key, slot)
+	if dedup {
+		l, j := leaf, i
+		for l != nil && j == l.len() {
+			l, j = l.next, 0
+		}
+		if l != nil && compareEntry(l.key(j), l.slots[j], key, slot) == 0 {
+			return
+		}
 	}
-	// The left half moves to exact-size arrays: re-slicing would keep the
-	// whole grown pre-split array alive for half its entries.
-	leaf.keys = append([][]byte(nil), leaf.keys[:mid]...)
-	leaf.vals = append([][]storage.TupleSlot(nil), leaf.vals[:mid]...)
-	leaf.next = right
-	t.insertIntoParent(leaf, right.keys[0], right, path)
-}
-
-func (t *BTree) insertIntoParent(left node, sepKey []byte, right node, path []*innerNode) {
-	if len(path) == 0 {
-		t.root = &innerNode{keys: [][]byte{sepKey}, children: []node{left, right}}
+	t.size++
+	if leaf.len() < maxLeafEntries {
+		leaf.insertAt(i, key, slot)
 		return
 	}
-	parent := path[len(path)-1]
-	idx := sort.Search(len(parent.keys), func(i int) bool { return bytes.Compare(parent.keys[i], sepKey) > 0 })
-	parent.keys = append(parent.keys, nil)
-	copy(parent.keys[idx+1:], parent.keys[idx:])
-	parent.keys[idx] = sepKey
-	parent.children = append(parent.children, nil)
-	copy(parent.children[idx+2:], parent.children[idx+1:])
-	parent.children[idx+1] = right
-	if len(parent.keys) > maxInnerKeys {
-		t.splitInner(parent, path[:len(path)-1])
+	var right *leafNode
+	if i == leaf.len() {
+		right = &leafNode{
+			keys:  make([]byte, 0, maxLeafEntries*len(key)),
+			ends:  make([]uint32, 0, maxLeafEntries),
+			slots: make([]storage.TupleSlot, 0, maxLeafEntries),
+			next:  leaf.next,
+		}
+		leaf.next = right
+		right.insertAt(0, key, slot)
+	} else {
+		mid := leaf.len() / 2
+		right = leaf.split(mid)
+		if i < mid {
+			leaf.insertAt(i, key, slot)
+		} else {
+			right.insertAt(i-mid, key, slot)
+		}
+	}
+	t.insertIntoParent(leaf, append([]byte(nil), right.key(0)...), right.slots[0], right, path)
+}
+
+func (t *BTree) insertIntoParent(left node, sepKey []byte, sepSlot storage.TupleSlot, right node, path []pathStep) {
+	if len(path) == 0 {
+		t.root = &innerNode{
+			keys:     [][]byte{sepKey},
+			slots:    []storage.TupleSlot{sepSlot},
+			children: []node{left, right},
+		}
+		return
+	}
+	p := path[len(path)-1]
+	in := p.in
+	in.keys = slices.Insert(in.keys, p.child, sepKey)
+	in.slots = slices.Insert(in.slots, p.child, sepSlot)
+	in.children = slices.Insert(in.children, p.child+1, right)
+	if len(in.keys) > maxInnerKeys {
+		t.splitInner(in, path[:len(path)-1])
 	}
 }
 
-func (t *BTree) splitInner(in *innerNode, path []*innerNode) {
+func (t *BTree) splitInner(in *innerNode, path []pathStep) {
 	mid := len(in.keys) / 2
-	sep := in.keys[mid]
+	sepKey, sepSlot := in.keys[mid], in.slots[mid]
 	right := &innerNode{
 		keys:     append([][]byte(nil), in.keys[mid+1:]...),
+		slots:    append([]storage.TupleSlot(nil), in.slots[mid+1:]...),
 		children: append([]node(nil), in.children[mid+1:]...),
 	}
 	in.keys = append([][]byte(nil), in.keys[:mid]...)
+	in.slots = append([]storage.TupleSlot(nil), in.slots[:mid]...)
 	in.children = append([]node(nil), in.children[:mid+1]...)
-	t.insertIntoParent(in, sep, right, path)
+	t.insertIntoParent(in, sepKey, sepSlot, right, path)
 }
 
-// Get appends the slots stored under key to out and returns the extended
-// slice (out unchanged if the key is absent). The matches are copied while
-// the tree latch is held, so the result stays valid — and race-free —
-// under concurrent writers; pass a reusable scratch slice to avoid
-// allocation on hot paths.
+// Get appends the slots stored under key to out, in slot order, and
+// returns the extended slice (out unchanged if the key is absent). The
+// matches are copied while the tree latch is held, so the result stays
+// valid — and race-free — under concurrent writers; pass a reusable
+// scratch slice to avoid allocation on hot paths.
 func (t *BTree) Get(key []byte, out []storage.TupleSlot) []storage.TupleSlot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	leaf := t.findLeaf(key, nil)
-	idx := sort.Search(len(leaf.keys), func(i int) bool { return bytes.Compare(leaf.keys[i], key) >= 0 })
-	if idx < len(leaf.keys) && bytes.Equal(leaf.keys[idx], key) {
-		out = append(out, leaf.vals[idx]...)
+	for l, i := t.seek(key, 0); l != nil; l, i = l.next, 0 {
+		for ; i < l.len(); i++ {
+			if !bytes.Equal(l.key(i), key) {
+				return out
+			}
+			out = append(out, l.slots[i])
+		}
 	}
 	return out
 }
 
-// GetOne returns a single slot for key (unique-index read).
+// GetOne returns a single slot for key (unique-index read): its smallest.
 func (t *BTree) GetOne(key []byte) (storage.TupleSlot, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	leaf := t.findLeaf(key, nil)
-	idx := sort.Search(len(leaf.keys), func(i int) bool { return bytes.Compare(leaf.keys[i], key) >= 0 })
-	if idx < len(leaf.keys) && bytes.Equal(leaf.keys[idx], key) && len(leaf.vals[idx]) > 0 {
-		return leaf.vals[idx][0], true
+	if l, i := t.seek(key, 0); l != nil && bytes.Equal(l.key(i), key) {
+		return l.slots[i], true
 	}
 	return 0, false
 }
 
-// Delete removes (key, slot); with slot == 0 it removes every value under
-// the key. Reports whether anything was removed. (Leaves are allowed to
-// underflow — the engine's deletes are rare relative to lookups, matching
-// the paper's index usage.)
+// Delete removes one instance of (key, slot); with slot == 0 it removes
+// every value under the key. Reports whether anything was removed.
+// (Leaves are allowed to underflow — the engine's deletes are rare
+// relative to lookups, matching the paper's index usage.)
 func (t *BTree) Delete(key []byte, slot storage.TupleSlot) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	leaf := t.findLeaf(key, nil)
-	idx := sort.Search(len(leaf.keys), func(i int) bool { return bytes.Compare(leaf.keys[i], key) >= 0 })
-	if idx >= len(leaf.keys) || !bytes.Equal(leaf.keys[idx], key) {
-		return false
-	}
-	if slot == 0 {
-		t.size -= len(leaf.vals[idx])
-		leaf.keys = append(leaf.keys[:idx], leaf.keys[idx+1:]...)
-		leaf.vals = append(leaf.vals[:idx], leaf.vals[idx+1:]...)
+	l, i := t.seek(key, slot)
+	if slot != 0 {
+		if l == nil || compareEntry(l.key(i), l.slots[i], key, slot) != 0 {
+			return false
+		}
+		l.removeRange(i, i+1)
+		t.size--
 		return true
 	}
-	vals := leaf.vals[idx]
-	for i, v := range vals {
-		if v == slot {
-			leaf.vals[idx] = append(vals[:i], vals[i+1:]...)
-			t.size--
-			if len(leaf.vals[idx]) == 0 {
-				leaf.keys = append(leaf.keys[:idx], leaf.keys[idx+1:]...)
-				leaf.vals = append(leaf.vals[:idx], leaf.vals[idx+1:]...)
-			}
-			return true
+	removed := 0
+	for ; l != nil; l, i = l.next, 0 {
+		j := i
+		for j < l.len() && bytes.Equal(l.key(j), key) {
+			j++
+		}
+		l.removeRange(i, j)
+		removed += j - i
+		if i < l.len() {
+			break
 		}
 	}
-	return false
+	t.size -= removed
+	return removed > 0
 }
 
 // Scan visits keys in [lo, hi) in order, calling fn for each (key, slot)
-// pair; hi == nil means unbounded. fn returning false stops the scan.
+// pair; hi == nil means unbounded. fn returning false stops the scan. The
+// key passed to fn aliases the tree and is valid only during the call.
 func (t *BTree) Scan(lo, hi []byte, fn func(key []byte, slot storage.TupleSlot) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	leaf := t.findLeaf(lo, nil)
-	idx := sort.Search(len(leaf.keys), func(i int) bool { return bytes.Compare(leaf.keys[i], lo) >= 0 })
-	for leaf != nil {
-		for ; idx < len(leaf.keys); idx++ {
-			if hi != nil && bytes.Compare(leaf.keys[idx], hi) >= 0 {
+	for l, i := t.seek(lo, 0); l != nil; l, i = l.next, 0 {
+		for ; i < l.len(); i++ {
+			k := l.key(i)
+			if hi != nil && bytes.Compare(k, hi) >= 0 {
 				return
 			}
-			for _, v := range leaf.vals[idx] {
-				if !fn(leaf.keys[idx], v) {
-					return
-				}
+			if !fn(k, l.slots[i]) {
+				return
 			}
 		}
-		leaf = leaf.next
-		idx = 0
 	}
 }
 

@@ -75,7 +75,15 @@ func (k *KeyBuilder) Int8(v int8) *KeyBuilder {
 // Float64 appends a float64 in an order-preserving encoding: positive
 // values get their sign bit set, negative values are bitwise complemented,
 // so the byte order matches the numeric order (NaNs sort above +Inf).
+// Values that compare equal encode equally: -0 becomes +0, and every NaN
+// becomes math.NaN(), so an index lookup agrees with an equality filter.
 func (k *KeyBuilder) Float64(v float64) *KeyBuilder {
+	switch {
+	case v == 0:
+		v = 0
+	case v != v:
+		v = math.NaN()
+	}
 	bits := math.Float64bits(v)
 	if bits&(1<<63) != 0 {
 		bits = ^bits

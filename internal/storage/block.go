@@ -101,9 +101,12 @@ type Block struct {
 	// validity marks non-null attributes, one bitmap per column.
 	validity []util.AtomicBitmap
 
-	// arenaMu guards hot varlen arena appends.
-	arenaMu sync.Mutex
-	arena   [][]byte
+	// arenaMu guards the hot varlen arena: append-only byte slabs that
+	// spilled values are copied into and never moved from (see
+	// arenaAppend), plus the count of values they hold.
+	arenaMu     sync.Mutex
+	arenaSlabs  [][]byte
+	arenaValues int
 
 	// frozen gather outputs, one per column (nil for fixed-width columns).
 	frozenVar []*FrozenVarlen
@@ -343,12 +346,10 @@ func (b *Block) WriteVarlen(col ColumnID, slot uint32, val []byte) {
 	if len(val) <= VarlenInlineLimit {
 		varlenEntryPutInline(entry, val)
 	} else {
-		owned := append([]byte(nil), val...)
 		b.arenaMu.Lock()
-		idx := len(b.arena)
-		b.arena = append(b.arena, owned)
+		h := b.arenaAppend(val)
 		b.arenaMu.Unlock()
-		varlenEntryPutSpilled(entry, uint32(len(val)), owned[:4], makeArenaHandle(idx))
+		varlenEntryPutSpilled(entry, uint32(len(val)), val[:4], h)
 	}
 	b.SetValid(col, slot, true)
 }
@@ -374,22 +375,53 @@ func (b *Block) ReadVarlen(col ColumnID, slot uint32) []byte {
 		}
 		return fv.Values[off : off+uint64(size)]
 	}
-	idx := handleValue(h)
+	slab, off := arenaHandleSlab(h), arenaHandleOffset(h)
+	end := off + uint64(size)
 	b.arenaMu.Lock()
 	var v []byte
-	if idx < uint64(len(b.arena)) {
-		v = b.arena[idx]
+	if slab < uint64(len(b.arenaSlabs)) && end <= uint64(len(b.arenaSlabs[slab])) {
+		v = b.arenaSlabs[slab][off:end:end]
 	}
 	b.arenaMu.Unlock()
 	return v
+}
+
+// Hot arena slab sizes: the first slab is small, each next one doubles up
+// to the cap, so a block with few spilled values holds little slack and a
+// full one wastes at most part of its last slab. A value larger than the
+// cap gets a slab of its own size.
+const (
+	minArenaSlab = 256
+	maxArenaSlab = 32 << 10
+)
+
+// arenaAppend copies val into the current slab, starting a new one when it
+// does not fit, and returns its handle. A value never straddles slabs and
+// is never moved, so a slice of it stays valid while the arena lives.
+// Caller holds arenaMu.
+func (b *Block) arenaAppend(val []byte) uint64 {
+	n := len(b.arenaSlabs)
+	if n == 0 || cap(b.arenaSlabs[n-1])-len(b.arenaSlabs[n-1]) < len(val) {
+		size := minArenaSlab
+		if n > 0 {
+			size = min(2*cap(b.arenaSlabs[n-1]), maxArenaSlab)
+		}
+		b.arenaSlabs = append(b.arenaSlabs, make([]byte, 0, max(size, len(val))))
+		n++
+	}
+	off := len(b.arenaSlabs[n-1])
+	b.arenaSlabs[n-1] = append(b.arenaSlabs[n-1], val...)
+	b.arenaValues++
+	return makeArenaHandle(n-1, off)
 }
 
 // ReadVarlenStable resolves (col, slot) like ReadVarlen but guarantees the
 // result never aliases mutable block memory: inline values (which live in
 // the 16-byte entry and can be overwritten in place by a later writer) are
 // copied into arena, while spilled values alias their immutable backing —
-// hot-arena entries are owned copies that are never mutated after
-// publication, and frozen value buffers are never written in place. Scans
+// hot-arena values sit in append-only slabs and are never moved or
+// mutated after publication, and frozen value buffers are never written
+// in place. Scans
 // that stage values past the current tuple use this to avoid copying
 // everything.
 func (b *Block) ReadVarlenStable(col ColumnID, slot uint32, arena *ValueArena) []byte {
@@ -422,7 +454,7 @@ func (b *Block) RewriteVarlenEntry(col ColumnID, slot uint32, val []byte, off in
 func (b *Block) ArenaSize() int {
 	b.arenaMu.Lock()
 	defer b.arenaMu.Unlock()
-	return len(b.arena)
+	return b.arenaValues
 }
 
 // ReleaseArena drops the hot arena after gather has rewritten every entry.
@@ -432,7 +464,7 @@ func (b *Block) ArenaSize() int {
 // readers drop their references.
 func (b *Block) ReleaseArena() {
 	b.arenaMu.Lock()
-	b.arena = nil
+	b.arenaSlabs, b.arenaValues = nil, 0
 	b.arenaMu.Unlock()
 }
 

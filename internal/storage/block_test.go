@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -271,5 +272,100 @@ func TestBlockFrozenValidityRoundTrip(t *testing.T) {
 	}
 	if got := bm.CountOnes(rows); got != rows-34 {
 		t.Fatalf("ones = %d", got)
+	}
+}
+
+// liveHeap returns the live heap after forcing collections.
+func liveHeap() float64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
+}
+
+// TestArenaHeapPerSpilledValue bounds the heap the hot arena costs per
+// 24-byte spilled value — the restore path writes one per row of a table
+// with a short string column. One owned allocation per value plus its
+// slice header in the arena cost ~44 B; slabs cost the bytes plus the
+// unfilled end of the last slab. Not parallel: it reads the process heap.
+func TestArenaHeapPerSpilledValue(t *testing.T) {
+	reg := NewRegistry()
+	layout, err := NewBlockLayout([]AttrDef{VarlenAttr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := []*Block{NewBlock(reg, layout), NewBlock(reg, layout)}
+	val := []byte("pad-00000000000000000000")
+	before := liveHeap()
+	n := 0
+	for _, b := range blocks {
+		for slot := uint32(0); slot < layout.NumSlots; slot++ {
+			b.WriteVarlen(0, slot, val)
+			n++
+		}
+	}
+	perValue := (liveHeap() - before) / float64(n)
+	runtime.KeepAlive(blocks)
+	if got := blocks[1].ReadVarlen(0, layout.NumSlots-1); !bytes.Equal(got, val) {
+		t.Fatalf("last value reads %q", got)
+	}
+	t.Logf("%d values, %.1f B/value", n, perValue)
+	if perValue > 30 {
+		t.Fatalf("hot arena costs %.1f B per %d-byte value, want <= 30", perValue, len(val))
+	}
+}
+
+// TestArenaSlabBoundaries reads back, through ReadVarlen and
+// ReadVarlenStable, values that do not fit the rest of their slab (so
+// they start the next one) and values larger than the largest slab (so
+// they get one of their own), and checks that appending to a returned
+// value cannot overwrite its neighbour.
+func TestArenaSlabBoundaries(t *testing.T) {
+	_, b := testBlock(t)
+	sizes := []int{13, 200, 100, maxArenaSlab + 1, 40, minArenaSlab, 2*maxArenaSlab + 7, 13, maxArenaSlab}
+	for i := 0; len(sizes) < 400; i++ {
+		sizes = append(sizes, 13+(i*97)%700)
+	}
+	want := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		want[i] = make([]byte, n)
+		for j := range want[i] {
+			want[i][j] = byte(i + j)
+		}
+		b.WriteVarlen(1, uint32(i), want[i])
+	}
+	if b.ArenaSize() != len(sizes) {
+		t.Fatalf("ArenaSize = %d, want %d", b.ArenaSize(), len(sizes))
+	}
+	unfilled := 0
+	for _, s := range b.arenaSlabs[:len(b.arenaSlabs)-1] {
+		if len(s) < cap(s) {
+			unfilled++
+		}
+		if cap(s) > maxArenaSlab && len(s) != cap(s) {
+			t.Fatalf("oversized slab holds %d of %d bytes", len(s), cap(s))
+		}
+	}
+	if unfilled == 0 {
+		t.Fatal("no value started a new slab before its predecessor was full")
+	}
+	arena := GetValueArena()
+	defer PutValueArena(arena)
+	for i := range sizes {
+		if got := b.ReadVarlen(1, uint32(i)); !bytes.Equal(got, want[i]) {
+			t.Fatalf("ReadVarlen of value %d (%d bytes) differs", i, sizes[i])
+		}
+		if got := b.ReadVarlenStable(1, uint32(i), arena); !bytes.Equal(got, want[i]) {
+			t.Fatalf("ReadVarlenStable of value %d (%d bytes) differs", i, sizes[i])
+		}
+	}
+	_ = append(b.ReadVarlen(1, 0), 0xEE, 0xEE, 0xEE, 0xEE)
+	if got := b.ReadVarlen(1, 1); !bytes.Equal(got, want[1]) {
+		t.Fatal("append to a read value overwrote the next one")
+	}
+	b.ReleaseArena()
+	if b.ArenaSize() != 0 {
+		t.Fatalf("ArenaSize after release = %d", b.ArenaSize())
 	}
 }

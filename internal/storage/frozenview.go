@@ -78,24 +78,33 @@ func (v *FixedColView) IntAt(i int) int64 {
 // VarlenColView is a zero-copy view over a frozen variable-length column.
 // Plain-gathered columns resolve through the offsets+values pair;
 // dictionary-compressed columns resolve lazily through the code array —
-// the dictionary is only consulted for rows actually read.
+// the dictionary is only consulted for rows actually read. The view holds
+// the dictionary's buffers by value, so building one allocates nothing.
 type VarlenColView struct {
 	offsets, values []byte // the plain-gathered buffers
-	dict            *FrozenDict
+	dict            FrozenDict
+	hasDict         bool
 	Valid           util.Bitmap // nil when the column has no nulls
 }
 
 // NewVarlenColView assembles a view from explicit buffers — the cold
 // path builds views from an evicted block's record batch rather than
 // block memory. dict, when non-nil, takes precedence over the plain
-// offsets+values pair.
+// offsets+values pair; its buffers are copied into the view, not dict.
 func NewVarlenColView(offsets, values []byte, dict *FrozenDict, valid util.Bitmap) VarlenColView {
-	return VarlenColView{offsets: offsets, values: values, dict: dict, Valid: valid}
+	v := VarlenColView{offsets: offsets, values: values, Valid: valid}
+	if dict != nil {
+		v.dict, v.hasDict = *dict, true
+	}
+	return v
 }
 
 // FrozenVarlenView builds the zero-copy view of varlen column col.
 func (b *Block) FrozenVarlenView(col ColumnID) VarlenColView {
-	v := VarlenColView{dict: b.frozenDict[col]}
+	var v VarlenColView
+	if d := b.frozenDict[col]; d != nil {
+		v.dict, v.hasDict = *d, true
+	}
 	if fv := b.frozenVar[col]; fv != nil {
 		v.offsets, v.values = fv.Offsets, fv.Values
 	}
@@ -109,7 +118,13 @@ func (b *Block) FrozenVarlenView(col ColumnID) VarlenColView {
 func (v *VarlenColView) IsNull(i int) bool { return v.Valid != nil && !v.Valid.Test(i) }
 
 // Dict returns the column's dictionary, or nil for plain-gathered columns.
-func (v *VarlenColView) Dict() *FrozenDict { return v.dict }
+// It points into the view and is valid as long as the view is.
+func (v *VarlenColView) Dict() *FrozenDict {
+	if !v.hasDict {
+		return nil
+	}
+	return &v.dict
+}
 
 // BytesAt returns row i's value, aliasing the frozen buffer (nil for
 // nulls). Valid while the caller's in-place read registration is held.
@@ -117,7 +132,7 @@ func (v *VarlenColView) BytesAt(i int) []byte {
 	if v.IsNull(i) {
 		return nil
 	}
-	if v.dict != nil {
+	if v.hasDict {
 		return v.dict.Value(int(v.dict.CodeAt(i)))
 	}
 	off := binary.LittleEndian.Uint32(v.offsets[i*4:])

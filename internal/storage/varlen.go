@@ -14,11 +14,13 @@ import "encoding/binary"
 // trace pointers hidden in byte buffers, so the handle instead encodes where
 // the value lives:
 //
-//	bit 63 = 0: index into the block's append-only hot arena
+//	bit 63 = 0: a place in the block's hot arena of append-only byte
+//	            slabs: bits [32, 63) index the slab, bits [0, 32) are the
+//	            value's byte offset in it
 //	bit 63 = 1: byte offset into the block's frozen contiguous values buffer
 //	            (built by the gather phase; doubles as the Arrow offset)
 //
-// Updating a varlen attribute therefore writes a fresh arena entry and
+// Updating a varlen attribute therefore appends a fresh arena value and
 // overwrites 16 in-block bytes — a constant-time, fixed-length update, which
 // is the whole point of the relaxed format (§4.1).
 
@@ -76,8 +78,12 @@ func varlenEntryPrefix(src []byte) []byte {
 	return src[4 : 4+n]
 }
 
-// makeArenaHandle encodes an arena index.
-func makeArenaHandle(idx int) uint64 { return uint64(idx) }
+// makeArenaHandle encodes a hot arena (slab, offset) pair.
+func makeArenaHandle(slab, off int) uint64 { return uint64(slab)<<32 | uint64(off) }
+
+// arenaHandleSlab and arenaHandleOffset decode a hot arena handle.
+func arenaHandleSlab(h uint64) uint64   { return h >> 32 }
+func arenaHandleOffset(h uint64) uint64 { return h & (1<<32 - 1) }
 
 // makeFrozenHandle encodes an offset into the frozen values buffer.
 func makeFrozenHandle(off int) uint64 { return uint64(off) | frozenHandleFlag }

@@ -25,7 +25,7 @@ func TestVarlenEntryInlineCodec(t *testing.T) {
 func TestVarlenEntrySpilledCodec(t *testing.T) {
 	entry := make([]byte, VarlenAttrSize)
 	val := []byte("a-much-longer-value-spilled")
-	varlenEntryPutSpilled(entry, uint32(len(val)), val[:4], makeArenaHandle(17))
+	varlenEntryPutSpilled(entry, uint32(len(val)), val[:4], makeArenaHandle(3, 17))
 	if varlenEntryIsInline(entry) {
 		t.Fatal("spilled entry reads as inline")
 	}
@@ -36,7 +36,7 @@ func TestVarlenEntrySpilledCodec(t *testing.T) {
 		t.Fatal("prefix wrong")
 	}
 	h := varlenEntryHandle(entry)
-	if handleIsFrozen(h) || handleValue(h) != 17 {
+	if handleIsFrozen(h) || arenaHandleSlab(h) != 3 || arenaHandleOffset(h) != 17 {
 		t.Fatalf("handle = %x", h)
 	}
 	varlenEntryPutSpilled(entry, uint32(len(val)), val[:4], makeFrozenHandle(4096))

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mainline/internal/objstore"
+	"mainline/internal/raceflag"
 	"mainline/internal/storage"
 	"mainline/internal/transform"
 )
@@ -401,5 +402,40 @@ func TestColdZonePruningNeverFetches(t *testing.T) {
 	}
 	if d := cs.Gets() - gets; d != 1 {
 		t.Fatalf("single-block cold scan read the store %d times, want 1", d)
+	}
+}
+
+// TestColdCacheHitScanAllocs: a batch scan whose blocks are all evicted
+// and cached — plain-gathered and dictionary-encoded alike — allocates
+// nothing, so a warm cold scan adds no GC pressure a resident one lacks.
+// Skipped under -race, where sync.Pool drops entries on purpose.
+func TestColdCacheHitScanAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	eng, tbl, cs := coldFixture(t, BlockCacheUnlimited)
+	evictAll(t, eng)
+	tx := begin(t, eng)
+	defer tx.Abort()
+	rows := 0
+	scan := func() {
+		rows = 0
+		if err := tbl.ScanBatches(tx, nil, nil, func(b *Batch) bool {
+			rows += b.Len()
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan() // fills the cache
+	gets, cold := cs.Gets(), eng.Stats().Scan.BlocksCold
+	if allocs := testing.AllocsPerRun(50, scan); allocs != 0 {
+		t.Fatalf("cache-hit cold scan allocates %.1f objects, want 0", allocs)
+	}
+	if rows != coldBlocks*coldPerBlock {
+		t.Fatalf("scan saw %d rows, want %d", rows, coldBlocks*coldPerBlock)
+	}
+	if cs.Gets() != gets || eng.Stats().Scan.BlocksCold == cold {
+		t.Fatalf("scans were not cache hits on evicted blocks: gets %d -> %d", gets, cs.Gets())
 	}
 }
