@@ -8,7 +8,6 @@ package mainline
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,9 +94,6 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	if err := eng.Update(func(*Txn) error { return nil }); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("update after close: %v", err)
 	}
-	if err := eng.Recover("nope.log"); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("recover after close: %v", err)
-	}
 	// A transaction begun before Close cannot commit, but can be aborted.
 	if _, err := pre.Commit(); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("commit after close: %v", err)
@@ -141,11 +137,11 @@ func TestDurableCommitWithoutWAL(t *testing.T) {
 	}
 }
 
-// TestDurableCommitForegroundWAL: a WAL without the background flush loop
-// must not deadlock either — Commit drives the flush itself.
+// TestDurableCommitForegroundWAL: a data directory's WAL without the
+// background flush loop must not deadlock either — Commit drives the flush
+// itself.
 func TestDurableCommitForegroundWAL(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "wal.log")
-	eng := openEngine(t, WithWAL(logPath, 0)) // note: no WithBackground
+	eng := openEngine(t, WithDataDir(t.TempDir())) // note: no WithBackground
 	tbl, _ := eng.CreateTable("item", itemSchema())
 
 	done := make(chan error, 1)
@@ -341,8 +337,7 @@ func TestClosurePanicFinishesTxn(t *testing.T) {
 // FlushOnce until its own callback fires, even when the dependency-closed
 // write frontier re-queues its chunk behind a concurrent committer.
 func TestDurableForegroundWALConcurrent(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "wal.log")
-	eng := openEngine(t, WithWAL(logPath, 0)) // no WithBackground
+	eng := openEngine(t, WithDataDir(t.TempDir())) // no WithBackground
 	tbl, _ := eng.CreateTable("item", itemSchema())
 
 	const workers = 4

@@ -40,48 +40,31 @@ func main() {
 		full       = flag.Bool("full-scale", false, "spec-size database (100K items, 3K customers/district)")
 		threshold  = flag.Duration("threshold", 10*time.Millisecond, "cold-block threshold")
 
-		walPath     = flag.String("wal", "", "write-ahead log file (enables group-commit logging)")
-		durable     = flag.Bool("durable", false, "terminals wait for the group-commit fsync (needs -wal or -datadir)")
-		syncLatency = flag.Duration("sync-latency", 0, "emulate a log device with this fsync cost (0 = raw)")
-		syncDelay   = flag.Duration("sync-delay", 0, "group-formation window before each log flush")
+		durable     = flag.Bool("durable", false, "terminals wait for the group-commit fsync (needs -datadir)")
+		syncLatency = flag.Duration("sync-latency", 0, "emulate a log device with this fsync cost (0 = raw; needs -datadir)")
+		syncDelay   = flag.Duration("sync-delay", 0, "group-formation window before each log flush (needs -datadir)")
 
-		dataDir  = flag.String("datadir", "", "data directory: segmented WAL + Arrow checkpoints (excludes -wal)")
+		dataDir  = flag.String("datadir", "", "data directory: segmented WAL with group commit + Arrow checkpoints")
 		doCkpt   = flag.Bool("checkpoint", false, "take a checkpoint after the run and truncate the WAL (needs -datadir)")
 		segBytes = flag.Int64("segment-size", 0, "WAL segment rotation threshold in bytes (0 = 4MB default)")
 	)
 	flag.Parse()
-	if *dataDir != "" && *walPath != "" {
-		fmt.Fprintln(os.Stderr, "-datadir and -wal are mutually exclusive")
-		os.Exit(2)
-	}
-	if *dataDir != "" && *syncLatency > 0 {
-		// The segmented sink writes to the real device; silently dropping
-		// the emulated latency would make -datadir numbers incomparable to
-		// -wal runs carrying the same flag.
-		fmt.Fprintln(os.Stderr, "-sync-latency is only supported with -wal")
-		os.Exit(2)
-	}
-	logging := *walPath != "" || *dataDir != ""
-	if !logging {
-		switch {
-		case *durable:
-			fmt.Fprintln(os.Stderr, "-durable requires -wal or -datadir")
-			os.Exit(2)
-		case *syncLatency > 0:
-			fmt.Fprintln(os.Stderr, "-sync-latency requires -wal")
-			os.Exit(2)
-		case *syncDelay > 0:
-			fmt.Fprintln(os.Stderr, "-sync-delay requires -wal")
-			os.Exit(2)
+	if *dataDir == "" {
+		for _, f := range []struct {
+			set  bool
+			name string
+		}{
+			{*durable, "-durable"},
+			{*syncLatency > 0, "-sync-latency"},
+			{*syncDelay > 0, "-sync-delay"},
+			{*doCkpt, "-checkpoint"},
+			{*segBytes > 0, "-segment-size"},
+		} {
+			if f.set {
+				fmt.Fprintf(os.Stderr, "%s requires -datadir\n", f.name)
+				os.Exit(2)
+			}
 		}
-	}
-	if *doCkpt && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "-checkpoint requires -datadir")
-		os.Exit(2)
-	}
-	if *segBytes > 0 && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "-segment-size requires -datadir")
-		os.Exit(2)
 	}
 
 	reg := storage.NewRegistry()
@@ -108,8 +91,7 @@ func main() {
 	// logged; the run's transactions are.
 	var lm *wal.LogManager
 	var segSink *wal.SegmentedSink
-	switch {
-	case *dataDir != "":
+	if *dataDir != "" {
 		// This harness does not bootstrap (no catalog.json, no replay), so
 		// it cannot account for a previous run's segments; require a fresh
 		// directory rather than report truncation numbers that exclude
@@ -123,17 +105,14 @@ func main() {
 			log.Fatal(err)
 		}
 		segSink = sink
-		lm = wal.NewLogManager(sink)
+		var logSink wal.Sink = sink
+		if *syncLatency > 0 {
+			logSink = &wal.LatencySink{Inner: sink, SyncLatency: *syncLatency}
+		}
+		lm = wal.NewLogManager(logSink)
 		lm.SyncDelay = *syncDelay
 		lm.Attach(mgr)
 		lm.Start(5 * time.Millisecond)
-		db.Durable = *durable
-	case *walPath != "":
-		var err error
-		lm, err = wal.OpenPipeline(*walPath, mgr, *syncLatency, *syncDelay, 5*time.Millisecond)
-		if err != nil {
-			log.Fatal(err)
-		}
 		db.Durable = *durable
 	}
 

@@ -280,7 +280,6 @@ func (e *Engine) bootstrapDataDir() error {
 		return err
 	}
 	e.logMgr = wal.NewLogManager(sink)
-	e.logMgr.SyncDelay = o.LogSyncDelay
 	e.logMgr.Attach(e.mgr)
 
 	// 6. Re-anchor when any prior state was loaded.
@@ -397,38 +396,4 @@ func (e *Engine) stopCheckpointer() {
 		close(e.ckptStop)
 		<-e.ckptDone
 	})
-}
-
-// ownsWALPath reports whether path refers to the engine's own live log:
-// the single WAL file, or any segment of the data directory's WAL.
-// Comparison is by file inode (os.SameFile), so symlinks and relative
-// paths cannot dodge the check.
-func (e *Engine) ownsWALPath(path string) bool {
-	st, err := os.Stat(path)
-	if err != nil {
-		return false
-	}
-	if e.opts.LogPath != "" {
-		if own, err := os.Stat(e.opts.LogPath); err == nil && os.SameFile(st, own) {
-			return true
-		}
-	}
-	if e.opts.DataDir != "" {
-		// The target's own inode against every live segment file — a
-		// symlink from elsewhere resolves to the same inode.
-		if segs, err := wal.ListSegments(e.walDir()); err == nil {
-			for _, s := range segs {
-				if own, err := os.Stat(s.Path); err == nil && os.SameFile(st, own) {
-					return true
-				}
-			}
-		}
-		// And anything that lives inside the WAL directory itself.
-		if parent, err := os.Stat(filepath.Dir(path)); err == nil {
-			if walD, err := os.Stat(e.walDir()); err == nil && os.SameFile(parent, walD) {
-				return true
-			}
-		}
-	}
-	return false
 }

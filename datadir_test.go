@@ -332,56 +332,6 @@ func TestBackgroundCheckpointer(t *testing.T) {
 	}
 }
 
-// TestRecoverOwnWALRejected pins the ErrRecoverOwnWAL footgun check for
-// both WAL flavors.
-func TestRecoverOwnWALRejected(t *testing.T) {
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "wal.log")
-	eng, err := Open(WithWAL(logPath, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if _, err := eng.CreateTable("t", accountsSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Recover(logPath); !errors.Is(err, ErrRecoverOwnWAL) {
-		t.Fatalf("Recover(own log) = %v, want ErrRecoverOwnWAL", err)
-	}
-	// A different (even missing) path is still allowed.
-	if err := eng.Recover(filepath.Join(dir, "other.log")); err != nil {
-		t.Fatalf("Recover(other) = %v", err)
-	}
-
-	dir2 := t.TempDir()
-	eng2, err := Open(WithDataDir(dir2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	segs, err := wal.ListSegments(filepath.Join(dir2, "wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments: %v %d", err, len(segs))
-	}
-	if err := eng2.Recover(segs[0].Path); !errors.Is(err, ErrRecoverOwnWAL) {
-		t.Fatalf("Recover(own segment) = %v, want ErrRecoverOwnWAL", err)
-	}
-	// A symlink from elsewhere to a live segment resolves to the same
-	// inode and must be rejected too.
-	link := filepath.Join(t.TempDir(), "sneaky.log")
-	if err := os.Symlink(segs[0].Path, link); err != nil {
-		t.Skipf("symlink: %v", err)
-	}
-	if err := eng2.Recover(link); !errors.Is(err, ErrRecoverOwnWAL) {
-		t.Fatalf("Recover(symlink to own segment) = %v, want ErrRecoverOwnWAL", err)
-	}
-	// Even a foreign log is rejected on a data-dir engine: replay would
-	// bypass the WAL and the imported rows would not survive a crash.
-	if err := eng2.Recover(logPath); !errors.Is(err, ErrRecoverDataDir) {
-		t.Fatalf("Recover(foreign log) on data-dir engine = %v, want ErrRecoverDataDir", err)
-	}
-}
-
 // TestDataDirExclusiveLock pins the flock: a second engine cannot open a
 // live data directory, and Close releases it.
 func TestDataDirExclusiveLock(t *testing.T) {
@@ -407,17 +357,6 @@ func TestDataDirExclusiveLock(t *testing.T) {
 func TestCheckpointIntervalRequiresDataDir(t *testing.T) {
 	if _, err := Open(WithCheckpointInterval(time.Second)); err == nil {
 		t.Fatal("WithCheckpointInterval without WithDataDir accepted")
-	}
-}
-
-// TestDataDirExclusiveWithWAL pins the option conflict.
-func TestDataDirExclusiveWithWAL(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Open(WithDataDir(dir), WithWAL(filepath.Join(dir, "w.log"), 0)); err == nil {
-		t.Fatal("WithDataDir+WithWAL accepted")
-	}
-	if _, err := Open(); err != nil { // plain open unaffected
-		t.Fatal(err)
 	}
 }
 

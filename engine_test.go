@@ -3,7 +3,6 @@ package mainline
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -282,10 +281,12 @@ func TestEngineWriteThawsFrozenBlock(t *testing.T) {
 	}
 }
 
+// TestEngineDurableCommitAndRecovery: a durable commit survives Close and
+// reopen of the data directory with no checkpoint taken — Open replays it
+// from the WAL tail.
 func TestEngineDurableCommitAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "wal.log")
-	eng, err := Open(WithWAL(logPath, 0), WithBackground())
+	eng, err := Open(WithDataDir(dir), WithBackground())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +309,14 @@ func TestEngineDurableCommitAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fresh engine, same schema, replay.
-	eng2 := openEngine(t)
-	tbl2, _ := eng2.CreateTable("item", itemSchema())
-	if err := eng2.Recover(logPath); err != nil {
-		t.Fatal(err)
+	// Reopen: the catalog brings the table back, the tail the row.
+	eng2 := openEngine(t, WithDataDir(dir))
+	if rec := eng2.Stats().Recovery; rec.CheckpointSeq != 0 || rec.TailTxnsApplied == 0 {
+		t.Fatalf("recovery = %+v, want WAL-tail replay without a checkpoint", rec)
+	}
+	tbl2 := eng2.Table("item")
+	if tbl2 == nil {
+		t.Fatal("table not restored from the catalog")
 	}
 	tx2 := begin(t, eng2)
 	count, err := tbl2.CountVisible(tx2)

@@ -26,19 +26,11 @@ var (
 	// already committed or aborted.
 	ErrTxnFinished = core.ErrTxnFinished
 	// ErrEngineClosed is returned by Begin, View, Update, CreateTable,
-	// Recover, and Txn.Commit after Engine.Close.
+	// and Txn.Commit after Engine.Close.
 	ErrEngineClosed = errors.New("mainline: engine closed")
 	// ErrReadOnlyTxn is returned for writes through a transaction begun
 	// with the ReadOnly option.
 	ErrReadOnlyTxn = errors.New("mainline: write in read-only transaction")
-	// ErrRecoverOwnWAL is returned by Engine.Recover when the path is the
-	// engine's own live log (the single WAL file, or any file inside the
-	// data directory's WAL). Replaying a log into the engine that is
-	// appending to it would interleave fresh commit timestamps with the
-	// replayed history and corrupt the log; recover into an engine whose
-	// WAL lives elsewhere (or use WithDataDir, which replays its own tail
-	// safely at Open).
-	ErrRecoverOwnWAL = errors.New("mainline: recovering the engine's own live WAL")
 	// ErrNoDataDir is returned by Engine.Checkpoint when the engine was
 	// opened without WithDataDir — there is nowhere durable to write.
 	ErrNoDataDir = errors.New("mainline: checkpoint requires WithDataDir")
@@ -51,11 +43,6 @@ var (
 	// Degraded mode is terminal for the process: restart the engine to
 	// recover from the log's durable prefix.
 	ErrDegraded = errors.New("mainline: engine degraded (durability lost)")
-	// ErrRecoverDataDir is returned by Engine.Recover on engines opened
-	// with WithDataDir: replay bypasses the WAL, so the imported
-	// transactions would be lost by a crash before the next checkpoint.
-	// Data directories recover themselves at Open.
-	ErrRecoverDataDir = errors.New("mainline: Recover is not supported with WithDataDir (recovery happens at Open)")
 	// ErrNoSuchVersion is returned by Engine.AsOf when the requested
 	// timestamp predates all retained history — no committed snapshot
 	// version has a snapshot timestamp at or below it.

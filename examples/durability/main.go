@@ -1,6 +1,7 @@
-// Durability: commit transactions through the write-ahead log with group
-// commit, "crash" (discard the engine), and recover the database from the
-// log into a fresh engine (§3.4). Durability is a per-transaction property:
+// Durability: commit transactions through the data directory's
+// write-ahead log with group commit, close the engine, and reopen the same
+// directory — Open restores the schema from the catalog and replays the
+// WAL tail (§3.4). Durability is a per-transaction property:
 // Begin(mainline.Durable()) makes Commit block until the group-commit
 // fsync covers the transaction.
 package main
@@ -9,7 +10,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"mainline"
 )
@@ -20,10 +20,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	logPath := filepath.Join(dir, "wal.log")
 
-	// First life: write with logging enabled.
-	eng, err := mainline.Open(mainline.WithWAL(logPath, 0), mainline.WithBackground())
+	// First life: write through the data directory's WAL.
+	eng, err := mainline.Open(mainline.WithDataDir(dir), mainline.WithBackground())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,24 +75,21 @@ func main() {
 	if err := eng.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("wrote 101 durable transactions, crashing...")
+	fmt.Println("wrote 101 durable transactions, reopening...")
 
-	// Second life: fresh engine, same schema, replay the log.
-	eng2, err := mainline.Open()
+	// Second life: reopen the same directory. No checkpoint was taken, so
+	// everything comes back from the WAL tail.
+	eng2, err := mainline.Open(mainline.WithDataDir(dir))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer eng2.Close()
-	accounts2, err := eng2.CreateTable("accounts", mainline.NewSchema(
-		mainline.Field{Name: "id", Type: mainline.INT64},
-		mainline.Field{Name: "owner", Type: mainline.STRING},
-		mainline.Field{Name: "balance", Type: mainline.INT64},
-	))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := eng2.Recover(logPath); err != nil {
-		log.Fatal(err)
+	rec := eng2.Stats().Recovery
+	fmt.Printf("replayed %d transactions (%d redo records) from %d WAL segments\n",
+		rec.TailTxnsApplied, rec.TailRecordsApplied, rec.TailSegments)
+	accounts2 := eng2.Table("accounts")
+	if accounts2 == nil {
+		log.Fatal("accounts table missing after reopen")
 	}
 
 	count := 0

@@ -24,7 +24,7 @@ type GroupCommitConfig struct {
 	Duration time.Duration
 	// TPCC is the per-warehouse database scale.
 	TPCC func(warehouses int) tpcc.Config
-	// LogDir receives the per-point WAL files ("" = a temp dir that is
+	// LogDir receives the per-point WAL directories ("" = a temp dir that is
 	// removed afterwards).
 	LogDir string
 	// FlushInterval bounds group-commit latency (default 5ms; the enqueue
@@ -151,7 +151,7 @@ func runGroupCommitPoint(cfg GroupCommitConfig, workers int, logDir string) (*Gr
 		return nil, err
 	}
 
-	path := filepath.Join(logDir, fmt.Sprintf("wal-%dw.log", workers))
+	path := filepath.Join(logDir, fmt.Sprintf("wal-%dw", workers))
 	latency := cfg.SyncLatency
 	if cfg.RawSync {
 		latency = 0
@@ -172,7 +172,7 @@ func runGroupCommitPoint(cfg GroupCommitConfig, workers int, logDir string) (*Gr
 	if err := lm.Close(); err != nil {
 		return nil, err
 	}
-	os.Remove(path)
+	os.RemoveAll(path)
 
 	if err := tpcc.CheckConsistency(db); err != nil {
 		return nil, err

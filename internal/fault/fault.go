@@ -10,7 +10,7 @@
 // FS also dedupes the open-flag triplets the persistence layers used to
 // repeat: Create is O_CREATE|O_WRONLY|O_TRUNC (checkpoint data files,
 // manifest, catalog temp files), Append is O_CREATE|O_WRONLY|O_APPEND
-// (WAL segments and the single-file log).
+// (WAL segments).
 package fault
 
 import (

@@ -177,7 +177,7 @@ func (m *Manager) Begin() *Transaction {
 		shard: shard,
 		start: start,
 		txnTs: MakeUncommitted(start),
-		undo:  NewUndoBuffer(m.pool),
+		undo:  UndoBuffer{pool: m.pool},
 	}
 	sh.active[start] = t
 	sh.mu.Unlock()

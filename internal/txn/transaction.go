@@ -59,7 +59,7 @@ type Transaction struct {
 	txnTs  uint64 // start | UncommittedFlag while in flight
 	commit uint64 // final commit (or abort) timestamp
 
-	undo     *UndoBuffer
+	undo     UndoBuffer
 	redo     []RedoRecord
 	indexOps []IndexOp
 

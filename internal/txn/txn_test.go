@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"mainline/internal/raceflag"
 	"mainline/internal/storage"
 )
 
@@ -306,4 +307,20 @@ func TestWriteSetSize(t *testing.T) {
 		t.Fatalf("write set = %d", tx.WriteSetSize())
 	}
 	m.Commit(tx, nil)
+}
+
+// TestReadOnlyBeginCommitAllocs bounds transaction set-up: a read-only
+// Begin + Commit allocates the Transaction itself and nothing else (the
+// undo buffer lives inside it).
+func TestReadOnlyBeginCommitAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	m := NewManager(storage.NewRegistry())
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Commit(m.Begin(), nil)
+	})
+	if allocs > 1 {
+		t.Fatalf("read-only Begin + Commit allocates %.1f objects, want <= 1", allocs)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mainline/internal/fault"
 	"mainline/internal/obs"
 	"mainline/internal/txn"
 )
@@ -32,49 +31,30 @@ type Sink interface {
 	Close() error
 }
 
-// FileSink is the production sink: an append-only file.
-type FileSink struct{ f fault.File }
-
-// OpenFileSink opens (creating or appending) the log file at path on the
-// real filesystem.
-func OpenFileSink(path string) (*FileSink, error) {
-	return OpenFileSinkFS(fault.OS{}, path)
-}
-
-// OpenFileSinkFS opens (creating or appending) the log file at path
-// through fsys, so fault injection covers the single-file WAL too.
-func OpenFileSinkFS(fsys fault.FS, path string) (*FileSink, error) {
-	if fsys == nil {
-		fsys = fault.OS{}
-	}
-	f, err := fsys.Append(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: opening log: %w", err)
-	}
-	return &FileSink{f: f}, nil
-}
-
-// Write appends to the file.
-func (s *FileSink) Write(p []byte) (int, error) { return s.f.Write(p) }
-
-// Sync fsyncs the file.
-func (s *FileSink) Sync() error { return s.f.Sync() }
-
-// Close closes the file.
-func (s *FileSink) Close() error { return s.f.Close() }
-
-// LatencySink wraps a Sink and imposes a minimum Sync duration, emulating a
-// storage device with a fixed sync cost (benchmarks on filesystems whose
-// fsync is near-free would otherwise measure only CPU). Group commit's
-// value is amortizing exactly this latency across a batch.
+// LatencySink wraps a segmented sink and imposes a minimum Sync duration,
+// emulating a storage device with a fixed sync cost (benchmarks on
+// filesystems whose fsync is near-free would otherwise measure only CPU).
+// Group commit's value is amortizing exactly this latency across a batch.
+// Group writes and truncation pass straight through, so the wrapped log
+// still rotates, attributes commit timestamps to segments and truncates.
 type LatencySink struct {
-	Inner Sink
+	Inner *SegmentedSink
 	// SyncLatency is the minimum wall-clock cost of one Sync.
 	SyncLatency time.Duration
 }
 
 // Write forwards to the inner sink.
 func (s *LatencySink) Write(p []byte) (int, error) { return s.Inner.Write(p) }
+
+// WriteGroup forwards to the inner sink.
+func (s *LatencySink) WriteGroup(p []byte, maxTs uint64) (int, error) {
+	return s.Inner.WriteGroup(p, maxTs)
+}
+
+// TruncateThrough forwards to the inner sink.
+func (s *LatencySink) TruncateThrough(ts uint64) (int, error) {
+	return s.Inner.TruncateThrough(ts)
+}
 
 // Sync forwards to the inner sink and pads the call out to SyncLatency.
 func (s *LatencySink) Sync() error {
@@ -189,18 +169,19 @@ func NewLogManager(sink Sink) *LogManager {
 }
 
 // OpenPipeline assembles the whole group-commit pipeline in one call: a
-// file sink at path (wrapped in a LatencySink when syncLatency > 0), a
-// log manager with the given group-formation window, frontier attachment
-// to m, and the background flusher at flushInterval. Close the returned
-// manager to drain and release the file.
-func OpenPipeline(path string, m *txn.Manager, syncLatency, syncDelay, flushInterval time.Duration) (*LogManager, error) {
-	fileSink, err := OpenFileSink(path)
+// segmented sink in dir with the default segment size (wrapped in a
+// LatencySink when syncLatency > 0), a log manager with the given
+// group-formation window, frontier attachment to m, and the background
+// flusher at flushInterval. Close the returned manager to drain and
+// release the active segment.
+func OpenPipeline(dir string, m *txn.Manager, syncLatency, syncDelay, flushInterval time.Duration) (*LogManager, error) {
+	segSink, err := OpenSegmentedSink(dir, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	var sink Sink = fileSink
+	var sink Sink = segSink
 	if syncLatency > 0 {
-		sink = &LatencySink{Inner: fileSink, SyncLatency: syncLatency}
+		sink = &LatencySink{Inner: segSink, SyncLatency: syncLatency}
 	}
 	l := NewLogManager(sink)
 	l.SyncDelay = syncDelay
@@ -580,7 +561,7 @@ func (l *LogManager) FailedFlushes() int64 { return l.failedFlushes.Load() }
 // snapshot timestamp ts: the active segment is sealed and every sealed
 // segment whose maximum commit timestamp is <= ts is deleted. It runs
 // under the flush lock so it never races a group write. Sinks without
-// segment support (plain files, test sinks) report (0, nil).
+// segment support (test sinks) report (0, nil).
 func (l *LogManager) Truncate(ts uint64) (int, error) {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()

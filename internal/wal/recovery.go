@@ -61,12 +61,6 @@ type ReplayOptions struct {
 	SlotMap map[storage.TupleSlot]storage.TupleSlot
 }
 
-// Recover replays the log at path into tables. A missing file is an empty
-// log. See ReplayStream for semantics.
-func Recover(path string, mgr *txn.Manager, tables map[uint32]*core.DataTable) (*RecoveryResult, error) {
-	return ReplayFile(path, mgr, tables, nil)
-}
-
 // ReplayFile streams the log file at path through ReplayStream. A missing
 // file yields an empty result.
 func ReplayFile(path string, mgr *txn.Manager, tables map[uint32]*core.DataTable, opts *ReplayOptions) (*RecoveryResult, error) {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"mainline/internal/core"
 )
@@ -20,6 +21,43 @@ func TestSegmentNameRoundTrip(t *testing.T) {
 		if _, ok := ParseSegmentName(bad); ok {
 			t.Fatalf("%q parsed as a segment", bad)
 		}
+	}
+}
+
+// TestLatencySinkForwardsSegments pins that an emulated-latency wrapper
+// keeps a segmented sink rotating and truncating: without the forwarding,
+// every group would land in one segment with no timestamp attribution and
+// a checkpoint could never release it.
+func TestLatencySinkForwardsSegments(t *testing.T) {
+	m, table := testTable(t)
+	seg, err := OpenSegmentedSink(t.TempDir(), 512, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := NewLogManager(&LatencySink{Inner: seg, SyncLatency: time.Microsecond})
+	lm.Attach(m)
+	var lastTs uint64
+	for i := 0; i < 6; i++ {
+		tx := m.Begin()
+		row := table.AllColumnsProjection().NewRow()
+		row.SetInt64(0, int64(i))
+		row.SetVarlen(1, make([]byte, 200))
+		if _, err := table.Insert(tx, row); err != nil {
+			t.Fatal(err)
+		}
+		lastTs = m.Commit(tx, nil)
+		lm.FlushOnce()
+	}
+	sealed := seg.SealedSegments()
+	if len(sealed) < 2 || sealed[0].MaxTs == 0 {
+		t.Fatalf("no attributed rotation through the wrapper: %+v", sealed)
+	}
+	removed, err := lm.Truncate(lastTs)
+	if err != nil || removed != len(sealed)+1 {
+		t.Fatalf("Truncate = %d, %v; want %d", removed, err, len(sealed)+1)
+	}
+	if err := lm.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -345,8 +345,7 @@ func TestRecoveryTornTail(t *testing.T) {
 
 func TestRecoverFromFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	sink, err := OpenFileSink(path)
+	sink, err := OpenSegmentedSink(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,9 +364,13 @@ func TestRecoverFromFile(t *testing.T) {
 	if err := lm.Close(); err != nil {
 		t.Fatal(err)
 	}
+	segs, err := ListSegments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v, %v", segs, err)
+	}
 
 	m2, table2 := testTable(t)
-	res, err := Recover(path, m2, map[uint32]*core.DataTable{1: table2})
+	res, err := ReplayFile(segs[0].Path, m2, map[uint32]*core.DataTable{1: table2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +383,7 @@ func TestRecoverFromFile(t *testing.T) {
 		t.Fatal("row not recovered")
 	}
 	// Missing file is not an error.
-	res2, err := Recover(filepath.Join(dir, "missing.log"), m2, nil)
+	res2, err := ReplayFile(filepath.Join(dir, "missing.log"), m2, nil, nil)
 	if err != nil || res2.TxnsApplied != 0 {
 		t.Fatalf("missing log: %v %+v", err, res2)
 	}

@@ -252,8 +252,6 @@ func Open(opts ...Option) (*Engine, error) {
 	}
 
 	switch {
-	case o.DataDir != "" && o.LogPath != "":
-		return nil, fmt.Errorf("mainline: WithDataDir and WithWAL are mutually exclusive")
 	case o.ObjectStoreDir != "" && o.ObjectStore != nil:
 		return nil, fmt.Errorf("mainline: WithObjectStore and WithObjectStoreBackend are mutually exclusive")
 	case (o.BlockCacheBytes != 0 || o.TierSweepInterval != 0 || o.TierEvictAfterSweeps != 0) &&
@@ -268,8 +266,8 @@ func Open(opts ...Option) (*Engine, error) {
 		// log is bounded.
 		return nil, fmt.Errorf("mainline: WithCheckpointInterval requires WithDataDir")
 	case o.WALSegmentSize > 0 && o.DataDir == "":
-		// The single-file WAL never rotates; ignoring the size silently
-		// would be the same trap.
+		// Without a data directory there is no WAL to rotate; ignoring
+		// the size silently would be the same trap.
 		return nil, fmt.Errorf("mainline: WithWALSegmentSize requires WithDataDir")
 	}
 	if o.ObjectStoreDir != "" || o.ObjectStore != nil {
@@ -293,8 +291,7 @@ func Open(opts ...Option) (*Engine, error) {
 		// reads holding slices into the buffer) finish first.
 		e.tier = tier.NewManager(store, budget, o.TierEvictAfterSweeps, e.collector.RegisterAction)
 	}
-	switch {
-	case o.DataDir != "":
+	if o.DataDir != "" {
 		// Durable data directory: rehydrate catalog, restore the newest
 		// valid checkpoint, replay the WAL tail, open the segmented log.
 		if err := e.bootstrapDataDir(); err != nil {
@@ -303,14 +300,6 @@ func Open(opts ...Option) (*Engine, error) {
 			}
 			return nil, err
 		}
-	case o.LogPath != "":
-		sink, err := wal.OpenFileSinkFS(e.fsys, o.LogPath)
-		if err != nil {
-			return nil, err
-		}
-		e.logMgr = wal.NewLogManager(sink)
-		e.logMgr.SyncDelay = o.LogSyncDelay
-		e.logMgr.Attach(e.mgr)
 	}
 	if e.logMgr != nil {
 		e.obs.wireWAL(e.logMgr)
@@ -478,40 +467,6 @@ func (e *Engine) BlockStates(table string) (counts [4]int) {
 		counts[s]++
 	}
 	return
-}
-
-// Recover replays a WAL file into this (fresh) engine. The commit hook is
-// detached for the duration so replayed transactions are not re-appended
-// to the engine's own log. Replay streams the file, so memory is bounded
-// by one transaction's records, not the log size.
-//
-// Recovering the engine's own live WAL is rejected with ErrRecoverOwnWAL:
-// post-recovery commits draw fresh timestamps from a reset counter, which
-// would collide with the existing records and silently corrupt the log —
-// recover into a fresh log and retire the old file.
-//
-// Recover is also rejected (ErrRecoverDataDir) on engines opened with
-// WithDataDir: replay detaches the commit hook, so the imported
-// transactions would exist only in memory — in neither the checkpoint nor
-// the WAL tail — and a crash before the next checkpoint would silently
-// drop them despite the data directory's durability contract. Data
-// directories recover themselves at Open.
-func (e *Engine) Recover(path string) error {
-	if e.closed.Load() {
-		return ErrEngineClosed
-	}
-	if e.ownsWALPath(path) {
-		return ErrRecoverOwnWAL
-	}
-	if e.opts.DataDir != "" {
-		return ErrRecoverDataDir
-	}
-	if e.logMgr != nil {
-		e.mgr.SetCommitHook(nil)
-		defer e.logMgr.Attach(e.mgr)
-	}
-	_, err := wal.Recover(path, e.mgr, e.cat.DataTables())
-	return err
 }
 
 // FlushLog forces one synchronous group commit (no-op without a log or

@@ -70,8 +70,8 @@ type DutyStats struct {
 // GCStats publishes garbage-collector progress (Stats().GC).
 type GCStats struct {
 	// Unlinked / Deallocated are lifetime retired-version counts.
-	Unlinked     int64
-	Deallocated  int64
+	Unlinked    int64
+	Deallocated int64
 	// WatermarkLag is epoch − oldest-active as of the latest GC pass:
 	// how far version reclamation trails the clock. A stuck snapshot
 	// shows up here as unbounded growth.
@@ -160,8 +160,8 @@ func (o *engineObs) wire(e *Engine) {
 	e.execCounters.SetLatency(o.query)
 }
 
-// wireWAL installs the group-commit instruments; called after whichever
-// Open path (data directory or single-file WAL) created the log manager.
+// wireWAL installs the group-commit instruments; called after the
+// data-directory bootstrap created the log manager.
 func (o *engineObs) wireWAL(l *wal.LogManager) {
 	l.SetMetrics(wal.Metrics{
 		SyncLatency: o.walSync,

@@ -39,7 +39,8 @@ type Options struct {
 	// configured) committed by version records in DataDir/MANIFEST.log,
 	// and a persisted schema catalog (DataDir/catalog.json). Open
 	// bootstraps from the newest valid checkpoint and replays only the
-	// WAL tail. Mutually exclusive with LogPath.
+	// WAL tail. It is the engine's only durable mode: without it nothing
+	// is logged.
 	DataDir string
 	// CheckpointInterval runs the background checkpointer every interval
 	// (requires DataDir; 0 disables — call Engine.Checkpoint manually).
@@ -49,14 +50,8 @@ type Options struct {
 	// WALSegmentSize is the rotation threshold for WAL segment files in
 	// DataDir mode (default 4MB).
 	WALSegmentSize int64
-	// LogPath enables write-ahead logging to the given single file.
-	LogPath string
 	// LogFlushInterval bounds group-commit latency (default 5ms).
 	LogFlushInterval time.Duration
-	// LogSyncDelay is the group-formation window before each WAL flush:
-	// the flusher waits this long after the first enqueued commit so
-	// concurrent committers join the same fsync (0 = flush immediately).
-	LogSyncDelay time.Duration
 	// Background starts the GC, transformation, and log-flush loops.
 	// When false (tests, benchmarks) drive them manually with RunGC /
 	// RunTransform.
@@ -163,8 +158,8 @@ func (o *Options) defaults() {
 // Open bootstraps from the newest valid checkpoint (falling back one
 // version on a size, CRC or schema mismatch), replays only the WAL tail
 // beyond its snapshot timestamp, and re-anchors with a fresh checkpoint
-// so retained segments always address the live slot space. Mutually
-// exclusive with WithWAL.
+// so retained segments always address the live slot space. A data
+// directory is the only way to log commits.
 func WithDataDir(dir string) Option {
 	return optionFunc(func(o *Options) { o.DataDir = dir })
 }
@@ -177,21 +172,10 @@ func WithCheckpointInterval(d time.Duration) Option {
 }
 
 // WithWALSegmentSize sets the WAL segment rotation threshold (default
-// 4MB). Requires WithDataDir — the single-file WAL never rotates. Smaller
-// segments truncate more aggressively; larger ones rotate less often.
+// 4MB). Requires WithDataDir, which owns the WAL. Smaller segments
+// truncate more aggressively; larger ones rotate less often.
 func WithWALSegmentSize(n int64) Option {
 	return optionFunc(func(o *Options) { o.WALSegmentSize = n })
-}
-
-// WithWAL enables write-ahead logging to path. syncDelay is the
-// group-formation window before each WAL flush: the flusher waits this
-// long after the first enqueued commit so concurrent committers join the
-// same fsync (0 = flush immediately).
-func WithWAL(path string, syncDelay time.Duration) Option {
-	return optionFunc(func(o *Options) {
-		o.LogPath = path
-		o.LogSyncDelay = syncDelay
-	})
 }
 
 // WithLogFlushInterval bounds group-commit latency when the background
