@@ -1,9 +1,9 @@
 package mainline
 
 // Public-API tests for Table.Aggregate / Table.Join: oracle equivalence
-// against a tuple-at-a-time Scan, worker-count invariance, Stats().Exec
-// counters, the duplicate-projection typed error, and empty-table
-// semantics.
+// against the per-slot Select reference, worker-count invariance,
+// Stats().Exec counters, the duplicate-projection typed error, and
+// empty-table semantics.
 
 import (
 	"errors"
@@ -77,7 +77,7 @@ func aggFixture(t testing.TB) (*Engine, *Table) {
 }
 
 // scanOracle recomputes COUNT(*) / COUNT(amount) / SUM(amount) /
-// MIN(id) / MAX(id) per city with a plain tuple scan.
+// MIN(id) / MAX(id) per city over the per-slot Select reference.
 type cityAgg struct {
 	rows, amounts int64
 	sumAmount     float64
@@ -88,7 +88,7 @@ func scanOracle(t *testing.T, eng *Engine, tbl *Table) map[string]*cityAgg {
 	t.Helper()
 	want := map[string]*cityAgg{}
 	err := eng.View(func(tx *Txn) error {
-		return tbl.Scan(tx, []string{"id", "amount", "city"}, func(_ TupleSlot, row *Row) bool {
+		return selectScan(tbl, tx, []string{"id", "amount", "city"}, func(_ TupleSlot, row *Row) bool {
 			key := "\x00" // NULL city group
 			if !row.Null("city") {
 				key = row.String("city")
@@ -353,7 +353,7 @@ func TestJoinPublic(t *testing.T) {
 	wantMatches := 0
 	perRegion := map[string]int64{}
 	err = eng.View(func(tx *Txn) error {
-		return fact.Scan(tx, []string{"region", "qty"}, func(_ TupleSlot, row *Row) bool {
+		return selectScan(fact, tx, []string{"region", "qty"}, func(_ TupleSlot, row *Row) bool {
 			if row.Null("region") {
 				return true
 			}

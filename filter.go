@@ -302,29 +302,10 @@ func (t *Table) Filter(tx *Txn, pred *Pred, cols []string, fn func(slot TupleSlo
 	if err != nil {
 		return err
 	}
-	row := &Row{ProjectedRow: proj.NewRow(), schema: t.Schema}
-	return t.DataTable.ScanBatches(tx.raw, proj, cpred, func(b *core.Batch) bool {
-		nc := proj.NumCols()
-		for i := 0; i < b.Len(); i++ {
-			pr := row.ProjectedRow
-			pr.Reset()
-			for j := 0; j < nc; j++ {
-				if b.IsNull(j, i) {
-					pr.SetNull(j)
-					continue
-				}
-				if proj.IsVarlenAt(j) {
-					pr.SetVarlen(j, b.Bytes(j, i))
-				} else {
-					b.FixedAt(j, i, pr.FixedBytes(j))
-					pr.Nulls.Clear(j)
-				}
-			}
-			if !fn(b.Slot(i), row) {
-				return false
-			}
-		}
-		return true
+	row := &Row{schema: t.Schema}
+	return t.DataTable.Filter(tx.raw, proj, cpred, func(slot storage.TupleSlot, pr *storage.ProjectedRow) bool {
+		row.ProjectedRow = pr
+		return fn(slot, row)
 	})
 }
 

@@ -164,7 +164,7 @@ func (bs *blockSet) prune() {
 // compactAll runs Phase 1 over all blocks as one group and returns the
 // result.
 func (bs *blockSet) compactAll(optimal bool) (*transform.CompactionResult, error) {
-	return transform.CompactGroup(bs.mgr, bs.table.DataTable, bs.blocks, optimal, nil)
+	return transform.CompactGroup(bs.mgr, bs.table.DataTable, bs.blocks, optimal)
 }
 
 // freezeSurvivors GC-prunes and gathers every cooling block.

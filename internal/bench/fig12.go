@@ -234,7 +234,7 @@ func Fig14(variant LayoutVariant, nBlocks, perBlock int, groupSizes, emptyPcts [
 				if end > len(bs.blocks) {
 					end = len(bs.blocks)
 				}
-				res, err := transform.CompactGroup(bs.mgr, bs.table.DataTable, bs.blocks[start:end], false, nil)
+				res, err := transform.CompactGroup(bs.mgr, bs.table.DataTable, bs.blocks[start:end], false)
 				if err != nil {
 					return nil, err
 				}

@@ -5,8 +5,8 @@ import (
 
 	"mainline/internal/benchutil"
 	"mainline/internal/catalog"
-	"mainline/internal/server"
 	"mainline/internal/gc"
+	"mainline/internal/server"
 	"mainline/internal/storage"
 	"mainline/internal/transform"
 	"mainline/internal/txn"

@@ -146,15 +146,13 @@ func (t *DataTable) selectCold(block *storage.Block, offset uint32, out *storage
 	if offset >= uint32(rb.NumRows) {
 		return false, nil
 	}
-	readCold(rb, int(offset), out, false)
+	readCold(rb, int(offset), out)
 	return true, nil
 }
 
-// readCold copies row i of the batch into out's projected columns. When
-// alias is true varlen values alias the immutable batch (scan rows,
-// consumed inside the callback); when false they are heap copies (Select
-// rows escape).
-func readCold(rb *arrow.RecordBatch, i int, out *storage.ProjectedRow, alias bool) {
+// readCold copies row i of the batch into out's projected columns; varlen
+// values are heap copies, since Select rows escape.
+func readCold(rb *arrow.RecordBatch, i int, out *storage.ProjectedRow) {
 	for pi, col := range out.P.Cols {
 		a := rb.Columns[col]
 		switch {
@@ -165,90 +163,7 @@ func readCold(rb *arrow.RecordBatch, i int, out *storage.ProjectedRow, alias boo
 			copy(out.FixedBytes(pi), a.Values[i*w:(i+1)*w])
 			out.Nulls.Clear(pi)
 		default:
-			v := a.Bytes(i)
-			if alias {
-				v = v[:len(v):len(v)]
-			} else {
-				v = append([]byte(nil), v...)
-			}
-			out.SetVarlen(pi, v)
+			out.SetVarlen(pi, append([]byte(nil), a.Bytes(i)...))
 		}
 	}
-}
-
-// scanColdBlock is the tuple-at-a-time scan path over an evicted block:
-// iterate the frozen rows, skipping slots whose allocation bit (retained
-// in RAM across eviction) is clear.
-func (t *DataTable) scanColdBlock(block *storage.Block, rb *arrow.RecordBatch, row *storage.ProjectedRow, fn func(storage.TupleSlot, *storage.ProjectedRow) bool) bool {
-	emitted := int64(0)
-	defer func() { t.scanStats.tuplesEmitted.Add(emitted) }()
-	t.scanStats.blocksCold.Add(1)
-	for s := uint32(0); s < uint32(rb.NumRows); s++ {
-		if !block.Allocated(s) {
-			continue
-		}
-		row.Reset()
-		readCold(rb, int(s), row, true)
-		emitted++
-		if !fn(storage.NewTupleSlot(block.ID, s), row) {
-			return false
-		}
-	}
-	return true
-}
-
-// coldBatch is the vectorized scan path over an evicted block: the same
-// zone-map-pruned, kernel-filtered, view-backed flow as frozenBatch,
-// pointed at the cached record batch instead of block memory.
-func (t *DataTable) coldBatch(block *storage.Block, batch *Batch, pred *Predicate, fn func(*Batch) bool) (bool, error) {
-	rb, err := t.fetchCold(block)
-	if err != nil {
-		return false, err
-	}
-	t.scanStats.blocksCold.Add(1)
-	n := rb.NumRows
-	if n == 0 {
-		return true, nil
-	}
-	src := coldSource{rb}
-	batch.setupCold(block, src)
-	if pred != nil {
-		sv := storage.GetSelectionVector(n)
-		defer storage.PutSelectionVector(sv)
-		sv.SetIndices(evalFrozenPred(src, pred, n, sv.Indices()[:0]))
-		if sv.Len() == 0 {
-			return true, nil
-		}
-		batch.sel = sv.Indices()
-		batch.n = sv.Len()
-	} else {
-		batch.sel = nil
-		batch.n = n
-	}
-	t.scanStats.tuplesEmitted.Add(int64(batch.n))
-	return fn(batch), nil
-}
-
-// setupCold points the batch's column views at an evicted block's record
-// batch. The batch presents as frozen — consumers see identical view
-// semantics; Slot() still resolves through the block ID.
-func (b *Batch) setupCold(block *storage.Block, src coldSource) {
-	nc := b.proj.NumCols()
-	if cap(b.fixedViews) < nc {
-		b.fixedViews = make([]storage.FixedColView, nc)
-		b.varlenViews = make([]storage.VarlenColView, nc)
-	}
-	b.fixedViews = b.fixedViews[:nc]
-	b.varlenViews = b.varlenViews[:nc]
-	for i, col := range b.proj.Cols {
-		if b.proj.Layout.IsVarlen(col) {
-			b.varlenViews[i] = src.FrozenVarlenView(col)
-		} else {
-			b.fixedViews[i] = src.FrozenFixedView(col)
-		}
-	}
-	b.block = block
-	b.frozen = true
-	b.cold = true
-	b.scr = nil
 }

@@ -490,80 +490,40 @@ func (t *DataTable) selectVersioned(tx *txn.Transaction, block *storage.Block, o
 	return present, nil
 }
 
-// Scan visits every tuple visible to tx, materializing proj's columns into
-// row and invoking fn. fn must not retain row (its varlen values live in a
-// per-scan arena that is recycled row to row). Frozen blocks are scanned in
-// place; hot blocks reconstruct versions per slot. Returning false from fn
-// stops the scan.
-func (t *DataTable) Scan(tx *txn.Transaction, proj *storage.Projection, fn func(slot storage.TupleSlot, row *storage.ProjectedRow) bool) error {
+// Filter visits every tuple visible to tx that satisfies pred (nil for
+// all), materializing proj's columns into a reused row and invoking fn:
+// the row adapter over ScanBatches, so frozen blocks are pruned and
+// kernel-filtered before any row is built. fn must not retain row — its
+// varlen values alias batch memory, valid only until fn returns.
+// Returning false from fn stops the scan.
+func (t *DataTable) Filter(tx *txn.Transaction, proj *storage.Projection, pred *Predicate, fn func(slot storage.TupleSlot, row *storage.ProjectedRow) bool) error {
 	row := proj.NewRow()
-	arena := storage.GetValueArena()
-	defer storage.PutValueArena(arena)
-	for _, block := range t.blockList() {
-		cont, err := t.scanBlock(tx, block, proj, row, arena, fn)
-		if err != nil {
-			return err
+	nc := proj.NumCols()
+	return t.ScanBatches(tx, proj, pred, func(b *Batch) bool {
+		for i := 0; i < b.Len(); i++ {
+			// Every column is overwritten, so the row needs no Reset.
+			for j := 0; j < nc; j++ {
+				switch {
+				case b.IsNull(j, i):
+					row.SetNull(j)
+				case proj.IsVarlenAt(j):
+					row.SetVarlen(j, b.Bytes(j, i))
+				default:
+					b.FixedAt(j, i, row.FixedBytes(j))
+					row.Nulls.Clear(j)
+				}
+			}
+			if !fn(b.Slot(i), row) {
+				return false
+			}
 		}
-		if !cont {
-			return nil
-		}
-	}
-	return nil
+		return true
+	})
 }
 
-// scanBlock scans one block; cont is false if fn stopped the scan. An
-// error means an evicted block's payload could not be fetched.
-func (t *DataTable) scanBlock(tx *txn.Transaction, block *storage.Block, proj *storage.Projection, row *storage.ProjectedRow, arena *storage.ValueArena, fn func(storage.TupleSlot, *storage.ProjectedRow) bool) (bool, error) {
-	emitted := int64(0)
-	if block.BeginInPlaceRead() {
-		if !block.Resident() {
-			block.EndInPlaceRead()
-			rb, err := t.fetchCold(block)
-			if err != nil {
-				return false, err
-			}
-			return t.scanColdBlock(block, rb, row, fn), nil
-		}
-		defer func() {
-			block.EndInPlaceRead()
-			t.scanStats.tuplesEmitted.Add(emitted)
-		}()
-		t.scanStats.blocksFrozen.Add(1)
-		n := uint32(block.FrozenRows())
-		for s := uint32(0); s < n; s++ {
-			if !block.Allocated(s) {
-				continue
-			}
-			row.Reset()
-			arena.Reset()
-			t.readInPlace(block, s, row, arena)
-			emitted++
-			if !fn(storage.NewTupleSlot(block.ID, s), row) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	defer func() { t.scanStats.tuplesEmitted.Add(emitted) }()
-	t.scanStats.blocksVersioned.Add(1)
-	head := block.InsertHead()
-	for s := uint32(0); s < head; s++ {
-		// Slots with no chain and no allocation are invisible to everyone.
-		if !block.Allocated(s) && block.VersionPtr(s) == nil {
-			continue
-		}
-		row.Reset()
-		arena.Reset()
-		found, err := t.selectVersioned(tx, block, s, row, arena)
-		if err != nil || !found {
-			continue
-		}
-		emitted++
-		if !fn(storage.NewTupleSlot(block.ID, s), row) {
-			return false, nil
-		}
-	}
-	return true, nil
+// Scan visits every tuple visible to tx: Filter with no predicate.
+func (t *DataTable) Scan(tx *txn.Transaction, proj *storage.Projection, fn func(slot storage.TupleSlot, row *storage.ProjectedRow) bool) error {
+	return t.Filter(tx, proj, nil, fn)
 }
 
 // CountVisible returns the number of tuples visible to tx (test helper and
@@ -571,8 +531,8 @@ func (t *DataTable) scanBlock(tx *txn.Transaction, block *storage.Block, proj *s
 func (t *DataTable) CountVisible(tx *txn.Transaction) int {
 	count := 0
 	proj := storage.MustProjection(t.layout, []storage.ColumnID{0})
-	_ = t.Scan(tx, proj, func(storage.TupleSlot, *storage.ProjectedRow) bool {
-		count++
+	_ = t.ScanBatches(tx, proj, nil, func(b *Batch) bool {
+		count += b.Len()
 		return true
 	})
 	return count

@@ -30,8 +30,10 @@ const HotBatchSize = 1024
 
 // --- Scan statistics ---------------------------------------------------------
 
-// ScanStats counts scan work since table creation (both the tuple-at-a-time
-// and the batch paths).
+// ScanStats counts scan work since table creation. Every multi-row read
+// (ScanBatches and its row adapters Filter, Scan and CountVisible) goes
+// through the batch scan and is counted here; per-slot Select reads are
+// not.
 type ScanStats struct {
 	// BlocksFrozen counts blocks scanned in place under the reader counter.
 	BlocksFrozen int64
@@ -443,8 +445,11 @@ func (b *Batch) DictCode(col, i int) int32 {
 	return b.varlenViews[col].Dict().CodeAt(int(b.idx(i)))
 }
 
-// setupFrozen points the batch's column views at block's Arrow buffers.
-func (b *Batch) setupFrozen(block *storage.Block) {
+// setupFrozen points the batch's column views at src's Arrow buffers: a
+// resident frozen block's memory, or (cold) an evicted block's cached
+// record batch. Either way the batch presents as frozen — consumers see
+// identical view semantics, and Slot resolves through the block ID.
+func (b *Batch) setupFrozen(block *storage.Block, src frozenViewSource, cold bool) {
 	nc := b.proj.NumCols()
 	if cap(b.fixedViews) < nc {
 		b.fixedViews = make([]storage.FixedColView, nc)
@@ -454,14 +459,14 @@ func (b *Batch) setupFrozen(block *storage.Block) {
 	b.varlenViews = b.varlenViews[:nc]
 	for i, col := range b.proj.Cols {
 		if b.proj.Layout.IsVarlen(col) {
-			b.varlenViews[i] = block.FrozenVarlenView(col)
+			b.varlenViews[i] = src.FrozenVarlenView(col)
 		} else {
-			b.fixedViews[i] = block.FrozenFixedView(col)
+			b.fixedViews[i] = src.FrozenFixedView(col)
 		}
 	}
 	b.block = block
 	b.frozen = true
-	b.cold = false
+	b.cold = cold
 	b.scr = nil
 }
 
@@ -674,7 +679,7 @@ func (t *DataTable) prepareScan(proj *storage.Projection, pred *Predicate) (scan
 // cont is false when fn stopped the scan; an error means a cold fetch
 // failed.
 func (t *DataTable) batchScanBlock(tx *txn.Transaction, block *storage.Block, batch *Batch, scr **scratch, plan *scanPlan, fn func(*Batch) bool) (bool, error) {
-	cont, handled, err := t.frozenBatch(tx, block, batch, plan.pred, fn)
+	cont, handled, err := t.frozenBatch(block, batch, plan.pred, fn)
 	if err != nil {
 		return false, err
 	}
@@ -744,13 +749,13 @@ func (t *DataTable) ScanBlockBatches(tx *txn.Transaction, block *storage.Block, 
 	return err
 }
 
-// frozenBatch handles one block on the frozen path: zone-map prune, kernel
-// filter, zero-copy batch, with evicted blocks falling through to the
-// cold tier's cached payload. handled is false when the block is not
-// frozen (the caller falls back to the hot path); cont is false when fn
-// stopped the scan.
-func (t *DataTable) frozenBatch(tx *txn.Transaction, block *storage.Block, batch *Batch, pred *Predicate, fn func(*Batch) bool) (cont, handled bool, err error) {
-	_ = tx // frozen reads need no version checks; kept for symmetry
+// frozenBatch handles one block on the frozen path: zone-map prune, then
+// fetch the view source — the resident block's memory under its reader
+// counter, or an evicted block's cached payload from the cold tier — then
+// kernel filter and emit one zero-copy batch. handled is false when the
+// block is not frozen (the caller falls back to the hot path); cont is
+// false when fn stopped the scan.
+func (t *DataTable) frozenBatch(block *storage.Block, batch *Batch, pred *Predicate, fn func(*Batch) bool) (cont, handled bool, err error) {
 	// Zone-map pruning happens BEFORE the reader counter is taken: the
 	// state must be observed Frozen before the map is loaded (see
 	// storage.Block.ZoneMap for why that order is sound). The map stays
@@ -768,25 +773,32 @@ func (t *DataTable) frozenBatch(tx *txn.Transaction, block *storage.Block, batch
 	if !block.BeginInPlaceRead() {
 		return true, false, nil
 	}
-	if !block.Resident() {
+	var src frozenViewSource = block
+	var n int
+	cold := !block.Resident()
+	if cold {
 		// The payload is an immutable copy of the frozen epoch just
 		// observed; it needs no reader pin.
 		block.EndInPlaceRead()
-		cont, err := t.coldBatch(block, batch, pred, fn)
-		return cont, true, err
+		rb, err := t.fetchCold(block)
+		if err != nil {
+			return false, true, err
+		}
+		t.scanStats.blocksCold.Add(1)
+		src, n = coldSource{rb}, rb.NumRows
+	} else {
+		defer block.EndInPlaceRead()
+		t.scanStats.blocksFrozen.Add(1)
+		n = block.FrozenRows()
 	}
-	defer block.EndInPlaceRead()
-	t.scanStats.blocksFrozen.Add(1)
-	n := block.FrozenRows()
 	if n == 0 {
 		return true, true, nil
 	}
-	batch.setupFrozen(block)
-	var sv *storage.SelectionVector
+	batch.setupFrozen(block, src, cold)
 	if pred != nil {
-		sv = storage.GetSelectionVector(n)
+		sv := storage.GetSelectionVector(n)
 		defer storage.PutSelectionVector(sv)
-		sv.SetIndices(evalFrozenPred(block, pred, n, sv.Indices()[:0]))
+		sv.SetIndices(evalFrozenPred(src, pred, n, sv.Indices()[:0]))
 		if sv.Len() == 0 {
 			return true, true, nil
 		}
@@ -802,8 +814,8 @@ func (t *DataTable) frozenBatch(tx *txn.Transaction, block *storage.Block, batch
 
 // frozenViewSource is the common shape of resident frozen blocks and
 // evicted blocks' record batches (coldSource): both expose typed
-// zero-copy column views, so the predicate kernels run identically over
-// either.
+// zero-copy column views, so the predicate kernels and the batch views
+// run identically over either.
 type frozenViewSource interface {
 	FrozenFixedView(storage.ColumnID) storage.FixedColView
 	FrozenVarlenView(storage.ColumnID) storage.VarlenColView
@@ -893,7 +905,6 @@ func (t *DataTable) hotBatches(tx *txn.Transaction, block *storage.Block, batch 
 				}
 				// A writer raced us; fall through to the chain protocol.
 			}
-			scr.row.Reset()
 			found, _ := t.selectVersioned(tx, block, s, scr.row, scr.arena)
 			if found {
 				scr.appendRow(s, scr.row)

@@ -1,8 +1,8 @@
 package core_test
 
-// Equivalence stress for the two scan paths: writers churn a mixed
-// hot/frozen table (thawing the frozen block underfoot) while readers
-// assert that the tuple-at-a-time and batch paths observe the identical
+// Equivalence stress for the batch scan: writers churn a mixed hot/frozen
+// table (thawing the frozen block underfoot) while readers assert that
+// the batch path and the per-slot Select reference observe the identical
 // visible set within one snapshot.
 //
 // Two contact modes:
@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"mainline/internal/core"
+	"mainline/internal/core/coretest"
 	"mainline/internal/gc"
 	"mainline/internal/raceflag"
 	"mainline/internal/storage"
@@ -76,11 +77,14 @@ func TestScanEquivalenceUnderConcurrentWriters(t *testing.T) {
 
 	compare := func(iter int) {
 		tx := m.Begin()
-		tupleSeen := make(map[int64]string)
-		_ = table.Scan(tx, table.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
-			tupleSeen[row.Int64(0)] = string(row.Varlen(1))
+		selectSeen := make(map[int64]string)
+		if err := coretest.SelectScan(table, tx, table.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
+			selectSeen[row.Int64(0)] = string(row.Varlen(1))
 			return true
-		})
+		}); err != nil {
+			m.Commit(tx, nil)
+			t.Fatal(err)
+		}
 		batchSeen := make(map[int64]string)
 		_ = table.ScanBatches(tx, nil, nil, func(b *core.Batch) bool {
 			for i := 0; i < b.Len(); i++ {
@@ -88,11 +92,11 @@ func TestScanEquivalenceUnderConcurrentWriters(t *testing.T) {
 			}
 			return true
 		})
-		if len(tupleSeen) != 2*rows || len(batchSeen) != 2*rows {
+		if len(selectSeen) != 2*rows || len(batchSeen) != 2*rows {
 			m.Commit(tx, nil)
-			t.Fatalf("iter %d: visible set sizes: tuple %d batch %d want %d", iter, len(tupleSeen), len(batchSeen), 2*rows)
+			t.Fatalf("iter %d: visible set sizes: select %d batch %d want %d", iter, len(selectSeen), len(batchSeen), 2*rows)
 		}
-		for id, v := range tupleSeen {
+		for id, v := range selectSeen {
 			if batchSeen[id] != v {
 				// Gather evidence with the reader still active: the chain
 				// cannot lose records this snapshot needs.
@@ -107,7 +111,7 @@ func TestScanEquivalenceUnderConcurrentWriters(t *testing.T) {
 					chain += fmt.Sprintf("[%v ts=%x delta=%q] ", rec.Kind, rec.Timestamp(), val)
 				}
 				m.Commit(tx, nil)
-				t.Fatalf("iter %d: id %d: tuple %q batch %q\nstartTs=%x blockState=%v chain=%s",
+				t.Fatalf("iter %d: id %d: select %q batch %q\nstartTs=%x blockState=%v chain=%s",
 					iter, id, v, batchSeen[id], tx.StartTs(), blk.State(), chain)
 			}
 		}

@@ -1,8 +1,8 @@
 package core_test
 
 // Behavioral tests for the vectorized batch-scan engine: equivalence with
-// the tuple-at-a-time path over mixed hot/frozen tables (including under
-// concurrent writers), predicate kernels across the type domains,
+// a per-slot Select reference over mixed hot/frozen tables (including
+// under concurrent writers), predicate kernels across the type domains,
 // zone-map pruning, and pruning correctness when a pruned block is
 // un-frozen mid-scan. They live in an external test package so real
 // freezes can go through transform.GatherBlock.
@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mainline/internal/core"
+	"mainline/internal/core/coretest"
 	"mainline/internal/gc"
 	"mainline/internal/storage"
 	"mainline/internal/transform"
@@ -76,12 +77,12 @@ func freezeBlocks(t *testing.T, m *txn.Manager, blocks []*storage.Block, mode tr
 	}
 }
 
-// tupleScan collects id -> value via the tuple-at-a-time path ("\x00null"
-// for NULLs).
-func tupleScan(t *testing.T, m *txn.Manager, table *core.DataTable, tx *txn.Transaction) map[int64]string {
+// selectOracle collects id -> value through the per-slot Select reference
+// ("\x00null" for NULLs).
+func selectOracle(t *testing.T, table *core.DataTable, tx *txn.Transaction) map[int64]string {
 	t.Helper()
 	got := make(map[int64]string)
-	err := table.Scan(tx, table.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
+	err := coretest.SelectScan(table, tx, table.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
 		v := "\x00null"
 		if !row.IsNull(1) {
 			v = string(row.Varlen(1))
@@ -171,7 +172,7 @@ func TestScanBatchesMatchesScanMixed(t *testing.T) {
 	m, table := mixedTable(t)
 	tx := m.Begin()
 	defer m.Commit(tx, nil)
-	diffMaps(t, tupleScan(t, m, table, tx), batchScan(t, table, tx, nil), "mixed")
+	diffMaps(t, selectOracle(t, table, tx), batchScan(t, table, tx, nil), "mixed")
 }
 
 func TestScanBatchesIntPredicate(t *testing.T) {
@@ -179,7 +180,7 @@ func TestScanBatchesIntPredicate(t *testing.T) {
 	tx := m.Begin()
 	defer m.Commit(tx, nil)
 	want := make(map[int64]string)
-	for id, v := range tupleScan(t, m, table, tx) {
+	for id, v := range selectOracle(t, table, tx) {
 		if id >= 150 && id <= 450 {
 			want[id] = v
 		}
@@ -194,7 +195,7 @@ func TestScanBatchesBytesPredicate(t *testing.T) {
 	defer m.Commit(tx, nil)
 	lo, hi := []byte("val-000100"), []byte("val-000350")
 	want := make(map[int64]string)
-	for id, v := range tupleScan(t, m, table, tx) {
+	for id, v := range selectOracle(t, table, tx) {
 		if v != "\x00null" && v >= string(lo) && v < string(hi) {
 			want[id] = v
 		}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"mainline/internal/core"
+	"mainline/internal/core/coretest"
 	"mainline/internal/exec"
 	"mainline/internal/gc"
 	"mainline/internal/storage"
@@ -186,7 +187,8 @@ func canonical(row *storage.ProjectedRow, layout *storage.BlockLayout, col stora
 	return fmt.Sprintf("i:%d", v)
 }
 
-// oracleAgg computes the reference aggregation tuple-at-a-time in tx.
+// oracleAgg computes the reference aggregation in tx over the per-slot
+// Select reference (coretest.SelectScan).
 // floatCols marks FLOAT64 columns; filter (nil for all) mirrors the
 // plan's predicate.
 func oracleAgg(t testing.TB, table *core.DataTable, tx *txn.Transaction,
@@ -195,7 +197,7 @@ func oracleAgg(t testing.TB, table *core.DataTable, tx *txn.Transaction,
 	t.Helper()
 	layout := table.Layout()
 	groups := make(map[string]*oracleState)
-	err := table.Scan(tx, table.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
+	err := coretest.SelectScan(table, tx, table.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
 		if filter != nil && !filter(row) {
 			return true
 		}

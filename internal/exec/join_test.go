@@ -1,7 +1,7 @@
 package exec_test
 
 // Oracle equivalence for the hash join: results are compared as multisets
-// against a nested-loop join over two tuple-at-a-time scans in the same
+// against a nested-loop join over two per-slot Select walks in the same
 // snapshot — fixed-width keys (widened across widths), varlen keys with a
 // dictionary-encoded probe side, NULL keys (never join), and duplicate
 // keys on both sides.
@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mainline/internal/core"
+	"mainline/internal/core/coretest"
 	"mainline/internal/exec"
 	"mainline/internal/gc"
 	"mainline/internal/storage"
@@ -100,13 +101,13 @@ func joinEnv(t *testing.T) (*txn.Manager, *core.DataTable, *core.DataTable) {
 	return mgr, build, probe
 }
 
-// buildRows / probeRows materialize each side tuple-at-a-time for the
-// nested-loop oracle: (key canonical, payload canonical).
+// collectRows materializes one side for the nested-loop oracle through the
+// per-slot Select reference: (key canonical, payload canonical).
 func collectRows(t *testing.T, table *core.DataTable, tx *txn.Transaction, key storage.ColumnID, payload []storage.ColumnID, isFloat map[int]bool) [][2]string {
 	t.Helper()
 	layout := table.Layout()
 	var out [][2]string
-	err := table.Scan(tx, table.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
+	err := coretest.SelectScan(table, tx, table.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
 		k := canonical(row, layout, key, isFloat[int(key)])
 		p := ""
 		for _, c := range payload {

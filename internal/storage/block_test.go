@@ -350,8 +350,7 @@ func TestArenaSlabBoundaries(t *testing.T) {
 	if unfilled == 0 {
 		t.Fatal("no value started a new slab before its predecessor was full")
 	}
-	arena := GetValueArena()
-	defer PutValueArena(arena)
+	arena := new(ValueArena)
 	for i := range sizes {
 		if got := b.ReadVarlen(1, uint32(i)); !bytes.Equal(got, want[i]) {
 			t.Fatalf("ReadVarlen of value %d (%d bytes) differs", i, sizes[i])

@@ -51,9 +51,9 @@ func PutSelectionVector(sv *SelectionVector) {
 // ValueArena is a bump allocator for variable-length values materialized
 // during a scan: instead of one heap allocation per value per row, values
 // are copied into reused chunks. Reset reclaims everything at once, so a
-// scan resets per row (or per batch) and the whole traversal costs a
-// handful of chunk allocations total. Values returned by Copy are valid
-// only until the next Reset.
+// hot-block batch scan resets per staged chunk and the whole traversal
+// costs a handful of chunk allocations total. Values returned by Copy are
+// valid only until the next Reset.
 type ValueArena struct {
 	chunk []byte
 	off   int
@@ -84,19 +84,3 @@ func (a *ValueArena) Copy(v []byte) []byte {
 // Reset invalidates every value handed out since the last Reset and makes
 // the current chunk reusable.
 func (a *ValueArena) Reset() { a.off = 0 }
-
-var arenaPool = sync.Pool{New: func() any { return new(ValueArena) }}
-
-// GetValueArena borrows a pooled arena.
-func GetValueArena() *ValueArena {
-	a := arenaPool.Get().(*ValueArena)
-	a.Reset()
-	return a
-}
-
-// PutValueArena returns an arena to the pool.
-func PutValueArena(a *ValueArena) {
-	if a != nil {
-		arenaPool.Put(a)
-	}
-}

@@ -35,8 +35,7 @@ func TestSelectionVectorPool(t *testing.T) {
 }
 
 func TestValueArena(t *testing.T) {
-	a := GetValueArena()
-	defer PutValueArena(a)
+	a := new(ValueArena)
 	v1 := a.Copy([]byte("hello"))
 	v2 := a.Copy([]byte("world"))
 	if string(v1) != "hello" || string(v2) != "world" {

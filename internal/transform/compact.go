@@ -133,11 +133,6 @@ type CompactionResult struct {
 	EmptiedBlocks []*storage.Block
 }
 
-// OnMove is an optional callback invoked for every tuple movement with the
-// old and new slots — the hook through which indexes pay their update cost
-// (the paper's write-amplification discussion).
-type OnMove func(table *core.DataTable, oldSlot, newSlot storage.TupleSlot, row *storage.ProjectedRow) error
-
 // CompactGroup executes Phase 1 on a compaction group: one transaction
 // shuffles tuples out of sparse blocks into the gaps of the chosen full
 // blocks, leaving the group "logically contiguous". After the moves, every
@@ -145,7 +140,7 @@ type OnMove func(table *core.DataTable, oldSlot, newSlot storage.TupleSlot, row 
 // commits — the ordering that closes the check-and-miss race (Figure 9).
 // Any write-write conflict with a user transaction aborts the compaction
 // (the paper's failure case; user transactions win).
-func CompactGroup(mgr *txn.Manager, table *core.DataTable, blocks []*storage.Block, optimal bool, onMove OnMove) (*CompactionResult, error) {
+func CompactGroup(mgr *txn.Manager, table *core.DataTable, blocks []*storage.Block, optimal bool) (*CompactionResult, error) {
 	plan := PlanCompaction(blocks, optimal)
 	res := &CompactionResult{Plan: plan}
 	if plan.TotalTuples == 0 {
@@ -232,11 +227,6 @@ func CompactGroup(mgr *txn.Manager, table *core.DataTable, blocks []*storage.Blo
 		}
 		if err := table.InsertIntoSlot(tx, to, row); err != nil {
 			return abort(err)
-		}
-		if onMove != nil {
-			if err := onMove(table, from, to, row); err != nil {
-				return abort(err)
-			}
 		}
 		res.Moved++
 	}

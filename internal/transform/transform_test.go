@@ -165,7 +165,7 @@ func TestCompactGroupPreservesData(t *testing.T) {
 	want := fillBlocks(t, m, table, 3, 200, 3)
 	pruneAll(m)
 	blocks := table.Blocks()[:3]
-	res, err := CompactGroup(m, table, blocks, false, nil)
+	res, err := CompactGroup(m, table, blocks, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestCompactGroupAbortsOnConflict(t *testing.T) {
 	if err := table.Update(user, victim, u); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompactGroup(m, table, blocks, false, nil); err == nil {
+	if _, err := CompactGroup(m, table, blocks, false); err == nil {
 		t.Fatal("compaction should abort on user conflict")
 	}
 	m.Commit(user, nil)

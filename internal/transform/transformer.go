@@ -25,8 +25,6 @@ type Config struct {
 	// Optimal enables the exhaustive partial-block selection; the
 	// approximate algorithm is the default (§4.3).
 	Optimal bool
-	// OnMove propagates tuple movements (index maintenance hook).
-	OnMove OnMove
 }
 
 // DefaultConfig mirrors the paper's evaluation settings.
@@ -143,7 +141,7 @@ func (tr *Transformer) CompactAndQueue(table *core.DataTable, blocks []*storage.
 			end = len(blocks)
 		}
 		group := blocks[start:end]
-		res, err := CompactGroup(tr.mgr, table, group, tr.cfg.Optimal, tr.cfg.OnMove)
+		res, err := CompactGroup(tr.mgr, table, group, tr.cfg.Optimal)
 		if err != nil {
 			// A user transaction won the conflict; the blocks stay hot and
 			// the observer will re-report them once they cool again.

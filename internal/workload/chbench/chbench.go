@@ -2,8 +2,9 @@
 // terminals execute the transactional mix while concurrent analytical
 // queries — morsel-driven parallel aggregations and hash joins over the
 // same live tables — stream through their own snapshots. Every
-// aggregation is cross-checked inside its transaction against a
-// tuple-at-a-time oracle, so the run doubles as an HTAP consistency
+// aggregation is cross-checked inside its transaction against a per-slot
+// Select oracle (coretest.SelectScan), which reads no row through the
+// batch scan the operators use, so the run doubles as an HTAP consistency
 // check: a single divergent count means a worker saw a torn snapshot.
 //
 // The background pipeline (GC + transformation) runs throughout, so
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"mainline/internal/catalog"
+	"mainline/internal/core/coretest"
 	"mainline/internal/exec"
 	"mainline/internal/gc"
 	"mainline/internal/storage"
@@ -59,7 +61,7 @@ type Result struct {
 }
 
 // Run executes the hybrid workload and verifies every analytical query
-// against its tuple-path oracle.
+// against its per-slot Select oracle.
 func Run(cfg Config) (*Result, error) {
 	reg := storage.NewRegistry()
 	mgr := txn.NewManager(reg)
@@ -153,8 +155,8 @@ func Run(cfg Config) (*Result, error) {
 
 // verifiedAggregate runs the CH-style revenue query — GROUP BY
 // (ol_w_id, ol_d_id): COUNT(*), SUM(ol_amount), MAX(ol_o_id),
-// COUNT(ol_delivery_d) — in parallel, then recomputes it tuple-at-a-time
-// in the SAME transaction and demands exact equality.
+// COUNT(ol_delivery_d) — in parallel, then recomputes it one slot at a
+// time through Select in the SAME transaction and demands exact equality.
 func verifiedAggregate(mgr *txn.Manager, db *tpcc.Database, workers int, c *exec.Counters) error {
 	ol := db.OrderLine
 	groupBy := []storage.ColumnID{tpcc.OLWID, tpcc.OLDID}
@@ -176,7 +178,7 @@ func verifiedAggregate(mgr *txn.Manager, db *tpcc.Database, workers int, c *exec
 
 	type state struct{ rows, amount, maxOID, delivered int64 }
 	oracle := map[[2]int64]*state{}
-	err = ol.Scan(tx, ol.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
+	err = coretest.SelectScan(ol.DataTable, tx, ol.AllColumnsProjection(), func(_ storage.TupleSlot, row *storage.ProjectedRow) bool {
 		k := [2]int64{int64(row.Int32(tpcc.OLWID)), int64(row.Int32(tpcc.OLDID))}
 		st := oracle[k]
 		if st == nil {
@@ -198,17 +200,17 @@ func verifiedAggregate(mgr *txn.Manager, db *tpcc.Database, workers int, c *exec
 	}
 
 	if res.Len() != len(oracle) {
-		return fmt.Errorf("chbench: %d groups parallel vs %d tuple-path", res.Len(), len(oracle))
+		return fmt.Errorf("chbench: %d groups parallel vs %d select-path", res.Len(), len(oracle))
 	}
 	for r := 0; r < res.Len(); r++ {
 		k := [2]int64{res.GroupInt(r, 0), res.GroupInt(r, 1)}
 		st := oracle[k]
 		if st == nil {
-			return fmt.Errorf("chbench: group %v not in tuple-path oracle", k)
+			return fmt.Errorf("chbench: group %v not in select-path oracle", k)
 		}
 		if res.Int(r, 0) != st.rows || res.Int(r, 1) != st.amount ||
 			res.Int(r, 2) != st.maxOID || res.Int(r, 3) != st.delivered {
-			return fmt.Errorf("chbench: group %v diverged: parallel (%d, %d, %d, %d) vs tuple (%d, %d, %d, %d)",
+			return fmt.Errorf("chbench: group %v diverged: parallel (%d, %d, %d, %d) vs select (%d, %d, %d, %d)",
 				k, res.Int(r, 0), res.Int(r, 1), res.Int(r, 2), res.Int(r, 3),
 				st.rows, st.amount, st.maxOID, st.delivered)
 		}
@@ -219,7 +221,7 @@ func verifiedAggregate(mgr *txn.Manager, db *tpcc.Database, workers int, c *exec
 // verifiedJoin probes ORDER_LINE against ITEM on the item id. Every order
 // line references an existing item (referential integrity the loader and
 // New-Order maintain), so the match count must equal the probe-side row
-// count — checked against a tuple scan in the same transaction.
+// count — checked against a per-slot Select walk in the same transaction.
 func verifiedJoin(mgr *txn.Manager, db *tpcc.Database, c *exec.Counters) error {
 	tx := mgr.Begin()
 	defer mgr.Commit(tx, nil)
@@ -239,7 +241,7 @@ func verifiedJoin(mgr *txn.Manager, db *tpcc.Database, c *exec.Counters) error {
 	}
 	rows := 0
 	ol := db.OrderLine
-	err = ol.Scan(tx, ol.AllColumnsProjection(), func(storage.TupleSlot, *storage.ProjectedRow) bool {
+	err = coretest.SelectScan(ol.DataTable, tx, ol.AllColumnsProjection(), func(storage.TupleSlot, *storage.ProjectedRow) bool {
 		rows++
 		return true
 	})

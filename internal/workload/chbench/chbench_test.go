@@ -10,7 +10,7 @@ import (
 // terminals committing throughout, verified parallel aggregations and
 // joins interleaved. The oracle checks inside Run are the assertion — a
 // returned error means an analytical snapshot diverged from the
-// tuple-path truth.
+// per-slot Select truth.
 func TestHybridRun(t *testing.T) {
 	// TPC-C terminals' in-place update protocol is deliberately racy at
 	// tuple byte level (torn reads repair through the version chain — the

@@ -238,7 +238,6 @@ func Open(opts ...Option) (*Engine, error) {
 		Threshold: o.ColdThreshold,
 		GroupSize: o.CompactionGroupSize,
 		Mode:      o.TransformMode,
-		OnMove:    o.OnTupleMove,
 	}
 	e.transformer = transform.New(e.mgr, e.collector, e.observer, cfg)
 	// Observability is always on: the instruments must exist before the
@@ -254,7 +253,7 @@ func Open(opts ...Option) (*Engine, error) {
 	switch {
 	case o.ObjectStoreDir != "" && o.ObjectStore != nil:
 		return nil, fmt.Errorf("mainline: WithObjectStore and WithObjectStoreBackend are mutually exclusive")
-	case (o.BlockCacheBytes != 0 || o.TierSweepInterval != 0 || o.TierEvictAfterSweeps != 0) &&
+	case (o.BlockCacheBytes != 0 || o.TierSweepInterval != 0) &&
 		o.ObjectStoreDir == "" && o.ObjectStore == nil:
 		// A cache budget or sweep cadence with nowhere to evict to would be
 		// a silent no-op — same trap as a checkpoint interval without a
@@ -289,7 +288,7 @@ func Open(opts ...Option) (*Engine, error) {
 		// Buffer drops are deferred through the GC's action epoch so
 		// readers that raced an eviction (and fell back to version-chain
 		// reads holding slices into the buffer) finish first.
-		e.tier = tier.NewManager(store, budget, o.TierEvictAfterSweeps, e.collector.RegisterAction)
+		e.tier = tier.NewManager(store, budget, tierEvictAfterSweeps, e.collector.RegisterAction)
 	}
 	if o.DataDir != "" {
 		// Durable data directory: rehydrate catalog, restore the newest
@@ -315,7 +314,7 @@ func Open(opts ...Option) (*Engine, error) {
 			e.transformer.Start(o.TransformPeriod)
 		}
 		if e.logMgr != nil {
-			e.logMgr.Start(o.LogFlushInterval)
+			e.logMgr.Start(logFlushInterval)
 			e.walRunning = true
 		}
 		if e.tier != nil {

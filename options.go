@@ -5,7 +5,6 @@ import (
 
 	"mainline/internal/fault"
 	"mainline/internal/objstore"
-	"mainline/internal/transform"
 )
 
 // Block-cache budget sentinels for WithBlockCacheBytes. Any positive
@@ -50,8 +49,6 @@ type Options struct {
 	// WALSegmentSize is the rotation threshold for WAL segment files in
 	// DataDir mode (default 4MB).
 	WALSegmentSize int64
-	// LogFlushInterval bounds group-commit latency (default 5ms).
-	LogFlushInterval time.Duration
 	// Background starts the GC, transformation, and log-flush loops.
 	// When false (tests, benchmarks) drive them manually with RunGC /
 	// RunTransform.
@@ -71,8 +68,6 @@ type Options struct {
 	// DisableTransform turns the background transformation off entirely
 	// (the paper's "no transformation" baseline).
 	DisableTransform bool
-	// OnTupleMove observes compaction movements (index maintenance).
-	OnTupleMove transform.OnMove
 	// SlowOpThreshold is the slow-op capture threshold: operations
 	// (commits, server requests) at or above it are recorded into the
 	// in-memory trace ring (Engine.SlowOps, /debug/slowops). 0 means the
@@ -103,19 +98,21 @@ type Options struct {
 	BlockCacheBytes int64
 	// TierSweepInterval is the background eviction sweep period (default
 	// 100ms; the sweeper only runs with Background). Each sweep ages every
-	// frozen resident block and demotes those frozen for
-	// TierEvictAfterSweeps consecutive sweeps. Requires an object store.
+	// frozen resident block and demotes those frozen and untouched for
+	// two consecutive sweeps. Requires an object store.
 	TierSweepInterval time.Duration
-	// TierEvictAfterSweeps is how many consecutive sweeps a block must
-	// stay frozen and untouched before the sweeper evicts it (default 2).
-	// Requires an object store.
-	TierEvictAfterSweeps int
 }
 
+const (
+	// logFlushInterval bounds group-commit latency when the background
+	// flush loop runs.
+	logFlushInterval = 5 * time.Millisecond
+	// tierEvictAfterSweeps is how many consecutive sweeps a block must
+	// stay frozen and untouched before the sweeper evicts it.
+	tierEvictAfterSweeps = 2
+)
+
 func (o *Options) defaults() {
-	if o.LogFlushInterval == 0 {
-		o.LogFlushInterval = 5 * time.Millisecond
-	}
 	if o.GCPeriod == 0 {
 		o.GCPeriod = 10 * time.Millisecond
 	}
@@ -139,9 +136,6 @@ func (o *Options) defaults() {
 		}
 		if o.TierSweepInterval == 0 {
 			o.TierSweepInterval = 100 * time.Millisecond
-		}
-		if o.TierEvictAfterSweeps == 0 {
-			o.TierEvictAfterSweeps = 2
 		}
 	}
 }
@@ -176,12 +170,6 @@ func WithCheckpointInterval(d time.Duration) Option {
 // truncate more aggressively; larger ones rotate less often.
 func WithWALSegmentSize(n int64) Option {
 	return optionFunc(func(o *Options) { o.WALSegmentSize = n })
-}
-
-// WithLogFlushInterval bounds group-commit latency when the background
-// flush loop runs (default 5ms).
-func WithLogFlushInterval(d time.Duration) Option {
-	return optionFunc(func(o *Options) { o.LogFlushInterval = d })
 }
 
 // WithBackground starts the GC, transformation, and log-flush loops at
@@ -222,11 +210,6 @@ func WithTransformMode(m TransformMode) Option {
 // paper's "no transformation" baseline); GC still runs.
 func WithoutTransform() Option {
 	return optionFunc(func(o *Options) { o.DisableTransform = true })
-}
-
-// WithOnTupleMove observes compaction movements (index maintenance).
-func WithOnTupleMove(fn transform.OnMove) Option {
-	return optionFunc(func(o *Options) { o.OnTupleMove = fn })
 }
 
 // WithSlowOpThreshold sets the slow-op capture threshold (default
@@ -279,13 +262,6 @@ func WithBlockCacheBytes(n int64) Option {
 // with Admin().TierSweep). Requires an object store option.
 func WithTierSweepInterval(d time.Duration) Option {
 	return optionFunc(func(o *Options) { o.TierSweepInterval = d })
-}
-
-// WithTierEvictAfterSweeps sets how many consecutive sweeps a block
-// must stay frozen and untouched before eviction (default 2). Requires
-// an object store option.
-func WithTierEvictAfterSweeps(n int) Option {
-	return optionFunc(func(o *Options) { o.TierEvictAfterSweeps = n })
 }
 
 // WithFaultFS routes every persistence-layer filesystem operation through

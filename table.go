@@ -5,7 +5,6 @@ import (
 
 	"mainline/internal/arrow"
 	"mainline/internal/catalog"
-	"mainline/internal/storage"
 )
 
 // Table wraps a catalog table with the handle-scoped data API: every read
@@ -68,25 +67,11 @@ func (t *Table) Select(tx *Txn, slot TupleSlot, out *Row) (found bool, err error
 }
 
 // Scan visits every tuple visible to tx, materializing the named columns
-// (all columns when cols is nil) and invoking fn. fn must not retain row.
-// Returning false from fn stops the scan.
+// (all columns when cols is nil) and invoking fn: Filter with no
+// predicate. fn must not retain row. Returning false from fn stops the
+// scan.
 func (t *Table) Scan(tx *Txn, cols []string, fn func(slot TupleSlot, row *Row) bool) error {
-	if err := tx.usable(); err != nil {
-		return err
-	}
-	proj := t.AllColumnsProjection()
-	if len(cols) > 0 {
-		var err error
-		proj, err = t.Table.ProjectionOf(cols...)
-		if err != nil {
-			return err
-		}
-	}
-	row := &Row{schema: t.Schema}
-	return t.DataTable.Scan(tx.raw, proj, func(slot storage.TupleSlot, pr *storage.ProjectedRow) bool {
-		row.ProjectedRow = pr
-		return fn(slot, row)
-	})
+	return t.Filter(tx, nil, cols, fn)
 }
 
 // CountVisible returns the number of tuples visible to tx.

@@ -116,11 +116,14 @@ type coldOracle struct {
 	min, max int64
 }
 
+// captureOracle records, while every block is resident, the table's rows
+// through the per-slot Select reference plus the filter and aggregate
+// results the evicted table must reproduce.
 func captureOracle(t *testing.T, eng *Engine, tbl *Table) *coldOracle {
 	t.Helper()
 	o := &coldOracle{rows: map[int64]coldRow{}, filtered: map[int64]int64{}}
 	err := eng.View(func(tx *Txn) error {
-		if err := tbl.Scan(tx, nil, func(_ TupleSlot, row *Row) bool {
+		if err := selectScan(tbl, tx, nil, func(_ TupleSlot, row *Row) bool {
 			o.rows[row.Int64("id")] = coldRow{
 				payload: row.String("payload"),
 				null:    row.Null("payload"),

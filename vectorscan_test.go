@@ -4,9 +4,26 @@ import (
 	"strings"
 	"testing"
 
+	"mainline/internal/core/coretest"
 	"mainline/internal/storage"
 	"mainline/internal/transform"
 )
+
+// selectScan is the reference side of the scan-equivalence tests: it
+// visits the tuples visible to tx through per-slot Select calls (see
+// coretest.SelectScan), never through the batch scan that Scan, Filter
+// and Aggregate share.
+func selectScan(tbl *Table, tx *Txn, cols []string, fn func(slot TupleSlot, row *Row) bool) error {
+	proj, _, err := tbl.scanArgs(cols, nil)
+	if err != nil {
+		return err
+	}
+	row := &Row{schema: tbl.Schema}
+	return coretest.SelectScan(tbl.DataTable, tx.raw, proj, func(slot storage.TupleSlot, pr *storage.ProjectedRow) bool {
+		row.ProjectedRow = pr
+		return fn(slot, row)
+	})
+}
 
 // scanFixture builds a 4-block table (int64 id, string payload, int64
 // amount) with 1000-spaced id ranges per block and freezes everything.
@@ -67,8 +84,8 @@ func scanFixture(t testing.TB, blocks, perBlock int) (*Engine, *Table) {
 	return eng, tbl
 }
 
-// TestFilterMatchesScan cross-checks Filter against a brute-force Scan for
-// every public predicate builder.
+// TestFilterMatchesScan cross-checks Filter against the per-slot Select
+// reference for every public predicate builder.
 func TestFilterMatchesScan(t *testing.T) {
 	eng, tbl := scanFixture(t, 4, 200)
 	preds := []struct {
@@ -87,7 +104,7 @@ func TestFilterMatchesScan(t *testing.T) {
 	err := eng.View(func(tx *Txn) error {
 		for _, pc := range preds {
 			want := map[int64]bool{}
-			if err := tbl.Scan(tx, nil, func(_ TupleSlot, row *Row) bool {
+			if err := selectScan(tbl, tx, nil, func(_ TupleSlot, row *Row) bool {
 				if pc.match(row.Int64("id"), row.String("payload"), row.Null("payload")) {
 					want[row.Int64("id")] = true
 				}
