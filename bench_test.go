@@ -244,6 +244,42 @@ func BenchmarkTPCCNewOrder(b *testing.B) {
 	}
 }
 
+// TestTPCCNewOrderAllocs holds New-Order (the BenchmarkTPCCNewOrder loop)
+// to an allocation budget. Most of what remains is the profile's own
+// rows and keys and the engine's before-image deltas.
+func TestTPCCNewOrderAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	if testing.Short() {
+		t.Skip("loads a TPC-C warehouse")
+	}
+	eng, err := mainline.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	adm := eng.Admin()
+	db, err := tpcc.NewDatabase(adm.TxnManager(), adm.Catalog(), tpcc.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tpcc.Load(db, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk := tpcc.NewWorker(db, p, 1, 7)
+	allocs := testing.AllocsPerRun(300, func() {
+		if err := wk.NewOrder(); err != nil && err != tpcc.ErrUserAbort {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("New-Order: %.0f allocations per transaction", allocs)
+	if allocs > 120 {
+		t.Fatalf("New-Order allocates %.0f objects per transaction, want <= 120", allocs)
+	}
+}
+
 // benchWriter routes table output through b.Logf so it shows only with -v.
 type benchWriter struct{ b *testing.B }
 

@@ -73,14 +73,15 @@ func (a *Array) offset(i int) int32 {
 }
 
 // Bytes returns value i of a STRING/BINARY array as a zero-copy slice of the
-// values buffer. For DICT32 arrays it resolves the code through the
-// dictionary.
+// values buffer, capped at the value's end so an append by the caller
+// cannot write into the next value. For DICT32 arrays it resolves the code
+// through the dictionary.
 func (a *Array) Bytes(i int) []byte {
 	if a.Type == DICT32 {
 		return a.Dict.Bytes(int(a.Int32(i)))
 	}
 	start, end := a.offset(i), a.offset(i+1)
-	return a.Values[start:end]
+	return a.Values[start:end:end]
 }
 
 // String returns value i of a STRING or DICT32 array.

@@ -150,8 +150,9 @@ func (t *DataTable) selectCold(block *storage.Block, offset uint32, out *storage
 	return true, nil
 }
 
-// readCold copies row i of the batch into out's projected columns; varlen
-// values are heap copies, since Select rows escape.
+// readCold copies row i of the batch into out's projected columns. Varlen
+// values alias the batch, which is immutable and shared (arrow's Bytes
+// caps each value at its end).
 func readCold(rb *arrow.RecordBatch, i int, out *storage.ProjectedRow) {
 	for pi, col := range out.P.Cols {
 		a := rb.Columns[col]
@@ -163,7 +164,7 @@ func readCold(rb *arrow.RecordBatch, i int, out *storage.ProjectedRow) {
 			copy(out.FixedBytes(pi), a.Values[i*w:(i+1)*w])
 			out.Nulls.Clear(pi)
 		default:
-			out.SetVarlen(pi, append([]byte(nil), a.Bytes(i)...))
+			out.SetVarlen(pi, a.Bytes(i))
 		}
 	}
 }

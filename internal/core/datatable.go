@@ -172,7 +172,7 @@ func (t *DataTable) Insert(tx *txn.Transaction, row *storage.ProjectedRow) (stor
 	}
 	t.writeRow(block, offset, row)
 	block.SetAllocated(offset, true)
-	tx.LogRedo(t.ID, slot, storage.KindInsert, row.Clone())
+	tx.LogRedo(t.ID, slot, storage.KindInsert, row)
 	t.bufferIndexInserts(tx, row, slot)
 	return slot, nil
 }
@@ -207,7 +207,7 @@ func (t *DataTable) InsertIntoSlot(tx *txn.Transaction, slot storage.TupleSlot, 
 	if offset >= block.InsertHead() {
 		block.SetInsertHead(offset + 1)
 	}
-	tx.LogRedo(t.ID, slot, storage.KindInsert, row.Clone())
+	tx.LogRedo(t.ID, slot, storage.KindInsert, row)
 	t.bufferIndexInserts(tx, row, slot)
 	return nil
 }
@@ -324,13 +324,15 @@ func (t *DataTable) Update(tx *txn.Transaction, slot storage.TupleSlot, update *
 	}
 
 	// Capture the before-image of exactly the columns being modified. The
-	// delta outlives this call on the version chain, so its varlen values
-	// are heap copies (nil arena).
+	// delta outlives this call on the version chain: with a nil arena its
+	// inline values are copied into the delta's own storage and spilled
+	// ones alias their immutable backing.
 	delta := update.P.NewRow()
 	t.readInPlace(block, offset, delta, nil)
 	// Pre-image index keys must also be read before the in-place writes
 	// land; they are buffered only if the CAS below wins.
-	idxChanges := t.computeIndexUpdates(block, offset, update)
+	var changeBuf [2]indexKeyChange
+	idxChanges := t.computeIndexUpdates(tx, block, offset, update, changeBuf[:0])
 
 	rec := tx.NewUndoRecord(storage.KindUpdate, slot, delta)
 	rec.SetNext(head)
@@ -356,7 +358,7 @@ func (t *DataTable) Update(tx *txn.Transaction, slot storage.TupleSlot, update *
 			block.WriteFixed(col, offset, update.FixedBytes(i))
 		}
 	}
-	tx.LogRedo(t.ID, slot, storage.KindUpdate, update.Clone())
+	tx.LogRedo(t.ID, slot, storage.KindUpdate, update)
 	return nil
 }
 
@@ -382,7 +384,8 @@ func (t *DataTable) Delete(tx *txn.Transaction, slot storage.TupleSlot) error {
 	if !block.Allocated(offset) {
 		return ErrNotFound
 	}
-	idxChanges := t.computeIndexRemovals(block, offset)
+	var changeBuf [2]indexKeyChange
+	idxChanges := t.computeIndexRemovals(tx, block, offset, changeBuf[:0])
 	rec := tx.NewUndoRecord(storage.KindDelete, slot, nil)
 	rec.SetNext(head)
 	if !block.CASVersionPtr(offset, head, rec) {
@@ -396,33 +399,35 @@ func (t *DataTable) Delete(tx *txn.Transaction, slot storage.TupleSlot) error {
 }
 
 // readInPlace copies the current in-place values of out's projected columns.
-// Varlen values are copied out of block-owned memory: into arena when one is
-// supplied (scans — the values live only until the callback returns), onto
-// the heap when arena is nil (Select and before-images, whose rows escape).
+// Fixed-width values are copied. Varlen values follow ReadVarlenStable's
+// rule: a spilled value aliases its immutable backing (a hot-arena slab
+// or the frozen values buffer, capped at the value's end), while an inline
+// value lives in the block's mutable, pooled entry and is copied — into
+// arena when one is supplied (scans), else into storage out owns (Select
+// and before-images, whose rows escape).
 func (t *DataTable) readInPlace(block *storage.Block, offset uint32, out *storage.ProjectedRow, arena *storage.ValueArena) {
 	for i, col := range out.P.Cols {
 		if !block.IsValid(col, offset) {
 			out.SetNull(i)
 			continue
 		}
-		if t.layout.IsVarlen(col) {
-			if arena != nil {
-				// Inline values are arena-copied (their entry bytes are
-				// mutable); spilled values alias immutable buffers.
-				out.SetVarlen(i, block.ReadVarlenStable(col, offset, arena))
-			} else {
-				v := block.ReadVarlen(col, offset)
-				out.SetVarlen(i, append([]byte(nil), v...))
-			}
-		} else {
+		switch {
+		case !t.layout.IsVarlen(col):
 			copy(out.FixedBytes(i), block.AttrBytes(col, offset))
 			out.Nulls.Clear(i)
+		case arena != nil:
+			out.SetVarlen(i, block.ReadVarlenStable(col, offset, arena))
+		default:
+			out.SetVarlenFromBlock(i, block.ReadVarlen(col, offset))
 		}
 	}
 }
 
 // Select materializes the version of the tuple at slot visible to tx into
 // out. found is false when the tuple does not exist in tx's snapshot.
+// Varlen values in out may alias engine storage (see readInPlace and
+// readCold): they must not be written, and they are valid until out's
+// next use.
 func (t *DataTable) Select(tx *txn.Transaction, slot storage.TupleSlot, out *storage.ProjectedRow) (found bool, err error) {
 	block := t.reg.BlockFor(slot)
 	if block == nil {

@@ -92,7 +92,7 @@ type TableIndex struct {
 	// keyProj projects exactly the key columns, for pre-image reads and
 	// candidate verification.
 	keyProj *storage.Projection
-	// keyHint sizes fresh key builders.
+	// keyHint sizes key builders.
 	keyHint int
 
 	scratch sync.Pool // *indexScratch
@@ -105,11 +105,15 @@ type TableIndex struct {
 	retired    atomic.Int64
 }
 
-// indexScratch is the pooled per-operation working set of an index read.
+// indexScratch is the pooled per-operation working set of an index read
+// or write: keys are built here and copied once, into the transaction,
+// only when they ride its write set.
 type indexScratch struct {
 	keyRow *storage.ProjectedRow
 	kb     *index.KeyBuilder
-	slots  []storage.TupleSlot
+	// post builds an update's post-image key beside kb's pre-image.
+	post  *index.KeyBuilder
+	slots []storage.TupleSlot
 }
 
 // NewTableIndex builds an index over t keyed by cols, backed by tree. The
@@ -135,7 +139,7 @@ func NewTableIndex(t *DataTable, name string, cols []KeyCol, tree index.Index) (
 	}
 	ti := &TableIndex{name: name, cols: cols, table: t, tree: tree, keyProj: proj, keyHint: hint}
 	ti.scratch.New = func() any {
-		return &indexScratch{keyRow: proj.NewRow(), kb: index.NewKeyBuilder(hint)}
+		return &indexScratch{keyRow: proj.NewRow(), kb: index.NewKeyBuilder(hint), post: index.NewKeyBuilder(hint)}
 	}
 	return ti, nil
 }
@@ -241,21 +245,12 @@ func (ti *TableIndex) encodeFromRow(row *storage.ProjectedRow, kb *index.KeyBuil
 	return true
 }
 
-// keyForRow returns an owned encoded key for row, or nil when the row is
-// not indexed (NULL or absent key column).
-func (ti *TableIndex) keyForRow(row *storage.ProjectedRow) []byte {
-	kb := index.NewKeyBuilder(ti.keyHint)
-	if !ti.encodeFromRow(row, kb) {
-		return nil
-	}
-	return kb.Bytes()
-}
-
-// keyWithOverlay encodes the key of base (a keyProj row holding the
-// current values) with upd's values overlaid — the post-update key. nil
-// when a key column ends up NULL.
-func (ti *TableIndex) keyWithOverlay(base, upd *storage.ProjectedRow) []byte {
-	kb := index.NewKeyBuilder(ti.keyHint)
+// keyWithOverlay encodes into kb (reset first) the key of base (a keyProj
+// row holding the current values) with upd's values overlaid — the
+// post-update key — and returns kb's bytes. nil when a key column ends up
+// NULL.
+func (ti *TableIndex) keyWithOverlay(base, upd *storage.ProjectedRow, kb *index.KeyBuilder) []byte {
+	kb.Reset()
 	for ki, c := range ti.cols {
 		if j := upd.P.IndexOf(c.Col); j >= 0 {
 			if upd.IsNull(j) {
@@ -520,14 +515,17 @@ func (t *DataTable) indexList() []*TableIndex {
 // bufferIndexInserts queues index insertions for a newly written row.
 func (t *DataTable) bufferIndexInserts(tx *txn.Transaction, row *storage.ProjectedRow, slot storage.TupleSlot) {
 	for _, ti := range t.indexList() {
-		if key := ti.keyForRow(row); key != nil {
-			tx.BufferIndexInsert(ti, key, slot)
+		sc := ti.getScratch()
+		if ti.encodeFromRow(row, sc.kb) {
+			tx.BufferIndexInsert(ti, tx.OwnKey(sc.kb.Bytes()), slot)
 		}
+		ti.putScratch(sc)
 	}
 }
 
 // indexKeyChange is one index's (pre-image, post-image) key pair for an
-// update that overlaps its key columns.
+// update that overlaps its key columns. The keys are owned by the writing
+// transaction (txn.Transaction.OwnKey).
 type indexKeyChange struct {
 	ti     *TableIndex
 	oldKey []byte // nil: pre-image was not indexed
@@ -539,9 +537,8 @@ type indexKeyChange struct {
 // caller has passed canWrite, so the in-place image is the latest
 // committed version or the transaction's own) and the post-image key.
 // Must run BEFORE the in-place writes; the result is buffered only if the
-// version-pointer CAS succeeds.
-func (t *DataTable) computeIndexUpdates(block *storage.Block, offset uint32, update *storage.ProjectedRow) []indexKeyChange {
-	var changes []indexKeyChange
+// version-pointer CAS succeeds. Changes are appended to changes.
+func (t *DataTable) computeIndexUpdates(tx *txn.Transaction, block *storage.Block, offset uint32, update *storage.ProjectedRow, changes []indexKeyChange) []indexKeyChange {
 	for _, ti := range t.indexList() {
 		if !ti.overlaps(update.P) {
 			continue
@@ -551,14 +548,20 @@ func (t *DataTable) computeIndexUpdates(block *storage.Block, offset uint32, upd
 		t.readInPlace(block, offset, sc.keyRow, nil)
 		var oldKey []byte
 		if ti.encodeFromRow(sc.keyRow, sc.kb) {
-			oldKey = sc.kb.Clone()
+			oldKey = sc.kb.Bytes()
 		}
-		newKey := ti.keyWithOverlay(sc.keyRow, update)
+		newKey := ti.keyWithOverlay(sc.keyRow, update, sc.post)
+		if !bytes.Equal(oldKey, newKey) {
+			ch := indexKeyChange{ti: ti}
+			if oldKey != nil {
+				ch.oldKey = tx.OwnKey(oldKey)
+			}
+			if newKey != nil {
+				ch.newKey = tx.OwnKey(newKey)
+			}
+			changes = append(changes, ch)
+		}
 		ti.putScratch(sc)
-		if bytes.Equal(oldKey, newKey) {
-			continue
-		}
-		changes = append(changes, indexKeyChange{ti: ti, oldKey: oldKey, newKey: newKey})
 	}
 	return changes
 }
@@ -577,15 +580,15 @@ func bufferIndexUpdates(tx *txn.Transaction, changes []indexKeyChange, slot stor
 }
 
 // computeIndexRemovals captures each index's current key for a tuple about
-// to be deleted (same in-place legality argument as computeIndexUpdates).
-func (t *DataTable) computeIndexRemovals(block *storage.Block, offset uint32) []indexKeyChange {
-	var changes []indexKeyChange
+// to be deleted (same in-place legality argument as computeIndexUpdates),
+// appending to changes.
+func (t *DataTable) computeIndexRemovals(tx *txn.Transaction, block *storage.Block, offset uint32, changes []indexKeyChange) []indexKeyChange {
 	for _, ti := range t.indexList() {
 		sc := ti.getScratch()
 		sc.keyRow.Reset()
 		t.readInPlace(block, offset, sc.keyRow, nil)
 		if ti.encodeFromRow(sc.keyRow, sc.kb) {
-			changes = append(changes, indexKeyChange{ti: ti, oldKey: sc.kb.Clone()})
+			changes = append(changes, indexKeyChange{ti: ti, oldKey: tx.OwnKey(sc.kb.Bytes())})
 		}
 		ti.putScratch(sc)
 	}

@@ -194,11 +194,22 @@ func (t *BTree) descend(key []byte, slot storage.TupleSlot, path []pathStep) (*l
 	return n.(*leafNode), path
 }
 
+// leafFor returns the leaf where an entry (key, slot) belongs, like
+// descend but recording no path: the read-only descent.
+func (t *BTree) leafFor(key []byte, slot storage.TupleSlot) *leafNode {
+	n := t.root
+	for !n.isLeaf() {
+		in := n.(*innerNode)
+		n = in.children[in.search(key, slot)]
+	}
+	return n.(*leafNode)
+}
+
 // seek returns the position of the first entry >= (key, slot). The
 // descent's leaf may hold only smaller entries (or none, after deletes),
 // so it walks next; leaf is nil when no such entry exists.
 func (t *BTree) seek(key []byte, slot storage.TupleSlot) (*leafNode, int) {
-	leaf, _ := t.descend(key, slot, nil)
+	leaf := t.leafFor(key, slot)
 	i := leaf.search(key, slot)
 	for leaf != nil && i == leaf.len() {
 		leaf, i = leaf.next, 0

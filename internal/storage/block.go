@@ -355,8 +355,9 @@ func (b *Block) WriteVarlen(col ColumnID, slot uint32, val []byte) {
 }
 
 // ReadVarlen resolves the variable-length value of (col, slot). The result
-// aliases block-owned memory (entry bytes, arena, or frozen buffer); callers
-// materializing a version copy it into their own buffers.
+// aliases block-owned memory (entry bytes, arena, or frozen buffer) and is
+// capped at the value's end; callers that keep it past the current read
+// follow ReadVarlenStable's rule.
 func (b *Block) ReadVarlen(col ColumnID, slot uint32) []byte {
 	entry := b.AttrBytes(col, slot)
 	if varlenEntryIsInline(entry) {
@@ -370,10 +371,11 @@ func (b *Block) ReadVarlen(col ColumnID, slot uint32) []byte {
 		// Bounds-check rather than trust the entry: a hot reader racing an
 		// in-place writer can observe a torn entry; the version chain's
 		// before-image repairs its copy, this just keeps the read safe.
-		if fv == nil || off+uint64(size) > uint64(len(fv.Values)) {
+		end := off + uint64(size)
+		if fv == nil || end > uint64(len(fv.Values)) {
 			return nil
 		}
-		return fv.Values[off : off+uint64(size)]
+		return fv.Values[off:end:end]
 	}
 	slab, off := arenaHandleSlab(h), arenaHandleOffset(h)
 	end := off + uint64(size)
@@ -417,13 +419,15 @@ func (b *Block) arenaAppend(val []byte) uint64 {
 
 // ReadVarlenStable resolves (col, slot) like ReadVarlen but guarantees the
 // result never aliases mutable block memory: inline values (which live in
-// the 16-byte entry and can be overwritten in place by a later writer) are
-// copied into arena, while spilled values alias their immutable backing —
-// hot-arena values sit in append-only slabs and are never moved or
-// mutated after publication, and frozen value buffers are never written
-// in place. Scans
-// that stage values past the current tuple use this to avoid copying
-// everything.
+// the 16-byte entry of the pooled block buffer and can be overwritten in
+// place by a later writer) are copied into arena, while spilled values
+// alias their immutable backing, capped at the value's end — hot-arena
+// values sit in append-only slabs and are never moved or mutated after
+// publication, and frozen value buffers are never written in place; both
+// stay valid for as long as the slice is held. Scans that stage values
+// past the current tuple use this to avoid copying everything, and Select
+// applies the same rule with the row's own storage as the arena
+// (ProjectedRow.SetVarlenFromBlock).
 func (b *Block) ReadVarlenStable(col ColumnID, slot uint32, arena *ValueArena) []byte {
 	entry := b.AttrBytes(col, slot)
 	if varlenEntryIsInline(entry) {

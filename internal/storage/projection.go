@@ -19,8 +19,9 @@ var ErrDuplicateColumn = errors.New("storage: projection names a column twice")
 // Projection describes a subset of a layout's columns laid out as a compact
 // row: fixed-width attributes packed into one byte buffer, variable-length
 // attributes carried as byte-slice references. It is the shape of delta
-// records (before-images), redo records (after-images), and materialized
-// tuples handed to transactions — the paper's ProjectedRow concept.
+// records (before-images), written after-images (which the redo buffer
+// encodes at write time), and materialized tuples handed to transactions
+// — the paper's ProjectedRow concept.
 //
 // A Projection is computed once and shared; ProjectedRows instantiated from
 // it are cheap (one buffer allocation) and reusable.
@@ -93,22 +94,37 @@ func (p *Projection) IndexOf(c ColumnID) int {
 
 // NewRow allocates a ProjectedRow for this projection.
 func (p *Projection) NewRow() *ProjectedRow {
-	return &ProjectedRow{
+	nb := util.BitmapBytes(len(p.Cols))
+	buf := make([]byte, nb+p.fixedSize+p.numVarlen*VarlenInlineLimit)
+	r := &ProjectedRow{
 		P:     p,
-		Nulls: util.NewBitmap(len(p.Cols)),
-		fixed: make([]byte, p.fixedSize),
-		vars:  make([][]byte, p.numVarlen),
+		Nulls: util.Bitmap(buf[:nb:nb]),
+		fixed: buf[nb : nb+p.fixedSize : nb+p.fixedSize],
+		inl:   buf[nb+p.fixedSize:],
 	}
+	if p.numVarlen > 0 {
+		r.vars = make([][]byte, p.numVarlen)
+	}
+	return r
 }
 
 // ProjectedRow is a materialized partial tuple: values for each projected
 // column plus a null bitmap. The zero value is not usable; obtain rows from
 // Projection.NewRow.
+//
+// A varlen value held by the row may alias memory the row does not own:
+// the caller's buffer for SetVarlen, engine storage for rows filled by a
+// read. Such a value must not be written, and it is valid until the row's
+// next use.
 type ProjectedRow struct {
 	P     *Projection
 	Nulls util.Bitmap
 	fixed []byte
 	vars  [][]byte
+	// inl holds VarlenInlineLimit bytes per varlen column: the row's own
+	// copies of values short enough to sit inline in a block entry (see
+	// SetVarlenFromBlock).
+	inl []byte
 }
 
 // Reset clears all values and nulls for reuse.
@@ -203,9 +219,29 @@ func (r *ProjectedRow) Float64(i int) float64 {
 }
 
 // SetVarlen stores a variable-length value into projected column i. The row
-// references val without copying; callers that reuse val must copy first.
+// references val without copying: val may alias the caller's buffer or
+// engine storage, so callers that reuse val must copy first, and readers
+// of the row must not write into the value.
 func (r *ProjectedRow) SetVarlen(i int, val []byte) {
 	r.vars[r.P.varIdx[i]] = val
+	r.setValid(i)
+}
+
+// SetVarlenFromBlock stores a value read by Block.ReadVarlen into
+// projected column i under ReadVarlenStable's rule, with the row's own
+// storage standing in for the arena: a value of at most VarlenInlineLimit
+// bytes sits inline in the block's mutable, pooled entry, so it is copied
+// into the row; a longer one lives in immutable backing (a hot-arena slab
+// or a frozen buffer) and is kept by reference.
+func (r *ProjectedRow) SetVarlenFromBlock(i int, val []byte) {
+	vi := r.P.varIdx[i]
+	if n := len(val); n <= VarlenInlineLimit {
+		off := vi * VarlenInlineLimit
+		own := r.inl[off : off+n : off+n]
+		copy(own, val)
+		val = own
+	}
+	r.vars[vi] = val
 	r.setValid(i)
 }
 
@@ -215,14 +251,21 @@ func (r *ProjectedRow) Varlen(i int) []byte {
 }
 
 // CopyFrom copies all values from src, which must share the projection.
+// Values src holds in its own storage are copied into r's; the rest are
+// shared by reference.
 func (r *ProjectedRow) CopyFrom(src *ProjectedRow) {
 	copy(r.fixed, src.fixed)
 	copy(r.Nulls, src.Nulls)
-	copy(r.vars, src.vars)
+	copy(r.inl, src.inl)
+	for vi, v := range src.vars {
+		if off := vi * VarlenInlineLimit; len(v) > 0 && &v[0] == &src.inl[off] {
+			v = r.inl[off : off+len(v) : off+len(v)]
+		}
+		r.vars[vi] = v
+	}
 }
 
-// Clone returns a deep copy of the row's fixed storage (varlen values are
-// shared by reference — they are immutable once written).
+// Clone returns a copy of the row under CopyFrom's rule.
 func (r *ProjectedRow) Clone() *ProjectedRow {
 	c := r.P.NewRow()
 	c.CopyFrom(r)

@@ -220,8 +220,11 @@ func CompactGroup(mgr *txn.Manager, table *core.DataTable, blocks []*storage.Blo
 		if !found {
 			return abort(fmt.Errorf("transform: source tuple %v vanished", from))
 		}
-		// Delete-then-insert, copying varlen values so ownership transfers
-		// cleanly (§4.4 Memory Management; Select already deep-copied).
+		// Delete-then-insert: InsertIntoSlot copies each varlen value
+		// into the target block, so ownership transfers cleanly (§4.4
+		// Memory Management). Until then row's spilled values alias the
+		// source block's immutable buffers, which the delete leaves
+		// untouched.
 		if err := table.Delete(tx, from); err != nil {
 			return abort(err)
 		}

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,9 @@ import (
 // INSIDE the transaction's commit latch shard — load-bearing for
 // CommitFrontier's barrier guarantee — so it must be quick, must not
 // block, and must not begin or finish other transactions. It must be safe
-// for concurrent invocation (one call per shard at a time).
+// for concurrent invocation (one call per shard at a time). The redo
+// buffer (Transaction.Redo) goes back to a pool when the hook returns, so
+// the hook copies what it keeps.
 type CommitHook func(*Transaction)
 
 // Deferrer schedules a function to run once every transaction active at
@@ -244,7 +247,7 @@ func (m *Manager) Commit(t *Transaction, durableCallback func(error)) uint64 {
 	if t.Finished() {
 		panic("txn: commit on finished transaction")
 	}
-	t.readOnly = t.undo.Len() == 0 && len(t.redo) == 0
+	t.readOnly = t.undo.Len() == 0 && len(t.Redo()) == 0
 	t.durableCallback = durableCallback
 
 	var t0 time.Time
@@ -305,6 +308,7 @@ func (m *Manager) Commit(t *Transaction, durableCallback func(error)) uint64 {
 		hook(t)
 	}
 	sh.mu.Unlock()
+	t.releaseBuffers()
 
 	if hook == nil {
 		t.FinishDurable(nil)
@@ -326,7 +330,11 @@ func (m *Manager) publishIndexOps(t *Transaction) {
 	for i := range t.indexOps {
 		op := &t.indexOps[i]
 		if op.Remove {
-			removals = append(removals, *op)
+			// The removal runs after the transaction's key buffer has
+			// gone back to the pool; it keeps its own copy.
+			rm := *op
+			rm.Key = bytes.Clone(op.Key)
+			removals = append(removals, rm)
 		} else {
 			op.Sink.PublishEntry(op.Key, op.Slot)
 		}
@@ -344,7 +352,6 @@ func (m *Manager) publishIndexOps(t *Transaction) {
 			}
 		}
 	}
-	t.indexOps = nil
 }
 
 // CommitDurable commits t and blocks until its durable callback fires —
@@ -404,10 +411,9 @@ func (m *Manager) Abort(t *Transaction) {
 		return true
 	})
 	t.aborted = true
-	t.redo = nil
-	// Buffered index deltas were never published; dropping them IS the
-	// index rollback.
-	t.indexOps = nil
+	// Buffered index deltas were never published; dropping them (with
+	// the redo entries) IS the index rollback.
+	t.releaseBuffers()
 	m.retire(t)
 }
 

@@ -1,28 +1,18 @@
 package txn
 
 import (
+	"encoding/binary"
+
 	"mainline/internal/storage"
 )
-
-// RedoRecord is one after-image queued for write-ahead logging (§3.4).
-type RedoRecord struct {
-	// TableID names the table in catalog terms.
-	TableID uint32
-	// Slot is the tuple the change applies to.
-	Slot storage.TupleSlot
-	// Kind classifies the change.
-	Kind storage.RecordKind
-	// After holds the after-image of the written attributes (nil for
-	// deletes).
-	After *storage.ProjectedRow
-}
 
 // IndexSink is the write side of an engine-managed secondary index as the
 // commit protocol sees it. Index maintenance is transactional: table
 // operations buffer IndexOps on the transaction, Manager.Commit publishes
 // them through the sink inside the commit latch, and Abort discards them
 // untouched. PublishEntry must make the (key, slot) pair visible to index
-// readers immediately; RemoveEntry must defer the physical removal until no
+// readers immediately, copying the key (it lives in the transaction's
+// pooled buffers); RemoveEntry must defer the physical removal until no
 // active snapshot can still need the entry (core.TableIndex routes it
 // through the GC's deferred-action epoch). Both must be safe for
 // concurrent use.
@@ -35,7 +25,8 @@ type IndexSink interface {
 type IndexOp struct {
 	// Sink is the index the operation targets.
 	Sink IndexSink
-	// Key is the memcomparable entry key (owned by the op).
+	// Key is the memcomparable entry key, in memory the transaction owns
+	// until it finishes.
 	Key []byte
 	// Slot is the tuple the entry points at.
 	Slot storage.TupleSlot
@@ -60,8 +51,10 @@ type Transaction struct {
 	commit uint64 // final commit (or abort) timestamp
 
 	undo     UndoBuffer
-	redo     []RedoRecord
 	indexOps []IndexOp
+	// bufs holds the encoded redo entries and index-key bytes (see
+	// writeBuffers); nil until the first write.
+	bufs *writeBuffers
 
 	committed bool
 	aborted   bool
@@ -119,18 +112,33 @@ func (t *Transaction) NewUndoRecord(kind storage.RecordKind, slot storage.TupleS
 // (see UndoBuffer.DropLast).
 func (t *Transaction) DropLastUndo() { t.undo.DropLast() }
 
-// LogRedo appends an after-image to the transaction's redo buffer. The log
-// manager serializes it on commit.
+// LogRedo encodes an after-image into the transaction's redo buffer
+// (AppendRedoBody) at write time, so after is not retained. Without a
+// commit hook nothing reads the redo buffer and nothing is encoded.
 func (t *Transaction) LogRedo(tableID uint32, slot storage.TupleSlot, kind storage.RecordKind, after *storage.ProjectedRow) {
-	t.redo = append(t.redo, RedoRecord{TableID: tableID, Slot: slot, Kind: kind, After: after})
+	if t.mgr.commitHook == nil {
+		return
+	}
+	b := t.buffers()
+	n := len(b.redo)
+	b.redo = append(b.redo, 0, 0, 0, 0)
+	b.redo = AppendRedoBody(b.redo, tableID, slot, kind, after)
+	binary.LittleEndian.PutUint32(b.redo[n:], uint32(len(b.redo)-n-4))
 }
 
-// RedoRecords exposes the redo buffer to the log manager.
-func (t *Transaction) RedoRecords() []RedoRecord { return t.redo }
+// Redo returns the encoded redo buffer (walk it with NextRedo). The commit
+// hook reads it; it is valid only until the hook returns.
+func (t *Transaction) Redo() []byte {
+	if t.bufs == nil {
+		return nil
+	}
+	return t.bufs.redo
+}
 
 // BufferIndexInsert queues an index-entry insertion in the transaction's
 // write set; Commit publishes it under the commit latch, Abort drops it.
-// key must be owned by the caller (not reused after the call).
+// key must stay unchanged until the transaction finishes: a copy made by
+// OwnKey, or memory the caller never reuses.
 func (t *Transaction) BufferIndexInsert(sink IndexSink, key []byte, slot storage.TupleSlot) {
 	t.indexOps = append(t.indexOps, IndexOp{Sink: sink, Key: key, Slot: slot})
 }
@@ -138,6 +146,7 @@ func (t *Transaction) BufferIndexInsert(sink IndexSink, key []byte, slot storage
 // BufferIndexRemove queues an index-entry removal. At commit the sink is
 // asked to retire the entry — physically deleted only once no active
 // snapshot can still need it. Aborting drops the request (the entry stays).
+// key follows BufferIndexInsert's rule.
 func (t *Transaction) BufferIndexRemove(sink IndexSink, key []byte, slot storage.TupleSlot) {
 	t.indexOps = append(t.indexOps, IndexOp{Sink: sink, Key: key, Slot: slot, Remove: true})
 }

@@ -119,12 +119,14 @@ type LogManager struct {
 	// failCause is the wrapped root cause handed to failed waiters.
 	failCause atomic.Pointer[error]
 
-	// chunkPool recycles per-transaction serialization buffers.
+	// chunkPool recycles per-transaction serialization buffers (up to
+	// maxPooledChunk bytes each).
 	chunkPool sync.Pool
 
 	// flushMu serializes FlushOnce callers (background loop vs manual).
 	flushMu sync.Mutex
-	// buf is the coalesced batch buffer, reused across flushes.
+	// buf is the coalesced batch buffer, reused across flushes while it
+	// stays within maxRetainedGroup bytes.
 	buf []byte
 	// frontier reports the manager's commit frontier (txn.CommitFrontier);
 	// nil disables dependency-closed flushing (every drained chunk is
@@ -223,19 +225,21 @@ func (l *LogManager) Attach(m *txn.Manager) {
 
 // Hook returns the commit hook to install on the transaction manager. It
 // runs on the committing goroutine, inside its commit latch shard: it
-// serializes the transaction's redo buffer into a pooled chunk, appends it
-// to an enqueue shard, and nudges the flusher. The rest of the system
-// treats the transaction as committed immediately; results are published
-// to clients only via the durability callback.
+// frames the transaction's encoded redo buffer into a pooled chunk,
+// appends it to an enqueue shard, and nudges the flusher. The rest of the
+// system treats the transaction as committed immediately; results are
+// published to clients only via the durability callback.
 func (l *LogManager) Hook() txn.CommitHook {
 	return func(t *txn.Transaction) {
 		l.Enqueue(t)
 	}
 }
 
-// Enqueue serializes t's redo buffer and adds it to the flush queue.
-// Read-only transactions contribute only a read-only commit record (the
-// paper requires their presence in the queue; recovery ignores them).
+// Enqueue frames t's encoded redo entries with its commit timestamp and
+// CRC into a pooled chunk and adds it to the flush queue; t's redo buffer
+// is released when the commit hook returns. Read-only transactions
+// contribute only a read-only commit record (the paper requires their
+// presence in the queue; recovery ignores them).
 func (l *LogManager) Enqueue(t *txn.Transaction) {
 	if l.failed.Load() {
 		// The log is wedged: this chunk can never be written, and the
@@ -246,15 +250,14 @@ func (l *LogManager) Enqueue(t *txn.Transaction) {
 	}
 	cp := l.chunkPool.Get().(*[]byte)
 	chunk := (*cp)[:0]
-	redos := t.RedoRecords()
-	if len(redos) == 0 {
-		chunk = AppendCommit(chunk, t.CommitTs(), true)
-	} else {
-		for _, r := range redos {
-			chunk = AppendRedo(chunk, t.CommitTs(), r)
-		}
-		chunk = AppendCommit(chunk, t.CommitTs(), false)
+	ts := t.CommitTs()
+	redo := t.Redo()
+	for rest := redo; len(rest) > 0; {
+		var body []byte
+		body, rest = txn.NextRedo(rest)
+		chunk = AppendRedo(chunk, ts, body)
 	}
+	chunk = AppendCommit(chunk, ts, len(redo) == 0)
 	*cp = chunk
 
 	sh := &l.shards[t.CommitTs()&(numEnqueueShards-1)]
@@ -449,9 +452,11 @@ func (l *LogManager) FlushOnce() {
 		}
 	}
 	l.buf = buf
+	if cap(buf) > maxRetainedGroup {
+		l.buf = nil // one huge group must not pin its buffer for good
+	}
 	for _, p := range batch {
-		*p.chunk = (*p.chunk)[:0]
-		l.chunkPool.Put(p.chunk)
+		l.recycleChunk(p.chunk)
 	}
 
 	var t0 time.Time
@@ -533,11 +538,29 @@ func (l *LogManager) failQueued(err error) {
 		}
 		l.queued.Add(int64(-len(pending)))
 		for _, p := range pending {
-			*p.chunk = (*p.chunk)[:0]
-			l.chunkPool.Put(p.chunk)
+			l.recycleChunk(p.chunk)
 			p.t.FinishDurable(err)
 		}
 	}
+}
+
+// maxPooledChunk bounds the capacity of a chunk returned to chunkPool, and
+// maxRetainedGroup that of the coalesced group buffer kept for the next
+// flush: one huge transaction's chunk, or one huge group (a bulk load
+// flushed at once), is left to the garbage collector rather than pinned
+// for good.
+const (
+	maxPooledChunk   = 64 << 10
+	maxRetainedGroup = 4 << 20
+)
+
+// recycleChunk returns a written (or failed) chunk to the pool.
+func (l *LogManager) recycleChunk(cp *[]byte) {
+	if cap(*cp) > maxPooledChunk {
+		return
+	}
+	*cp = (*cp)[:0]
+	l.chunkPool.Put(cp)
 }
 
 // wedgedErr returns the error handed to waiters failed after the wedge.

@@ -1,6 +1,6 @@
 // Package wal implements the paper's logging and recovery components
-// (§3.4): transactions accumulate physical after-images in redo buffers; at
-// commit the transaction joins the flush queue; the log manager batches
+// (§3.4): transactions encode physical after-images into redo buffers as
+// they write; at commit the transaction joins the flush queue; the log manager batches
 // fsyncs (group commit) and invokes durability callbacks afterwards.
 // Records are ordered implicitly by commit timestamp — there are no log
 // sequence numbers.
@@ -9,10 +9,11 @@
 //
 // The pipeline has two halves joined by sharded pending queues:
 //
-//  1. Enqueue (committing goroutines, parallel): each committer serializes
-//     its own redo buffer into a pooled chunk — encoding cost is paid on
-//     the core that ran the transaction, not by the single flusher — and
-//     appends the chunk to one of the enqueue shards.
+//  1. Enqueue (committing goroutines, parallel): each committer frames
+//     its own already-encoded redo buffer with its commit timestamp and
+//     CRCs into a pooled chunk — encoding cost is paid on the core that
+//     ran the transaction, not by the single flusher — and appends the
+//     chunk to one of the enqueue shards.
 //  2. Flush (one goroutine): FlushOnce drains every shard, concatenates
 //     the chunks, issues ONE sink write and ONE fsync for the whole group,
 //     and only then fires each transaction's durability callback.
@@ -73,80 +74,50 @@ var (
 
 // Framing: every record is [u32 payloadLen][u32 crc32c(payload)][payload].
 //
-// Redo payload:    [recRedo][u64 commitTs][u32 tableID][u64 slot][u8 kind][row?]
+// Redo payload:    [recRedo][u64 commitTs][body]
 // Commit payload:  [recCommit][u64 commitTs][u8 readOnly]
 //
-// Row encoding (present for inserts and updates):
-//
-//	[u16 ncols] then per column:
-//	[u16 colID][u8 flags] flags bit0=null bit1=varlen
-//	fixed non-null:  [u8 size][size bytes]
-//	varlen non-null: [u32 len][len bytes]
+// body is [u32 tableID][u64 slot][u8 kind][row], encoded by the writing
+// transaction at write time (txn.AppendRedoBody, which documents the row
+// encoding; txn.DecodeRedoBody reads it back); the log manager only adds
+// the commit timestamp and the frame.
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame wraps payload in the length+crc frame.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// beginFrame reserves the length and CRC words of a frame at the end of
+// dst; sealFrame fills them in once the payload after them is appended.
+func beginFrame(dst []byte) ([]byte, int) {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0), len(dst)
 }
 
-// AppendRedo serializes one redo record for a transaction committed at ts.
-func AppendRedo(dst []byte, ts uint64, r txn.RedoRecord) []byte {
-	payload := make([]byte, 0, 64)
-	payload = append(payload, recRedo)
-	payload = binary.LittleEndian.AppendUint64(payload, ts)
-	payload = binary.LittleEndian.AppendUint32(payload, r.TableID)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.Slot))
-	payload = append(payload, byte(r.Kind))
-	if r.After != nil {
-		payload = appendRow(payload, r.After)
-	} else {
-		payload = binary.LittleEndian.AppendUint16(payload, 0)
-	}
-	return appendFrame(dst, payload)
+func sealFrame(dst []byte, at int) []byte {
+	payload := dst[at+8:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.Checksum(payload, crcTable))
+	return dst
+}
+
+// AppendRedo frames one encoded redo body (txn.AppendRedoBody) for a
+// transaction committed at ts.
+func AppendRedo(dst []byte, ts uint64, body []byte) []byte {
+	dst, at := beginFrame(dst)
+	dst = append(dst, recRedo)
+	dst = binary.LittleEndian.AppendUint64(dst, ts)
+	dst = append(dst, body...)
+	return sealFrame(dst, at)
 }
 
 // AppendCommit serializes a commit record.
 func AppendCommit(dst []byte, ts uint64, readOnly bool) []byte {
-	payload := make([]byte, 0, 16)
-	payload = append(payload, recCommit)
-	payload = binary.LittleEndian.AppendUint64(payload, ts)
+	dst, at := beginFrame(dst)
+	dst = append(dst, recCommit)
+	dst = binary.LittleEndian.AppendUint64(dst, ts)
+	var ro byte
 	if readOnly {
-		payload = append(payload, 1)
-	} else {
-		payload = append(payload, 0)
+		ro = 1
 	}
-	return appendFrame(dst, payload)
-}
-
-func appendRow(dst []byte, row *storage.ProjectedRow) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(row.P.NumCols()))
-	for i, col := range row.P.Cols {
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(col))
-		var flags byte
-		varlen := row.P.Layout.IsVarlen(col)
-		if varlen {
-			flags |= 2
-		}
-		if row.IsNull(i) {
-			flags |= 1
-			dst = append(dst, flags)
-			continue
-		}
-		dst = append(dst, flags)
-		if varlen {
-			v := row.Varlen(i)
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
-			dst = append(dst, v...)
-		} else {
-			b := row.FixedBytes(i)
-			dst = append(dst, byte(len(b)))
-			dst = append(dst, b...)
-		}
-	}
-	return dst
+	dst = append(dst, ro)
+	return sealFrame(dst, at)
 }
 
 // LogRecord is a decoded log entry.
@@ -163,12 +134,7 @@ type LogRecord struct {
 }
 
 // LogColumn is one column value of a logged after-image.
-type LogColumn struct {
-	Col    storage.ColumnID
-	Null   bool
-	Varlen bool
-	Value  []byte
-}
+type LogColumn = txn.RedoColumn
 
 // DecodeNext decodes one framed record from buf, returning the record and
 // the remaining bytes. io semantics: (nil, buf, nil) when buf holds a
@@ -207,55 +173,10 @@ func decodePayload(p []byte) (*LogRecord, error) {
 		rec.ReadOnly = p[0] == 1
 		return rec, nil
 	case recRedo:
-		if len(p) < 13 {
-			return nil, fmt.Errorf("wal: short redo record")
-		}
-		rec.TableID = binary.LittleEndian.Uint32(p)
-		rec.Slot = storage.TupleSlot(binary.LittleEndian.Uint64(p[4:]))
-		rec.Kind = storage.RecordKind(p[12])
-		p = p[13:]
-		if len(p) < 2 {
-			return nil, fmt.Errorf("wal: missing column count")
-		}
-		ncols := int(binary.LittleEndian.Uint16(p))
-		p = p[2:]
-		rec.Cols = make([]LogColumn, 0, ncols)
-		for i := 0; i < ncols; i++ {
-			if len(p) < 3 {
-				return nil, fmt.Errorf("wal: truncated column %d", i)
-			}
-			var c LogColumn
-			c.Col = storage.ColumnID(binary.LittleEndian.Uint16(p))
-			flags := p[2]
-			p = p[3:]
-			c.Null = flags&1 != 0
-			c.Varlen = flags&2 != 0
-			if !c.Null {
-				if c.Varlen {
-					if len(p) < 4 {
-						return nil, fmt.Errorf("wal: truncated varlen column %d", i)
-					}
-					vn := int(binary.LittleEndian.Uint32(p))
-					p = p[4:]
-					if len(p) < vn {
-						return nil, fmt.Errorf("wal: truncated varlen value %d", i)
-					}
-					c.Value = append([]byte(nil), p[:vn]...)
-					p = p[vn:]
-				} else {
-					if len(p) < 1 {
-						return nil, fmt.Errorf("wal: truncated fixed column %d", i)
-					}
-					fn := int(p[0])
-					p = p[1:]
-					if len(p) < fn {
-						return nil, fmt.Errorf("wal: truncated fixed value %d", i)
-					}
-					c.Value = append([]byte(nil), p[:fn]...)
-					p = p[fn:]
-				}
-			}
-			rec.Cols = append(rec.Cols, c)
+		var err error
+		rec.TableID, rec.Slot, rec.Kind, rec.Cols, err = txn.DecodeRedoBody(p)
+		if err != nil {
+			return nil, err
 		}
 		return rec, nil
 	default:

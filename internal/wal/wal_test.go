@@ -62,7 +62,7 @@ func TestSerializerRoundTrip(t *testing.T) {
 	row.SetVarlen(1, []byte("varlen-value"))
 
 	var buf []byte
-	buf = AppendRedo(buf, 7, txn.RedoRecord{TableID: 1, Slot: storage.NewTupleSlot(3, 4), Kind: storage.KindInsert, After: row})
+	buf = AppendRedo(buf, 7, txn.AppendRedoBody(nil, 1, storage.NewTupleSlot(3, 4), storage.KindInsert, row))
 	buf = AppendCommit(buf, 7, false)
 
 	rec, rest, err := DecodeNext(buf)
@@ -99,7 +99,7 @@ func TestSerializerNulls(t *testing.T) {
 	row := proj.NewRow()
 	row.SetNull(0)
 	row.SetNull(1)
-	buf := AppendRedo(nil, 1, txn.RedoRecord{TableID: 1, Slot: 1 << 20, Kind: storage.KindUpdate, After: row})
+	buf := AppendRedo(nil, 1, txn.AppendRedoBody(nil, 1, 1<<20, storage.KindUpdate, row))
 	rec, _, err := DecodeNext(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 	// redo records without a commit record by writing them manually.
 	lm.FlushOnce()
 	img := sink.bytes()
-	orphan := AppendRedo(nil, 999999, txn.RedoRecord{TableID: 1, Slot: slots[0], Kind: storage.KindDelete})
+	orphan := AppendRedo(nil, 999999, txn.AppendRedoBody(nil, 1, slots[0], storage.KindDelete, nil))
 	img = append(img, orphan...)
 
 	// Recover into a fresh engine.
@@ -386,5 +386,32 @@ func TestRecoverFromFile(t *testing.T) {
 	res2, err := ReplayFile(filepath.Join(dir, "missing.log"), m2, nil, nil)
 	if err != nil || res2.TxnsApplied != 0 {
 		t.Fatalf("missing log: %v %+v", err, res2)
+	}
+}
+
+// TestLargeBuffersAreNotRetained: one huge transaction's chunk must not
+// stay pinned in the chunk pool, nor one huge group's coalesced buffer in
+// the log manager.
+func TestLargeBuffersAreNotRetained(t *testing.T) {
+	m, table := testTable(t)
+	lm := NewLogManager(&memSink{})
+	m.SetCommitHook(lm.Hook())
+	tx := m.Begin()
+	row := table.AllColumnsProjection().NewRow()
+	big := bytes.Repeat([]byte("v"), 1<<20)
+	for i := 0; i*len(big) <= maxRetainedGroup; i++ {
+		row.SetInt64(0, int64(i))
+		row.SetVarlen(1, big)
+		if _, err := table.Insert(tx, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Commit(tx, nil)
+	lm.FlushOnce()
+	if cap(lm.buf) > maxRetainedGroup {
+		t.Fatalf("log manager kept a %d-byte group buffer, cap is %d", cap(lm.buf), maxRetainedGroup)
+	}
+	if cp := lm.chunkPool.Get().(*[]byte); cap(*cp) > maxPooledChunk {
+		t.Fatalf("pool handed back a %d-byte chunk, cap is %d", cap(*cp), maxPooledChunk)
 	}
 }

@@ -183,7 +183,10 @@ func (r *Row) Float64(name string) float64 {
 func (r *Row) String(name string) string { return string(r.Bytes(name)) }
 
 // Bytes loads the named varlen column; nil when absent or NULL. The slice
-// aliases the row's buffer — copy it to retain past the next Reset.
+// may alias engine storage (a row filled by Select, a scan or an index
+// read) or the buffer handed to Set: it must not be written, and it is
+// valid until the row's next use (Reset, Set, or another read into it) —
+// copy it to retain it longer.
 func (r *Row) Bytes(name string) []byte {
 	if i, ok := r.valueAt(name); ok {
 		return r.Varlen(i)

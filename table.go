@@ -59,6 +59,8 @@ func (t *Table) Delete(tx *Txn, slot TupleSlot) error {
 
 // Select materializes the version of the tuple at slot visible to tx into
 // out. found is false when the tuple does not exist in tx's snapshot.
+// Varlen values read into out may alias engine storage: they must not be
+// written, and they are valid until out's next use (see Row.Bytes).
 func (t *Table) Select(tx *Txn, slot TupleSlot, out *Row) (found bool, err error) {
 	if err := tx.usable(); err != nil {
 		return false, err

@@ -119,7 +119,7 @@ func (t *Txn) Commit() (uint64, error) {
 	// log cannot persist it. The transaction is aborted (the handle is
 	// finished; its in-memory effects roll back) and ErrDegraded returned.
 	// Read-only non-durable commits proceed: they need no log.
-	if e.degraded.Load() && (t.durable || t.raw.WriteSetSize() > 0 || len(t.raw.RedoRecords()) > 0) {
+	if e.degraded.Load() && (t.durable || t.raw.WriteSetSize() > 0) {
 		e.mgr.Abort(t.raw)
 		return 0, e.degradedErr()
 	}
