@@ -195,6 +195,9 @@ func (t *DataTable) InsertIntoSlot(tx *txn.Transaction, slot storage.TupleSlot, 
 	if err := t.markHot(block); err != nil {
 		return err
 	}
+	// A refilled slot's new tuple carries keys its index entries were
+	// not published under: index reads of this block re-encode keys.
+	block.MarkRewritten(storage.AllColumnsMask)
 	rec := tx.NewUndoRecord(storage.KindInsert, slot, nil)
 	if !block.CASVersionPtr(offset, nil, rec) {
 		// Retract the unpublished record: rolling it back at Abort would
@@ -333,6 +336,10 @@ func (t *DataTable) Update(tx *txn.Transaction, slot storage.TupleSlot, update *
 	// land; they are buffered only if the CAS below wins.
 	var changeBuf [2]indexKeyChange
 	idxChanges := t.computeIndexUpdates(tx, block, offset, update, changeBuf[:0])
+	// Mark the columns rewritten before the new version is published, so
+	// an index reader that finds them unmarked after probing its tree has
+	// seen no entry this update publishes (see TableIndex.check).
+	block.MarkRewritten(update.P.Mask())
 
 	rec := tx.NewUndoRecord(storage.KindUpdate, slot, delta)
 	rec.SetNext(head)

@@ -19,10 +19,27 @@ package core
 //	          commit latch and hands removals to the GC deferrer.
 //	Abort   — the buffered ops are dropped; nothing ever hit the tree.
 //
-// Readers therefore tolerate two transient states: an entry whose version
-// is not yet (or never) visible to them, and a missing removal for a tuple
-// they can no longer see. Both are resolved by re-reading the slot through
-// the table's MVCC protocol and re-encoding its key.
+// Readers therefore tolerate three transient states: an entry whose
+// version is not yet (or never) visible to them, a missing removal for a
+// tuple they can no longer see, and an entry whose slot has since been
+// re-keyed or refilled. Each candidate costs one MVCC read of the slot
+// (TableIndex.check): an invisible version rejects it. The key is
+// re-encoded and compared only when the slot's block has had one of the
+// index's key columns rewritten (storage.Block.Rewritten): otherwise
+// every version of the slot carries the key its entries were published
+// under, because the slot's key bytes were never overwritten in place
+// and the slot was never refilled.
+//
+// The writers that put key bytes into an existing slot, and how each
+// marks its block before the new version is published:
+//
+//	DataTable.Update         — marks the columns it writes.
+//	DataTable.InsertIntoSlot — marks every column (a recycled slot).
+//	txn.Manager rollback     — restores an aborted Update's before-image,
+//	                           over columns that Update already marked.
+//
+// The mask is grow-only and ignores which indexes exist, so an index
+// created after a key-column update still sees the mark.
 
 import (
 	"bytes"
@@ -92,6 +109,9 @@ type TableIndex struct {
 	// keyProj projects exactly the key columns, for pre-image reads and
 	// candidate verification.
 	keyProj *storage.Projection
+	// keyMask is keyProj's column mask, tested against a candidate block's
+	// rewritten columns.
+	keyMask uint64
 	// keyHint sizes key builders.
 	keyHint int
 
@@ -137,7 +157,7 @@ func NewTableIndex(t *DataTable, name string, cols []KeyCol, tree index.Index) (
 	if err != nil {
 		return nil, err
 	}
-	ti := &TableIndex{name: name, cols: cols, table: t, tree: tree, keyProj: proj, keyHint: hint}
+	ti := &TableIndex{name: name, cols: cols, table: t, tree: tree, keyProj: proj, keyMask: proj.Mask(), keyHint: hint}
 	ti.scratch.New = func() any {
 		return &indexScratch{keyRow: proj.NewRow(), kb: index.NewKeyBuilder(hint), post: index.NewKeyBuilder(hint)}
 	}
@@ -277,33 +297,42 @@ func (ti *TableIndex) overlaps(p *storage.Projection) bool {
 	return false
 }
 
-// verify re-checks one candidate slot: the version of the tuple visible to
-// tx must exist and must still carry the sought key. This is what lets the
-// trees hold stale entries (deferred removals, uncommitted inserts,
-// re-keyed updates) without ever corrupting a read.
-func (ti *TableIndex) verify(tx *txn.Transaction, key []byte, slot storage.TupleSlot, sc *indexScratch) bool {
+// check decides whether candidate slot, found under key, is a hit for
+// tx, materializing the visible version into out when out is non-nil.
+// This is what lets the trees hold stale entries (deferred removals,
+// uncommitted inserts, re-keyed updates, refilled slots) without ever
+// corrupting a read. When the slot's block has never had a key column
+// rewritten, the visible version carries the key the entry was published
+// under, so one Select into out settles it; otherwise, or with nothing to
+// materialize into, the visible version's key is re-encoded and compared
+// first.
+func (ti *TableIndex) check(tx *txn.Transaction, key []byte, slot storage.TupleSlot, out *storage.ProjectedRow, sc *indexScratch) bool {
 	ti.reverified.Add(1)
-	sc.keyRow.Reset()
-	found, _ := ti.table.Select(tx, slot, sc.keyRow)
-	if !found || !ti.encodeFromRow(sc.keyRow, sc.kb) || !bytes.Equal(sc.kb.Bytes(), key) {
+	block := ti.table.reg.BlockFor(slot)
+	if out == nil || block == nil || block.Rewritten()&ti.keyMask != 0 {
+		sc.keyRow.Reset()
+		found, _ := ti.table.Select(tx, slot, sc.keyRow)
+		if !found || !ti.encodeFromRow(sc.keyRow, sc.kb) || !bytes.Equal(sc.kb.Bytes(), key) {
+			ti.stale.Add(1)
+			return false
+		}
+		if out == nil {
+			return true
+		}
+	}
+	out.Reset()
+	if found, _ := ti.table.Select(tx, slot, out); !found {
 		ti.stale.Add(1)
 		return false
 	}
 	return true
 }
 
-// emit verifies a candidate and, when out is non-nil, materializes the
-// visible version into it before invoking fn. Returns false only when fn
-// stopped the iteration.
+// emit checks a candidate and invokes fn on a hit. Returns false only
+// when fn stopped the iteration.
 func (ti *TableIndex) emit(tx *txn.Transaction, key []byte, slot storage.TupleSlot, out *storage.ProjectedRow, sc *indexScratch, fn func(storage.TupleSlot, *storage.ProjectedRow) bool) bool {
-	if !ti.verify(tx, key, slot, sc) {
+	if !ti.check(tx, key, slot, out, sc) {
 		return true
-	}
-	if out != nil {
-		out.Reset()
-		if found, _ := ti.table.Select(tx, slot, out); !found {
-			return true
-		}
 	}
 	return fn(slot, out)
 }
@@ -311,8 +340,8 @@ func (ti *TableIndex) emit(tx *txn.Transaction, key []byte, slot storage.TupleSl
 // GetVisible returns the slot of the tuple with the given key visible to
 // tx, materializing it into out when out is non-nil. Candidates come from
 // the tree plus the transaction's own unpublished insertions, and each is
-// re-verified through the version chain; stale entries are skipped, so a
-// hit is always a tuple tx is entitled to see.
+// checked against tx's snapshot; stale entries are skipped, so a hit is
+// always a tuple tx is entitled to see.
 func (ti *TableIndex) GetVisible(tx *txn.Transaction, key []byte, out *storage.ProjectedRow) (storage.TupleSlot, bool) {
 	ti.lookups.Add(1)
 	sc := ti.getScratch()
@@ -324,16 +353,9 @@ func (ti *TableIndex) GetVisible(tx *txn.Transaction, key []byte, out *storage.P
 		}
 	}
 	for _, slot := range sc.slots {
-		if !ti.verify(tx, key, slot, sc) {
-			continue
+		if ti.check(tx, key, slot, out, sc) {
+			return slot, true
 		}
-		if out != nil {
-			out.Reset()
-			if found, _ := ti.table.Select(tx, slot, out); !found {
-				continue
-			}
-		}
-		return slot, true
 	}
 	return 0, false
 }
@@ -379,41 +401,48 @@ func (ti *TableIndex) Ascend(tx *txn.Transaction, lo, hi []byte, out *storage.Pr
 	pend := ti.pendingInRange(tx, lo, hi)
 	pi := 0
 	stopped := false
-	// Reference-counted publishes can transiently hold the same (key,
-	// slot) instance more than once; emit each pair at most once per key.
-	var curKey []byte
-	var curSlots []storage.TupleSlot
+	var seen pairsSeen
 	ti.tree.Scan(lo, hi, func(k []byte, s storage.TupleSlot) bool {
 		for pi < len(pend) && bytes.Compare(pend[pi].Key, k) <= 0 {
-			if !ti.emit(tx, pend[pi].Key, pend[pi].Slot, out, sc, fn) {
+			if seen.first(pend[pi].Key, pend[pi].Slot) && !ti.emit(tx, pend[pi].Key, pend[pi].Slot, out, sc, fn) {
 				stopped = true
 				return false
 			}
 			pi++
 		}
-		if !bytes.Equal(curKey, k) {
-			curKey = append(curKey[:0], k...)
-			curSlots = curSlots[:0]
-		} else {
-			for _, seen := range curSlots {
-				if seen == s {
-					return true
-				}
-			}
-		}
-		curSlots = append(curSlots, s)
-		if !ti.emit(tx, k, s, out, sc, fn) {
+		if seen.first(k, s) && !ti.emit(tx, k, s, out, sc, fn) {
 			stopped = true
 			return false
 		}
 		return true
 	})
-	for !stopped && pi < len(pend) {
-		if !ti.emit(tx, pend[pi].Key, pend[pi].Slot, out, sc, fn) {
+	for ; !stopped && pi < len(pend); pi++ {
+		if seen.first(pend[pi].Key, pend[pi].Slot) && !ti.emit(tx, pend[pi].Key, pend[pi].Slot, out, sc, fn) {
 			return
 		}
-		pi++
 	}
+}
+
+// pairsSeen lets Ascend emit each (key, slot) pair at most once, over
+// pairs that arrive in key order: reference-counted publishes can
+// transiently hold an instance more than once, and a pair the reading
+// transaction re-published itself (a row re-keyed A→B→A) also arrives
+// from its pending insertions.
+type pairsSeen struct {
+	key   []byte
+	slots []storage.TupleSlot
+}
+
+// first reports whether (k, s) is new.
+func (p *pairsSeen) first(k []byte, s storage.TupleSlot) bool {
+	if !bytes.Equal(p.key, k) {
+		p.key = append(p.key[:0], k...)
+		p.slots = p.slots[:0]
+	} else if slices.Contains(p.slots, s) {
+		return false
+	}
+	p.slots = append(p.slots, s)
+	return true
 }
 
 // AscendPrefix visits every entry whose key starts with prefix, in key

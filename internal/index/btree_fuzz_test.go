@@ -187,20 +187,46 @@ func (r *opReader) next() byte {
 	return b
 }
 
-// key decodes a fixed 8-byte Int64 key from a small domain, or a String
-// key of up to 4 bytes over an alphabet with an embedded zero and 0xFF.
+// key decodes a key. A first byte below keyKinds decodes as a fixed
+// 8-byte Int64 key from a small domain (even) or a String key of up to 4
+// bytes over an alphabet with an embedded zero and 0xFF (odd). From
+// keyKinds up, its low two bits pick a kind the prefix-truncated, head-keyed
+// nodes are sensitive to: a TPC-C-shaped (warehouse, district, order)
+// Int32 key from a domain that splits leaves; a String of up to 12 bytes
+// opening with one of two 8-byte prefixes that differ in their last byte,
+// where a head ends; or a raw key that differs from its neighbours only
+// by trailing zero bytes, short or past a head's length.
 func (r *opReader) key() []byte {
+	const alphabet = "\x00\x01a\xff"
 	b := r.next()
+	if b >= keyKinds {
+		switch b & 3 {
+		case 0:
+			o := (int32(r.next())<<8 | int32(r.next())) % 3000
+			return NewKeyBuilder(12).Int32(int32(r.next() % 2)).Int32(int32(r.next() % 10)).Int32(o).Clone()
+		case 1:
+			s := []byte([]string{"order-li", "order-lj"}[r.next()%2])
+			for n := r.next() % 5; n > 0; n-- {
+				s = append(s, alphabet[r.next()%4])
+			}
+			return NewKeyBuilder(16).RawBytes(s).Clone()
+		default:
+			base := []string{"", "a", "abcdefg"}[int(b&3)-2+int(r.next()%2)]
+			return append([]byte(base), make([]byte, r.next()%10)...)
+		}
+	}
 	if b&1 == 0 {
 		return NewKeyBuilder(8).Int64(int64(b>>1)%16 - 4).Clone()
 	}
-	const alphabet = "\x00\x01a\xff"
 	s := make([]byte, int(b>>1)%5)
 	for i := range s {
 		s[i] = alphabet[r.next()%4]
 	}
 	return NewKeyBuilder(8).RawBytes(s).Clone()
 }
+
+// keyKinds is the first key byte that selects one of key's added kinds.
+const keyKinds = 0xC0
 
 func (r *opReader) op() btreeOp {
 	op := btreeOp{kind: btreeOpKind(r.next() % byte(numBTreeOps)), key: r.key()}
@@ -256,6 +282,21 @@ func FuzzBTreeOps(f *testing.F) {
 		[]byte{byte(opScan), 1, 0, 0},
 	))
 	f.Add([]byte{})
+	// One seed per added key kind: enough inserts to split leaves and
+	// inner nodes, then point reads, deletes that empty leaves, and scans.
+	for kind := byte(0); kind < 4; kind++ {
+		var seed []byte
+		for i := 0; i < 600; i++ {
+			x := byte(i*37 + i>>3)
+			seed = append(seed, byte(opInsertMulti), keyKinds|kind, x, byte(i), x>>2, byte(i>>4), byte(i)%40)
+		}
+		for i := 0; i < 300; i++ {
+			x := byte(i*37 + i>>3)
+			op := []byte{byte(opDelete), byte(opGet), byte(opDeleteKey), byte(opScan)}[i%4]
+			seed = append(seed, op, keyKinds|kind, x, byte(i), x>>2, byte(i>>4), byte(i)%40, 1, keyKinds|kind, x+9, byte(i), 7, 7, 7)
+		}
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, m := NewBTree(), newBTreeModel()
 		r := &opReader{data}

@@ -393,11 +393,12 @@ func liveHeap() float64 {
 }
 
 // TestBTreeAscendingInsertHeap bounds the heap an ascending load costs per
-// entry — the recovery backfill's order. A packed leaf stores an 8-byte
-// key, a 4-byte end offset and an 8-byte slot per entry, and a split at
-// the end of the leaf an append overflows leaves it full, so the bound is
-// those 20 bytes plus node overhead. Not parallel: it reads the process
-// heap.
+// entry — the recovery backfill's order. A leaf stores its keys' shared
+// prefix once and, per entry, an 8-byte head (the suffix of these 8-byte
+// keys always fits in it, so there are no tail bytes or end offsets) and
+// an 8-byte slot; a split at the end of the leaf an append overflows
+// leaves it full. The bound allows those 16 bytes plus node overhead and
+// headroom. Not parallel: it reads the process heap.
 func TestBTreeAscendingInsertHeap(t *testing.T) {
 	const n = 200_000
 	before := liveHeap()
@@ -436,4 +437,91 @@ func TestShardedPrefixScan(t *testing.T) {
 		t.Fatalf("prefix scan visited %d", count)
 	}
 	_ = fmt.Sprint() // keep fmt import if unused elsewhere
+}
+
+// leafStats walks the leaf chain from the leftmost leaf, checking it
+// visits exactly the leaves the inner nodes reach, in order, and returns
+// how many leaves there are and how many of them are empty.
+func leafStats(t *testing.T, tr *BTree) (leaves, empty int) {
+	t.Helper()
+	var reach []*leafNode
+	var walk func(n node)
+	walk = func(n node) {
+		if n.isLeaf() {
+			reach = append(reach, n.(*leafNode))
+			return
+		}
+		in := n.(*innerNode)
+		if len(in.children) != in.len()+1 {
+			t.Fatalf("inner node has %d children for %d separators", len(in.children), in.len())
+		}
+		for _, c := range in.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	for l := reach[0]; l != nil; l = l.next {
+		if leaves >= len(reach) || reach[leaves] != l {
+			t.Fatalf("leaf chain diverges from the tree at leaf %d", leaves)
+		}
+		if l.len() == 0 {
+			empty++
+		}
+		leaves++
+	}
+	if leaves != len(reach) {
+		t.Fatalf("leaf chain has %d leaves, tree reaches %d", leaves, len(reach))
+	}
+	return leaves, empty
+}
+
+// TestBTreeFIFOReclaimsLeaves drives the NEW_ORDER pattern: each of ten
+// districts appends ascending order numbers and consumes its oldest. A
+// leaf a Delete empties must be unlinked, so the tree's size follows the
+// live entries (1000 here), not the 150k ever inserted.
+func TestBTreeFIFOReclaimsLeaves(t *testing.T) {
+	const districts, window, orders = 10, 100, 15_000
+	tr := NewBTree()
+	kb := NewKeyBuilder(8)
+	key := func(d, o int) []byte { return kb.Reset().Int32(int32(d)).Int32(int32(o)).Bytes() }
+	for o := 0; o < orders; o++ {
+		for d := 0; d < districts; d++ {
+			tr.InsertMulti(key(d, o), slotOf(o+1))
+			if o < window {
+				continue
+			}
+			if !tr.Delete(key(d, o-window), slotOf(o-window+1)) {
+				t.Fatalf("delete of (%d, %d) found nothing", d, o-window)
+			}
+			if s, ok := tr.GetOne(key(d, o-window+1)); !ok || s != slotOf(o-window+2) {
+				t.Fatalf("oldest order of district %d: %v, %v", d, s, ok)
+			}
+		}
+	}
+	if tr.Len() != districts*window {
+		t.Fatalf("Len = %d, want %d", tr.Len(), districts*window)
+	}
+	n := 0
+	tr.Scan(nil, nil, func(k []byte, s storage.TupleSlot) bool {
+		d, o := n/window, orders-window+n%window
+		if !bytes.Equal(k, key(d, o)) || s != slotOf(o+1) {
+			t.Fatalf("entry %d = (%x, %d), want (%x, %d)", n, k, s, key(d, o), slotOf(o+1))
+		}
+		n++
+		return true
+	})
+	leaves, empty := leafStats(t, tr)
+	t.Logf("%d leaves, %d empty", leaves, empty)
+	if empty > 0 || leaves > 4*districts*window/maxLeafEntries+districts {
+		t.Fatalf("%d leaves (%d empty) hold %d entries", leaves, empty, tr.Len())
+	}
+	// Draining the tree leaves one empty root leaf.
+	for d := 0; d < districts; d++ {
+		for o := orders - window; o < orders; o++ {
+			tr.Delete(key(d, o), 0)
+		}
+	}
+	if leaves, _ := leafStats(t, tr); leaves != 1 || tr.Len() != 0 || !tr.root.isLeaf() {
+		t.Fatalf("drained tree: %d leaves, %d entries", leaves, tr.Len())
+	}
 }

@@ -45,10 +45,7 @@ func (s *Sharded) shardOf(key []byte) *BTree {
 	if len(p) > s.prefixLen {
 		p = p[:s.prefixLen]
 	}
-	var h maphash.Hash
-	h.SetSeed(s.seed)
-	_, _ = h.Write(p)
-	return s.shards[h.Sum64()&uint64(len(s.shards)-1)]
+	return s.shards[maphash.Bytes(s.seed, p)&uint64(len(s.shards)-1)]
 }
 
 // sameShard reports whether lo and hi share a full hash prefix, i.e. the

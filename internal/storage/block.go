@@ -136,6 +136,15 @@ type Block struct {
 	// through; the evictor demotes blocks whose age crosses its
 	// threshold. Reset whenever a writer thaws the block.
 	sweepAge atomic.Uint32
+	// rewritten is a grow-only column mask (see Projection.Mask) of the columns whose bytes some
+	// slot of the block has had rewritten after its first insert: an
+	// Update marks its columns, and a refill of a recycled slot
+	// (InsertIntoSlot) marks every column, each before its version-pointer
+	// CAS. A column outside the mask holds, in every version of every
+	// slot, the value the slot was first inserted with — which lets index
+	// reads trust an entry's key without re-encoding it (see
+	// core.TableIndex.check).
+	rewritten atomic.Uint64
 }
 
 // NewBlock allocates a block for the layout and registers it.
@@ -258,6 +267,20 @@ func (b *Block) Allocated(slot uint32) bool { return b.allocated.Test(int(slot))
 
 // SetAllocated toggles the allocation bit for slot.
 func (b *Block) SetAllocated(slot uint32, v bool) { b.allocated.Assign(int(slot), v) }
+
+// MarkRewritten adds mask (a column mask) to the block's rewritten columns.
+// Writers call it before publishing the version that rewrites them.
+func (b *Block) MarkRewritten(mask uint64) {
+	// Most updates find their columns marked already; a plain load keeps
+	// them from contending on the block's cache line.
+	if b.rewritten.Load()&mask != mask {
+		b.rewritten.Or(mask)
+	}
+}
+
+// Rewritten returns the column mask of the columns rewritten in place since the
+// block was created (see the rewritten field).
+func (b *Block) Rewritten() uint64 { return b.rewritten.Load() }
 
 // FilledSlots counts allocated slots.
 func (b *Block) FilledSlots() int { return b.allocated.CountOnes(int(b.Layout.NumSlots)) }

@@ -33,7 +33,11 @@ type Projection struct {
 	varIdx    []int // per projected column: index into vars, -1 if fixed
 	fixedSize int
 	numVarlen int
+	mask      uint64
 }
+
+// AllColumnsMask is the column mask of every column.
+const AllColumnsMask = ^uint64(0)
 
 // NewProjection builds a projection of cols over layout. Column IDs must be
 // valid and unique.
@@ -53,6 +57,7 @@ func NewProjection(layout *BlockLayout, cols []ColumnID) (*Projection, error) {
 			return nil, fmt.Errorf("storage: projection column %d duplicated: %w", c, ErrDuplicateColumn)
 		}
 		seen[c] = true
+		p.mask |= 1 << min(uint64(c), 63)
 		if layout.IsVarlen(c) {
 			p.fixedOff[i] = -1
 			p.varIdx[i] = p.numVarlen
@@ -75,6 +80,11 @@ func MustProjection(layout *BlockLayout, cols []ColumnID) *Projection {
 	}
 	return p
 }
+
+// Mask returns the column mask of the projected columns: bit c for column
+// c, with bit 63 standing for every column >= 63, so a mask of a wide
+// table over-approximates and never under-approximates.
+func (p *Projection) Mask() uint64 { return p.mask }
 
 // NumCols returns the number of projected columns.
 func (p *Projection) NumCols() int { return len(p.Cols) }
