@@ -19,7 +19,7 @@ type Stats struct {
 	// and tuples emitted to scan callbacks.
 	Scan ScanStats
 	// ActiveTxns is the number of in-flight transactions.
-	ActiveTxns int
+	ActiveTxns int `metric:"mainline_engine_active_txns"`
 	// WAL reports write-ahead log activity (zero-valued with Enabled
 	// false when the engine has no log).
 	WAL WALStats
@@ -46,10 +46,10 @@ type Stats struct {
 	// Latency publishes the engine's latency and size distributions as
 	// histogram snapshots (commit path, WAL group commit, checkpoint,
 	// GC, queries, index reads). See LatencyStats.
-	Latency LatencyStats
+	Latency LatencyStats `metric:"-"`
 	// Duty publishes background-subsystem duty cycles (GC, transform,
 	// WAL flusher, checkpointer).
-	Duty DutyStats
+	Duty DutyStats `metric:"-"`
 	// GC publishes garbage-collector progress: retired versions and the
 	// watermark lag behind the engine clock.
 	GC GCStats
@@ -57,77 +57,73 @@ type Stats struct {
 
 // ServerStats counts network serving-layer activity: connection and
 // request admission, per-plane request traffic, streamed and ingested
-// volume, and rejection/deadline/reap counts. A server registers its
-// counters with Admin().SetServerStats; the struct is the /metrics
-// payload's data source.
+// volume, rejection/deadline/reap counts, and whether the server is
+// draining. A server registers its Stats method with
+// Admin().SetServerStats.
 type ServerStats struct {
 	// Enabled reports whether a serving layer is attached to this engine.
 	Enabled bool
+	// Draining reports whether the server is refusing new work.
+	Draining bool `metric:"mainline_server_draining"`
 	// Sessions is the number of currently connected sessions;
 	// SessionsTotal counts every session ever admitted, and
 	// SessionsRejected every connection refused by the session cap (or
 	// during drain).
-	Sessions         int64
-	SessionsTotal    int64
-	SessionsRejected int64
+	Sessions         int64 `metric:"mainline_server_sessions"`
+	SessionsTotal    int64 `metric:"mainline_server_sessions_total"`
+	SessionsRejected int64 `metric:"mainline_server_sessions_rejected_total"`
 	// Requests counts requests dispatched to handlers;
 	// RequestsRejected counts requests refused by the global in-flight
 	// cap. DeadlineHits counts requests that died at their deadline.
-	Requests         int64
-	RequestsRejected int64
-	DeadlineHits     int64
+	Requests         int64 `metric:"mainline_server_requests_total"`
+	RequestsRejected int64 `metric:"mainline_server_requests_rejected_total"`
+	DeadlineHits     int64 `metric:"mainline_server_deadline_hits_total"`
 	// TxnsReaped counts server-side transactions aborted because their
 	// session disconnected (or a deadline killed them) before finishing.
-	TxnsReaped int64
+	TxnsReaped int64 `metric:"mainline_server_txns_reaped_total"`
 	// Transactional-plane request counts by kind.
-	BeginOps     int64
-	CommitOps    int64
-	AbortOps     int64
-	InsertOps    int64
-	UpdateOps    int64
-	DeleteOps    int64
-	SelectOps    int64
-	IndexReadOps int64
+	BeginOps     int64 `metric:"mainline_server_begin_ops_total"`
+	CommitOps    int64 `metric:"mainline_server_commit_ops_total"`
+	AbortOps     int64 `metric:"mainline_server_abort_ops_total"`
+	InsertOps    int64 `metric:"mainline_server_insert_ops_total"`
+	UpdateOps    int64 `metric:"mainline_server_update_ops_total"`
+	DeleteOps    int64 `metric:"mainline_server_delete_ops_total"`
+	SelectOps    int64 `metric:"mainline_server_select_ops_total"`
+	IndexReadOps int64 `metric:"mainline_server_index_read_ops_total"`
 	// Analytical-plane request counts and volumes: DoGet streams engine
 	// blocks out as Arrow IPC; DoPut ingests client record batches
 	// through the transactional write path.
-	DoGetOps      int64
-	DoPutOps      int64
-	BytesStreamed int64
-	BytesIngested int64
-	RowsStreamed  int64
-	RowsIngested  int64
+	DoGetOps      int64 `metric:"mainline_server_doget_ops_total"`
+	DoPutOps      int64 `metric:"mainline_server_doput_ops_total"`
+	BytesStreamed int64 `metric:"mainline_server_bytes_streamed_total"`
+	BytesIngested int64 `metric:"mainline_server_bytes_ingested_total"`
+	RowsStreamed  int64 `metric:"mainline_server_rows_streamed_total"`
+	RowsIngested  int64 `metric:"mainline_server_rows_ingested_total"`
 }
 
 // IndexStats aggregates engine-managed index activity: tree sizes, read
-// traffic, how much MVCC re-verification the reads performed, and what the
-// last recovery's rebuild cost.
+// traffic, and how much MVCC re-verification the reads performed. What
+// the last recovery's rebuild cost is in RecoveryStats.
 type IndexStats struct {
 	// Indexes is the number of registered indexes; Entries sums their live
 	// (key, slot) pairs, stale entries awaiting deferred removal included.
-	Indexes int
-	Entries int64
+	Indexes int   `metric:"mainline_engine_indexes"`
+	Entries int64 `metric:"mainline_engine_index_entries"`
 	// Lookups counts point reads (GetBy); RangeScans counts RangeBy /
 	// PrefixBy scans.
-	Lookups    int64
-	RangeScans int64
+	Lookups    int64 `metric:"mainline_engine_index_lookups_total"`
+	RangeScans int64 `metric:"mainline_engine_index_range_scans_total"`
 	// SlotsReverified counts candidate slots re-checked through the
 	// version chain; StaleFiltered counts the candidates that check
 	// rejected (entry pointing at a version the reader cannot see, or at a
 	// re-keyed tuple). A high stale ratio means the GC is lagging the
 	// delete rate.
-	SlotsReverified int64
-	StaleFiltered   int64
+	SlotsReverified int64 `metric:"mainline_engine_index_slots_reverified_total"`
+	StaleFiltered   int64 `metric:"mainline_engine_index_stale_filtered_total"`
 	// EntriesPublished counts insertions published at commit;
 	// EntriesRetired counts deferred removals that have physically run.
-	EntriesPublished int64
-	EntriesRetired   int64
-	// RebuildIndexes / RebuildEntries / RebuildDuration describe the index
-	// rebuild the last data-directory recovery performed (zero when the
-	// engine started fresh).
-	RebuildIndexes  int
-	RebuildEntries  int64
-	RebuildDuration time.Duration
+	EntriesPublished int64 `metric:"mainline_engine_index_entries_published_total"`
+	EntriesRetired   int64 `metric:"mainline_engine_index_entries_retired_total"`
 }
 
 // WALStats counts write-ahead log activity.
@@ -136,12 +132,12 @@ type WALStats struct {
 	Enabled bool
 	// Txns is the number of transactions whose commit records were
 	// flushed.
-	Txns int64
+	Txns int64 `metric:"mainline_engine_wal_txns_total"`
 	// Bytes is the total log bytes written.
-	Bytes int64
+	Bytes int64 `metric:"mainline_engine_wal_bytes_total"`
 	// Syncs is the number of fsyncs issued (Txns/Syncs is the achieved
 	// group-commit size).
-	Syncs int64
+	Syncs int64 `metric:"mainline_engine_wal_syncs_total"`
 }
 
 // CheckpointStats counts checkpoint subsystem activity.
@@ -150,19 +146,19 @@ type CheckpointStats struct {
 	Enabled bool
 	// Taken is the number of checkpoints installed (the bootstrap
 	// re-anchor included); Failed counts attempts that errored.
-	Taken  int64
-	Failed int64
+	Taken  int64 `metric:"mainline_engine_checkpoints_taken_total"`
+	Failed int64 `metric:"mainline_engine_checkpoints_failed_total"`
 	// Rows totals the rows captured across all checkpoints; BytesWritten
 	// totals the objects they newly wrote (content-addressed objects the
 	// store already held cost nothing).
-	Rows         int64
-	BytesWritten int64
+	Rows         int64 `metric:"mainline_engine_checkpoint_rows_total"`
+	BytesWritten int64 `metric:"mainline_engine_checkpoint_bytes_written_total"`
 	// SegmentsTruncated is the number of WAL segment files deleted
 	// because a checkpoint wholly covered them.
-	SegmentsTruncated int64
+	SegmentsTruncated int64 `metric:"mainline_engine_checkpoint_segments_truncated_total"`
 	// LastSeq and LastSnapshotTs identify the newest checkpoint.
-	LastSeq        uint64
-	LastSnapshotTs uint64
+	LastSeq        uint64 `metric:"mainline_engine_checkpoint_last_seq"`
+	LastSnapshotTs uint64 `metric:"mainline_engine_checkpoint_last_snapshot_ts"`
 }
 
 // RecoveryStats records what Open's data-directory bootstrap did. All
@@ -170,43 +166,43 @@ type CheckpointStats struct {
 type RecoveryStats struct {
 	// Bootstrapped reports whether any prior state (checkpoint or WAL)
 	// was found and loaded.
-	Bootstrapped bool
+	Bootstrapped bool `metric:"mainline_engine_recovery_bootstrapped"`
 	// CheckpointSeq and CheckpointRows describe the checkpoint the
 	// bootstrap anchored on (zero when none existed).
-	CheckpointSeq  uint64
-	CheckpointRows int64
+	CheckpointSeq  uint64 `metric:"mainline_engine_recovery_checkpoint_seq"`
+	CheckpointRows int64  `metric:"mainline_engine_recovery_checkpoint_rows"`
 	// CheckpointFallbacks counts newer checkpoints skipped because an
 	// object's size or CRC-32C, or a table schema, failed verification.
-	CheckpointFallbacks int
+	CheckpointFallbacks int `metric:"mainline_engine_recovery_checkpoint_fallbacks"`
 	// TailSegments is how many WAL segment files were scanned.
-	TailSegments int
+	TailSegments int `metric:"mainline_engine_recovery_tail_segments"`
 	// TailTxnsApplied counts committed transactions replayed from the WAL
 	// tail — with a fresh checkpoint this is only the post-checkpoint
 	// work, the quantity the subsystem exists to bound.
-	TailTxnsApplied int
+	TailTxnsApplied int `metric:"mainline_engine_recovery_tail_txns_applied"`
 	// TailTxnsSkipped counts logged transactions already covered by the
 	// checkpoint (their segments straddled the snapshot timestamp).
-	TailTxnsSkipped int
+	TailTxnsSkipped int `metric:"mainline_engine_recovery_tail_txns_skipped"`
 	// TailRecordsApplied counts redo records applied from the tail.
-	TailRecordsApplied int
+	TailRecordsApplied int `metric:"mainline_engine_recovery_tail_records_applied"`
 	// TornTail reports whether any segment ended mid-record (expected
 	// after a crash; the clean prefix was recovered).
-	TornTail bool
+	TornTail bool `metric:"mainline_engine_recovery_torn_tail"`
 	// TornBytesTruncated is how many garbage tail bytes the bootstrap cut
 	// off the torn segment while repairing it (Postgres/RocksDB-style
 	// tail tolerance) — nonzero values on a machine that did not crash
 	// deserve investigation.
-	TornBytesTruncated int64
+	TornBytesTruncated int64 `metric:"mainline_engine_recovery_torn_bytes_truncated"`
 	// ReanchorSeq is the checkpoint the bootstrap installed afterwards to
 	// re-anchor the slot space (0 when the directory was fresh).
-	ReanchorSeq uint64
+	ReanchorSeq uint64 `metric:"mainline_engine_recovery_reanchor_seq"`
 	// IndexesRebuilt / IndexEntriesRebuilt / IndexRebuildDuration describe
 	// the engine-managed index rebuild: every index declared in the
 	// persisted catalog is re-created and backfilled from the recovered
 	// tables after checkpoint restore + WAL tail replay.
-	IndexesRebuilt       int
-	IndexEntriesRebuilt  int64
-	IndexRebuildDuration time.Duration
+	IndexesRebuilt       int           `metric:"mainline_engine_recovery_indexes_rebuilt"`
+	IndexEntriesRebuilt  int64         `metric:"mainline_engine_recovery_index_entries_rebuilt"`
+	IndexRebuildDuration time.Duration `metric:"mainline_engine_recovery_index_rebuild_seconds"`
 }
 
 // Stats snapshots the engine's counters.
@@ -231,9 +227,6 @@ func (e *Engine) Stats() Stats {
 			s.Index.EntriesRetired += c.EntriesRetired
 		}
 	}
-	s.Index.RebuildIndexes = e.recovery.IndexesRebuilt
-	s.Index.RebuildEntries = e.recovery.IndexEntriesRebuilt
-	s.Index.RebuildDuration = e.recovery.IndexRebuildDuration
 	if e.logMgr != nil {
 		s.WAL.Enabled = true
 		s.WAL.Txns, s.WAL.Bytes, s.WAL.Syncs = e.logMgr.Stats()
@@ -262,7 +255,7 @@ func (e *Engine) Stats() Stats {
 		WALFlush:   e.obs.walDuty.Snapshot(),
 		Checkpoint: e.obs.ckptDuty.Snapshot(),
 	}
-	s.Tier = e.tierStats()
+	s.Tier = e.tier.Stats()
 	s.GC.Unlinked, s.GC.Deallocated = e.collector.Totals()
 	s.GC.WatermarkLag = e.collector.WatermarkLag()
 	if e.opts.DataDir != "" {

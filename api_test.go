@@ -512,14 +512,15 @@ func TestUpdateRetryStress(t *testing.T) {
 // TestOpenOptionShim: functional options compose left to right.
 func TestOpenOptionShim(t *testing.T) {
 	eng2, err := Open(
+		WithColdThreshold(time.Millisecond),
+		WithTransformMode(TransformDictionary),
+		WithSlowOpThreshold(time.Second),
 		WithColdThreshold(42*time.Millisecond),
-		WithCompactionGroupSize(7),
-		WithoutTransform(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng2.opts.ColdThreshold != 42*time.Millisecond || eng2.opts.CompactionGroupSize != 7 || !eng2.opts.DisableTransform {
+	if eng2.opts.ColdThreshold != 42*time.Millisecond || eng2.opts.TransformMode != TransformDictionary || eng2.opts.SlowOpThreshold != time.Second {
 		t.Fatalf("functional options not applied: %+v", eng2.opts)
 	}
 	_ = eng2.Close()

@@ -17,8 +17,6 @@ func main() {
 	eng, err := mainline.Open(
 		mainline.WithBackground(),
 		mainline.WithColdThreshold(20*time.Millisecond),
-		mainline.WithTransformPeriod(10*time.Millisecond),
-		mainline.WithGCPeriod(5*time.Millisecond),
 	)
 	if err != nil {
 		log.Fatal(err)

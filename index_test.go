@@ -284,15 +284,15 @@ func TestIndexRecoveryRebuild(t *testing.T) {
 	if tbl2 == nil {
 		t.Fatal("table not rehydrated")
 	}
-	st := eng2.Stats().Index
-	if st.RebuildIndexes != 2 {
-		t.Fatalf("RebuildIndexes = %d, want 2", st.RebuildIndexes)
+	st := eng2.Stats().Recovery
+	if st.IndexesRebuilt != 2 {
+		t.Fatalf("IndexesRebuilt = %d, want 2", st.IndexesRebuilt)
 	}
-	if st.RebuildEntries != int64(2*len(wantPK)) {
-		t.Fatalf("RebuildEntries = %d, want %d", st.RebuildEntries, 2*len(wantPK))
+	if st.IndexEntriesRebuilt != int64(2*len(wantPK)) {
+		t.Fatalf("IndexEntriesRebuilt = %d, want %d", st.IndexEntriesRebuilt, 2*len(wantPK))
 	}
-	if st.RebuildDuration <= 0 {
-		t.Fatal("RebuildDuration not recorded")
+	if st.IndexRebuildDuration <= 0 {
+		t.Fatal("IndexRebuildDuration not recorded")
 	}
 	gotPK := enumerate(eng2, tbl2, "pk")
 	gotReg := enumerate(eng2, tbl2, "reg")

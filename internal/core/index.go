@@ -176,9 +176,6 @@ func (ti *TableIndex) KeyColumns() []storage.ColumnID {
 	return ids
 }
 
-// NumKeyColumns returns the key arity.
-func (ti *TableIndex) NumKeyColumns() int { return len(ti.cols) }
-
 // Len returns the number of live entries (stale ones included until their
 // deferred removal runs).
 func (ti *TableIndex) Len() int { return ti.tree.Len() }
@@ -303,13 +300,13 @@ func (ti *TableIndex) overlaps(p *storage.Projection) bool {
 // uncommitted inserts, re-keyed updates, refilled slots) without ever
 // corrupting a read. When the slot's block has never had a key column
 // rewritten, the visible version carries the key the entry was published
-// under, so one Select into out settles it; otherwise, or with nothing to
-// materialize into, the visible version's key is re-encoded and compared
-// first.
+// under, so one Select settles it: into out, or into the key row when
+// there is nothing to materialize. Otherwise the visible version's key is
+// re-encoded and compared first.
 func (ti *TableIndex) check(tx *txn.Transaction, key []byte, slot storage.TupleSlot, out *storage.ProjectedRow, sc *indexScratch) bool {
 	ti.reverified.Add(1)
 	block := ti.table.reg.BlockFor(slot)
-	if out == nil || block == nil || block.Rewritten()&ti.keyMask != 0 {
+	if block == nil || block.Rewritten()&ti.keyMask != 0 {
 		sc.keyRow.Reset()
 		found, _ := ti.table.Select(tx, slot, sc.keyRow)
 		if !found || !ti.encodeFromRow(sc.keyRow, sc.kb) || !bytes.Equal(sc.kb.Bytes(), key) {
@@ -319,6 +316,9 @@ func (ti *TableIndex) check(tx *txn.Transaction, key []byte, slot storage.TupleS
 		if out == nil {
 			return true
 		}
+	}
+	if out == nil {
+		out = sc.keyRow
 	}
 	out.Reset()
 	if found, _ := ti.table.Select(tx, slot, out); !found {

@@ -36,23 +36,23 @@ const HotBatchSize = 1024
 // not.
 type ScanStats struct {
 	// BlocksFrozen counts blocks scanned in place under the reader counter.
-	BlocksFrozen int64
+	BlocksFrozen int64 `metric:"mainline_engine_scan_frozen_blocks_total"`
 	// BlocksVersioned counts blocks scanned through the version-chain
 	// protocol (hot, cooling, or freezing at scan time).
-	BlocksVersioned int64
+	BlocksVersioned int64 `metric:"mainline_engine_scan_versioned_blocks_total"`
 	// BlocksPruned counts frozen blocks skipped entirely because their
 	// zone map proved no row could match the predicate — pruned blocks
 	// never take the in-place read counter.
-	BlocksPruned int64
+	BlocksPruned int64 `metric:"mainline_engine_scan_pruned_blocks_total"`
 	// BlocksCold counts evicted blocks served from the cold tier (cache
 	// or object store).
-	BlocksCold int64
+	BlocksCold int64 `metric:"mainline_engine_scan_cold_blocks_total"`
 	// BlocksPrunedCold counts the subset of BlocksPruned whose block was
 	// evicted: pruning decided on the in-RAM zone map alone, so these
 	// blocks incurred zero object-store reads.
-	BlocksPrunedCold int64
+	BlocksPrunedCold int64 `metric:"mainline_engine_scan_pruned_cold_blocks_total"`
 	// TuplesEmitted counts tuples handed to scan callbacks.
-	TuplesEmitted int64
+	TuplesEmitted int64 `metric:"mainline_engine_scan_tuples_total"`
 }
 
 // Add accumulates o into s.

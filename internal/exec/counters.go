@@ -42,24 +42,24 @@ func (c *Counters) SetLatency(h *obs.Histogram) { c.latency = h }
 // Stats is a point-in-time snapshot of Counters.
 type Stats struct {
 	// Queries is the number of Aggregate/HashJoin executions started.
-	Queries int64
+	Queries int64 `metric:"mainline_engine_exec_queries_total"`
 	// MorselsDispatched counts block-granular morsels handed to workers.
-	MorselsDispatched int64
+	MorselsDispatched int64 `metric:"mainline_engine_exec_morsels_dispatched_total"`
 	// PartialsMerged counts per-worker partial aggregate tables merged
 	// into a final result.
-	PartialsMerged int64
+	PartialsMerged int64 `metric:"mainline_engine_exec_partials_merged_total"`
 	// WorkersLaunched counts worker goroutines launched across queries.
-	WorkersLaunched int64
+	WorkersLaunched int64 `metric:"mainline_engine_exec_workers_launched_total"`
 	// RowsAggregated counts rows accumulated by aggregation operators
 	// (post-predicate).
-	RowsAggregated int64
+	RowsAggregated int64 `metric:"mainline_engine_exec_rows_aggregated_total"`
 	// DictFastBlocks counts frozen blocks aggregated on the dictionary
 	// fast path (accumulating on int32 codes, decoding once per code).
-	DictFastBlocks int64
+	DictFastBlocks int64 `metric:"mainline_engine_exec_dict_fast_blocks_total"`
 	// JoinBuildRows and JoinProbeRows count rows consumed by the build
 	// and probe sides of hash joins.
-	JoinBuildRows int64
-	JoinProbeRows int64
+	JoinBuildRows int64 `metric:"mainline_engine_exec_join_build_rows_total"`
+	JoinProbeRows int64 `metric:"mainline_engine_exec_join_probe_rows_total"`
 }
 
 // Snapshot returns the current counter values.

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"mainline/internal/storage"
-	"mainline/internal/util"
 )
 
 // Sharded partitions a logical index across many BTrees by hashing a fixed
@@ -153,11 +152,3 @@ var (
 	_ Index = (*BTree)(nil)
 	_ Index = (*Sharded)(nil)
 )
-
-// DefaultShards picks a shard count for n expected concurrent writers.
-func DefaultShards(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return util.AlignUp(n, 2)
-}

@@ -232,7 +232,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	r.Observe(Span{})
 	r.SetThreshold(time.Second)
-	r.SetLogger(nil)
 	if r.Snapshot() != nil || r.Captured() != 0 {
 		t.Fatal("nil ring not empty")
 	}

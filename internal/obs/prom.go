@@ -3,8 +3,59 @@ package obs
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
+	"strings"
+	"time"
 )
+
+// WriteStats renders the fields of the struct v that carry a
+// `metric:"<name>"` tag, one sample each: ints and uints as they are,
+// bools as 0 or 1, and time.Duration values in seconds. A name ending in
+// _total is typed a counter, any other a gauge. Untagged struct fields are
+// walked recursively, except one whose Enabled field is false (a subsystem
+// the engine runs without); fields tagged "-" are skipped. The tags are
+// the one declaration of each series name.
+func WriteStats(w io.Writer, v any) {
+	writeStruct(w, reflect.ValueOf(v))
+}
+
+var durationType = reflect.TypeOf(time.Duration(0))
+
+func writeStruct(w io.Writer, v reflect.Value) {
+	if on := v.FieldByName("Enabled"); on.IsValid() && !on.Bool() {
+		return
+	}
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		name := f.Tag.Get("metric")
+		if name == "-" {
+			continue
+		}
+		if name == "" {
+			if fv.Kind() == reflect.Struct {
+				writeStruct(w, fv)
+			}
+			continue
+		}
+		var val string
+		switch {
+		case f.Type == durationType:
+			val = fmtFloat(time.Duration(fv.Int()).Seconds())
+		case fv.CanInt():
+			val = strconv.FormatInt(fv.Int(), 10)
+		case fv.CanUint():
+			val = strconv.FormatUint(fv.Uint(), 10)
+		case fv.Kind() == reflect.Bool && fv.Bool():
+			val = "1"
+		case fv.Kind() == reflect.Bool:
+			val = "0"
+		default:
+			panic(fmt.Sprintf("obs: metric %s has unsupported type %s", name, f.Type))
+		}
+		writeSample(w, name, val)
+	}
+}
 
 // WritePrometheus renders every registered histogram as a proper
 // Prometheus histogram family (`_bucket`/`_sum`/`_count` with cumulative
@@ -28,34 +79,38 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		WriteHistSeries(w, h.name, h.labels, h.Snapshot())
 	}
 
-	duties := r.Duties()
-	if len(duties) > 0 {
-		fmt.Fprintf(w, "# TYPE mainline_duty_busy_seconds_total counter\n")
-		for _, d := range duties {
-			s := d.Snapshot()
-			fmt.Fprintf(w, "mainline_duty_busy_seconds_total{subsystem=%q} %s\n",
-				s.Name, fmtFloat(s.Busy.Seconds()))
+	if duties := r.Duties(); len(duties) > 0 {
+		family := func(name string, val func(DutySnapshot) string) {
+			writeType(w, name)
+			for _, d := range duties {
+				s := d.Snapshot()
+				fmt.Fprintf(w, "%s{subsystem=%q} %s\n", name, s.Name, val(s))
+			}
 		}
-		fmt.Fprintf(w, "# TYPE mainline_duty_runs_total counter\n")
-		for _, d := range duties {
-			s := d.Snapshot()
-			fmt.Fprintf(w, "mainline_duty_runs_total{subsystem=%q} %d\n", s.Name, s.Runs)
-		}
-		fmt.Fprintf(w, "# TYPE mainline_duty_fraction gauge\n")
-		for _, d := range duties {
-			s := d.Snapshot()
-			fmt.Fprintf(w, "mainline_duty_fraction{subsystem=%q} %s\n",
-				s.Name, fmtFloat(s.Fraction))
-		}
+		family("mainline_duty_busy_seconds_total", func(s DutySnapshot) string { return fmtFloat(s.Busy.Seconds()) })
+		family("mainline_duty_runs_total", func(s DutySnapshot) string { return strconv.FormatInt(s.Runs, 10) })
+		family("mainline_duty_fraction", func(s DutySnapshot) string { return fmtFloat(s.Fraction) })
 	}
 
 	if ring := r.Ring(); ring != nil {
-		fmt.Fprintf(w, "# TYPE mainline_slow_ops_captured_total counter\n")
-		fmt.Fprintf(w, "mainline_slow_ops_captured_total %d\n", ring.Captured())
-		fmt.Fprintf(w, "# TYPE mainline_slow_op_threshold_seconds gauge\n")
-		fmt.Fprintf(w, "mainline_slow_op_threshold_seconds %s\n",
-			fmtFloat(ring.Threshold().Seconds()))
+		writeSample(w, "mainline_slow_ops_captured_total", strconv.FormatInt(ring.Captured(), 10))
+		writeSample(w, "mainline_slow_op_threshold_seconds", fmtFloat(ring.Threshold().Seconds()))
 	}
+}
+
+// writeType declares name a counter when it ends in _total, else a gauge.
+func writeType(w io.Writer, name string) {
+	typ := "gauge"
+	if strings.HasSuffix(name, "_total") {
+		typ = "counter"
+	}
+	fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+}
+
+// writeSample writes one unlabelled sample with its # TYPE line.
+func writeSample(w io.Writer, name, val string) {
+	writeType(w, name)
+	fmt.Fprintf(w, "%s %s\n", name, val)
 }
 
 // WriteHistSeries writes one histogram series set (`_bucket`, `_sum`,

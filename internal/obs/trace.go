@@ -24,11 +24,6 @@ type Span struct {
 	Phases []Phase   `json:"phases,omitempty"`
 }
 
-// Logger receives each captured span synchronously; keep it fast. Spans
-// are only built for ops over the threshold, so a logger never sits on
-// the fast path.
-type Logger func(Span)
-
 // TraceRing is a bounded ring of slow-op spans. The hot-path contract
 // is Exceeds: one atomic load and a compare, so instrumented code pays
 // nothing until an op is actually slow. Observe then takes a mutex —
@@ -38,11 +33,10 @@ type TraceRing struct {
 	threshold atomic.Int64
 	captured  atomic.Int64
 
-	mu     sync.Mutex
-	logger Logger
-	spans  []Span
-	next   int
-	n      int // live spans (≤ len(spans))
+	mu    sync.Mutex
+	spans []Span
+	next  int
+	n     int // live spans (≤ len(spans))
 }
 
 // NewTraceRing builds a ring holding capacity spans that captures ops
@@ -76,18 +70,7 @@ func (r *TraceRing) SetThreshold(d time.Duration) {
 	}
 }
 
-// SetLogger installs (or, with nil, removes) the span logger.
-func (r *TraceRing) SetLogger(fn Logger) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.logger = fn
-	r.mu.Unlock()
-}
-
-// Observe stores a span, evicting the oldest when full, and forwards it
-// to the logger (outside the ring lock).
+// Observe stores a span, evicting the oldest when full.
 func (r *TraceRing) Observe(sp Span) {
 	if r == nil {
 		return
@@ -99,11 +82,7 @@ func (r *TraceRing) Observe(sp Span) {
 	if r.n < len(r.spans) {
 		r.n++
 	}
-	fn := r.logger
 	r.mu.Unlock()
-	if fn != nil {
-		fn(sp)
-	}
 }
 
 // Captured returns the total number of spans ever captured (including

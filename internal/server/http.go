@@ -9,14 +9,17 @@ import (
 	"net/http/pprof"
 	"strings"
 	"time"
+
+	"mainline/internal/obs"
 )
 
 // The HTTP sidecar serves the endpoints an operator points probes at:
 // GET /healthz (200 while serving, 503 while draining — so a load balancer
 // stops routing before the drain grace expires — with the engine's health
 // summary in the body), GET /metrics (Prometheus text exposition rendered
-// from eng.Stats() plus the engine's histogram/duty registry), and
-// GET /debug/slowops (the captured slow-op spans as JSON, newest first).
+// from eng.Stats() and eng.Health() plus the engine's histogram/duty
+// registry), and GET /debug/slowops (the captured slow-op spans as JSON,
+// newest first).
 // With Config.DebugEndpoints, net/http/pprof and expvar are mounted too.
 
 func (s *Server) listenHTTP() error {
@@ -65,16 +68,12 @@ func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		status = "draining"
 	}
-	age := h.LastCheckpointAge.Seconds()
-	if h.LastCheckpointAge < 0 {
-		age = -1 // never checkpointed: the sentinel, not its nanosecond value
-	}
 	fmt.Fprintln(w, status)
 	if h.Degraded {
 		fmt.Fprintf(w, "degraded_reason %s\n", h.DegradedReason)
 	}
 	fmt.Fprintf(w, "wal_truncation_lag %d\n", h.WALTruncationLag)
-	fmt.Fprintf(w, "last_checkpoint_age_seconds %g\n", age)
+	fmt.Fprintf(w, "last_checkpoint_age_seconds %g\n", h.LastCheckpointAge.Seconds())
 	fmt.Fprintf(w, "gc_watermark_lag %d\n", h.GCWatermarkLag)
 	fmt.Fprintf(w, "slow_ops_captured %d\n", h.SlowOps)
 }
@@ -89,91 +88,17 @@ func (s *Server) serveSlowOps(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(spans)
 }
 
-// serveMetrics renders engine + server counters in the Prometheus text
-// exposition format (hand-written: no client library in a stdlib-only
-// build), followed by the engine's observability registry — every
-// latency/size histogram as a proper _bucket/_sum/_count family plus the
-// duty-cycle and slow-op series.
+// serveMetrics renders the engine's Stats (with this server's own counters
+// as Stats.Server) and Health in the Prometheus text exposition format,
+// the series names coming from their metric tags, followed by the
+// engine's observability registry: every latency/size histogram as a
+// _bucket/_sum/_count family plus the duty-cycle and slow-op series.
 func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.eng.Stats()
-	h := s.eng.Health()
-	sv := s.Stats()
+	st.Server = s.Stats()
 	var b strings.Builder
-	m := func(name string, v int64) {
-		fmt.Fprintf(&b, "mainline_%s %d\n", name, v)
-	}
-
-	m("server_sessions", sv.Sessions)
-	m("server_sessions_total", sv.SessionsTotal)
-	m("server_sessions_rejected_total", sv.SessionsRejected)
-	m("server_requests_total", sv.Requests)
-	m("server_requests_rejected_total", sv.RequestsRejected)
-	m("server_deadline_hits_total", sv.DeadlineHits)
-	m("server_txns_reaped_total", sv.TxnsReaped)
-	m("server_begin_ops_total", sv.BeginOps)
-	m("server_commit_ops_total", sv.CommitOps)
-	m("server_abort_ops_total", sv.AbortOps)
-	m("server_insert_ops_total", sv.InsertOps)
-	m("server_update_ops_total", sv.UpdateOps)
-	m("server_delete_ops_total", sv.DeleteOps)
-	m("server_select_ops_total", sv.SelectOps)
-	m("server_index_read_ops_total", sv.IndexReadOps)
-	m("server_doget_ops_total", sv.DoGetOps)
-	m("server_doput_ops_total", sv.DoPutOps)
-	m("server_bytes_streamed_total", sv.BytesStreamed)
-	m("server_bytes_ingested_total", sv.BytesIngested)
-	m("server_rows_streamed_total", sv.RowsStreamed)
-	m("server_rows_ingested_total", sv.RowsIngested)
-	if s.draining.Load() {
-		m("server_draining", 1)
-	} else {
-		m("server_draining", 0)
-	}
-
-	m("engine_active_txns", int64(st.ActiveTxns))
-	m("engine_scan_frozen_blocks_total", st.Scan.BlocksFrozen)
-	m("engine_scan_versioned_blocks_total", st.Scan.BlocksVersioned)
-	m("engine_scan_pruned_blocks_total", st.Scan.BlocksPruned)
-	m("engine_scan_cold_blocks_total", st.Scan.BlocksCold)
-	m("engine_scan_pruned_cold_blocks_total", st.Scan.BlocksPrunedCold)
-	m("engine_scan_tuples_total", st.Scan.TuplesEmitted)
-	m("engine_transform_frozen_blocks_total", st.Transform.BlocksFrozen)
-	m("engine_index_entries", st.Index.Entries)
-	m("engine_index_lookups_total", st.Index.Lookups)
-	m("engine_index_range_scans_total", st.Index.RangeScans)
-	m("engine_gc_unlinked_total", st.GC.Unlinked)
-	m("engine_gc_deallocated_total", st.GC.Deallocated)
-	m("engine_gc_watermark_lag", int64(st.GC.WatermarkLag))
-	m("engine_wal_truncation_lag", int64(h.WALTruncationLag))
-	if h.Degraded {
-		m("engine_degraded", 1)
-	} else {
-		m("engine_degraded", 0)
-	}
-	if st.WAL.Enabled {
-		m("engine_wal_txns_total", st.WAL.Txns)
-		m("engine_wal_bytes_total", st.WAL.Bytes)
-		m("engine_wal_syncs_total", st.WAL.Syncs)
-	}
-	if st.Checkpoint.Enabled {
-		m("engine_checkpoints_taken_total", st.Checkpoint.Taken)
-		m("engine_checkpoints_failed_total", st.Checkpoint.Failed)
-	}
-	if st.Tier.Enabled {
-		m("engine_tier_evictions_total", st.Tier.Evictions)
-		m("engine_tier_rethaws_total", st.Tier.Rethaws)
-		m("engine_tier_fetches_total", st.Tier.Fetches)
-		m("engine_tier_cache_hits_total", st.Tier.CacheHits)
-		m("engine_tier_cache_misses_total", st.Tier.CacheMisses)
-		m("engine_tier_cache_evictions_total", st.Tier.CacheEvictions)
-		m("engine_tier_cache_bytes", st.Tier.CacheBytes)
-		m("engine_tier_bytes_uploaded_total", st.Tier.BytesUploaded)
-		m("engine_tier_bytes_fetched_total", st.Tier.BytesFetched)
-	}
-
-	// Histogram, duty-cycle, and slow-op families from the engine's
-	// observability registry (server request histograms included — they
-	// live in the same registry).
+	obs.WriteStats(&b, st)
+	obs.WriteStats(&b, s.eng.Health())
 	s.eng.Admin().Obs().WritePrometheus(&b)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -132,7 +132,7 @@ func (s *Server) Listen() (string, error) {
 			return "", err
 		}
 	}
-	s.eng.Admin().SetServerStats(s.ctr.snapshot)
+	s.eng.Admin().SetServerStats(s.Stats)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return ln.Addr().String(), nil
@@ -154,10 +154,11 @@ func (s *Server) HTTPAddr() string {
 	return s.httpLn.Addr().String()
 }
 
-// Stats snapshots the server's counters.
+// Stats snapshots the server's counters and drain state.
 func (s *Server) Stats() mainline.ServerStats {
 	st := s.ctr.snapshot()
 	st.Enabled = true
+	st.Draining = s.draining.Load()
 	return st
 }
 

@@ -562,7 +562,3 @@ func (b *Block) FrozenValidity(col ColumnID) util.Bitmap {
 	off := b.Layout.validOff[col]
 	return util.Bitmap(b.buf[off : off+util.BitmapBytes(b.frozenRows)])
 }
-
-// RawData exposes the block's backing buffer (simulated-RDMA export reads
-// block memory directly).
-func (b *Block) RawData() []byte { return b.buf }

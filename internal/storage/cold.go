@@ -97,9 +97,6 @@ func (b *Block) SweepAge() uint32 { return b.sweepAge.Load() }
 // BumpSweepAge increments the sweep-age counter and returns the new age.
 func (b *Block) BumpSweepAge() uint32 { return b.sweepAge.Add(1) }
 
-// ResetSweepAge zeroes the sweep-age counter.
-func (b *Block) ResetSweepAge() { b.sweepAge.Store(0) }
-
 // DropColdBuffers releases the block's in-RAM data buffers after its
 // content is safely in the object store: the 1 MB backing buffer and the
 // gathered varlen/dict buffers. Everything reads and writes need to

@@ -75,31 +75,47 @@ func (m *Manager) Store() objstore.Store { return m.store }
 // Cache returns the block cache (stats and tests).
 func (m *Manager) Cache() *Cache { return m.cache }
 
-// Counters is a snapshot of the manager's lifetime counters.
-type Counters struct {
-	Evictions     int64
-	Rethaws       int64
-	Fetches       int64
-	CacheHits     int64
-	CacheMisses   int64
-	CacheEvicts   int64
-	CacheBytes    int64
-	BytesUploaded int64
-	BytesFetched  int64
+// Stats counts cold-tier activity (Enabled false without an object
+// store). The cold-scan counters (blocks served from the store, cold
+// blocks pruned by zone maps without a fetch) live in the scan stats.
+type Stats struct {
+	// Enabled reports whether the engine was opened with an object store.
+	Enabled bool
+	// Evictions counts blocks demoted to the store; Rethaws counts
+	// evicted blocks whose buffers were re-installed for a write.
+	Evictions int64 `metric:"mainline_engine_tier_evictions_total"`
+	Rethaws   int64 `metric:"mainline_engine_tier_rethaws_total"`
+	// Fetches counts object-store reads of evicted blocks (cache misses
+	// that reached the store); CacheHits / CacheMisses / CacheEvictions
+	// count block-cache traffic, and CacheBytes is its current footprint.
+	Fetches        int64 `metric:"mainline_engine_tier_fetches_total"`
+	CacheHits      int64 `metric:"mainline_engine_tier_cache_hits_total"`
+	CacheMisses    int64 `metric:"mainline_engine_tier_cache_misses_total"`
+	CacheEvictions int64 `metric:"mainline_engine_tier_cache_evictions_total"`
+	CacheBytes     int64 `metric:"mainline_engine_tier_cache_bytes"`
+	// BytesUploaded / BytesFetched total the object-store volume in each
+	// direction.
+	BytesUploaded int64 `metric:"mainline_engine_tier_bytes_uploaded_total"`
+	BytesFetched  int64 `metric:"mainline_engine_tier_bytes_fetched_total"`
 }
 
-// Snapshot returns the current counters.
-func (m *Manager) Snapshot() Counters {
-	return Counters{
-		Evictions:     m.evictions.Load(),
-		Rethaws:       m.rethaws.Load(),
-		Fetches:       m.fetches.Load(),
-		CacheHits:     m.cache.Hits(),
-		CacheMisses:   m.cache.Misses(),
-		CacheEvicts:   m.cache.Evictions(),
-		CacheBytes:    m.cache.Bytes(),
-		BytesUploaded: m.bytesUploaded.Load(),
-		BytesFetched:  m.bytesFetched.Load(),
+// Stats snapshots the manager's lifetime counters; a nil manager (no
+// object store) reports zeroes with Enabled false.
+func (m *Manager) Stats() Stats {
+	if m == nil {
+		return Stats{}
+	}
+	return Stats{
+		Enabled:        true,
+		Evictions:      m.evictions.Load(),
+		Rethaws:        m.rethaws.Load(),
+		Fetches:        m.fetches.Load(),
+		CacheHits:      m.cache.Hits(),
+		CacheMisses:    m.cache.Misses(),
+		CacheEvictions: m.cache.Evictions(),
+		CacheBytes:     m.cache.Bytes(),
+		BytesUploaded:  m.bytesUploaded.Load(),
+		BytesFetched:   m.bytesFetched.Load(),
 	}
 }
 

@@ -34,13 +34,13 @@ func DefaultConfig() Config {
 
 // Stats counts pipeline work since creation.
 type Stats struct {
-	GroupsCompacted int64
-	TuplesMoved     int64
-	BlocksFrozen    int64
-	BlocksRecycled  int64
-	CompactionFails int64
-	FreezeRetries   int64
-	Preemptions     int64
+	GroupsCompacted int64 `metric:"mainline_engine_transform_groups_compacted_total"`
+	TuplesMoved     int64 `metric:"mainline_engine_transform_tuples_moved_total"`
+	BlocksFrozen    int64 `metric:"mainline_engine_transform_frozen_blocks_total"`
+	BlocksRecycled  int64 `metric:"mainline_engine_transform_recycled_blocks_total"`
+	CompactionFails int64 `metric:"mainline_engine_transform_compaction_fails_total"`
+	FreezeRetries   int64 `metric:"mainline_engine_transform_freeze_retries_total"`
+	Preemptions     int64 `metric:"mainline_engine_transform_preemptions_total"`
 }
 
 // Transformer drives blocks from hot to frozen: it sweeps the observer for

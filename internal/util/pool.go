@@ -70,71 +70,3 @@ func (p *SegmentPool) Outstanding() int64 { return p.outstanding.Load() }
 func (p *SegmentPool) Stats() (allocated, reused int64) {
 	return p.allocated.Load(), p.reused.Load()
 }
-
-// BlockPool recycles large storage blocks (1 MB by default). Freed blocks —
-// emptied by compaction (paper §4.3 Phase 1) — return here instead of to the
-// runtime, mirroring DB-X's block allocator.
-type BlockPool struct {
-	blockSize int
-	mu        sync.Mutex
-	free      [][]byte
-	limit     int
-	allocated atomic.Int64
-	freed     atomic.Int64
-}
-
-// NewBlockPool creates a pool of blockSize-byte blocks keeping at most limit
-// free blocks cached (0 means a reasonable default).
-func NewBlockPool(blockSize, limit int) *BlockPool {
-	if limit <= 0 {
-		limit = 64
-	}
-	return &BlockPool{blockSize: blockSize, limit: limit}
-}
-
-// BlockSize returns the size of blocks vended by the pool.
-func (p *BlockPool) BlockSize() int { return p.blockSize }
-
-// Get returns a zeroed block.
-func (p *BlockPool) Get() []byte {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		for i := range b {
-			b[i] = 0
-		}
-		return b
-	}
-	p.mu.Unlock()
-	p.allocated.Add(1)
-	return make([]byte, p.blockSize)
-}
-
-// Put returns a block to the pool; blocks beyond the cache limit are dropped
-// for the runtime GC to reclaim.
-func (p *BlockPool) Put(b []byte) {
-	if len(b) != p.blockSize {
-		return
-	}
-	p.freed.Add(1)
-	p.mu.Lock()
-	if len(p.free) < p.limit {
-		p.free = append(p.free, b)
-	}
-	p.mu.Unlock()
-}
-
-// Stats returns total blocks allocated from the runtime and total returned
-// to the pool over the pool's lifetime.
-func (p *BlockPool) Stats() (allocated, freed int64) {
-	return p.allocated.Load(), p.freed.Load()
-}
-
-// FreeCount returns the number of blocks currently cached.
-func (p *BlockPool) FreeCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}

@@ -58,35 +58,3 @@ func TestSegmentPoolConcurrent(t *testing.T) {
 		t.Fatalf("Outstanding = %d after all returned", p.Outstanding())
 	}
 }
-
-func TestBlockPoolRecycles(t *testing.T) {
-	p := NewBlockPool(4096, 2)
-	b1 := p.Get()
-	if len(b1) != 4096 {
-		t.Fatalf("block len = %d", len(b1))
-	}
-	b1[0] = 0xFF
-	p.Put(b1)
-	b2 := p.Get()
-	if b2[0] != 0 {
-		t.Fatal("recycled block not zeroed")
-	}
-	alloc, freed := p.Stats()
-	if alloc != 1 || freed != 1 {
-		t.Fatalf("stats alloc=%d freed=%d", alloc, freed)
-	}
-}
-
-func TestBlockPoolLimit(t *testing.T) {
-	p := NewBlockPool(64, 1)
-	a, b := p.Get(), p.Get()
-	p.Put(a)
-	p.Put(b) // over limit: dropped
-	if p.FreeCount() != 1 {
-		t.Fatalf("FreeCount = %d, want 1", p.FreeCount())
-	}
-	p.Put(make([]byte, 32)) // wrong size ignored
-	if p.FreeCount() != 1 {
-		t.Fatalf("FreeCount after foreign put = %d", p.FreeCount())
-	}
-}

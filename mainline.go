@@ -81,6 +81,10 @@ type (
 	// ExecStats counts analytical-executor work (morsels, partial merges,
 	// workers, rows aggregated, dictionary fast-path blocks).
 	ExecStats = exec.Stats
+	// TierStats counts cold-tier activity: evictions, rethaws, block-cache
+	// traffic, object-store volume (Enabled false without an object
+	// store).
+	TierStats = tier.Stats
 )
 
 // Re-exported column types.
@@ -234,16 +238,14 @@ func Open(opts ...Option) (*Engine, error) {
 	e.collector = gc.New(e.mgr)
 	e.observer = transform.NewObserver()
 	e.collector.SetObserver(e.observer)
-	cfg := transform.Config{
-		Threshold: o.ColdThreshold,
-		GroupSize: o.CompactionGroupSize,
-		Mode:      o.TransformMode,
-	}
+	cfg := transform.DefaultConfig() // 50-block compaction groups, the paper's sweet spot
+	cfg.Threshold = o.ColdThreshold
+	cfg.Mode = o.TransformMode
 	e.transformer = transform.New(e.mgr, e.collector, e.observer, cfg)
 	// Observability is always on: the instruments must exist before the
 	// data-directory bootstrap below (its re-anchor checkpoint records
 	// into them) and the cost is a few time.Now() calls per operation.
-	e.obs = newEngineObs(o.SlowOpThreshold, o.SlowOpLog)
+	e.obs = newEngineObs(o.SlowOpThreshold)
 	e.obs.wire(e)
 	e.fsys = o.FaultFS
 	if e.fsys == nil {
@@ -309,10 +311,8 @@ func Open(opts ...Option) (*Engine, error) {
 		e.logMgr.OnError = e.enterDegraded
 	}
 	if o.Background {
-		e.collector.Start(o.GCPeriod)
-		if !o.DisableTransform {
-			e.transformer.Start(o.TransformPeriod)
-		}
+		e.collector.Start(gcPeriod)
+		e.transformer.Start(transformPeriod)
 		if e.logMgr != nil {
 			e.logMgr.Start(logFlushInterval)
 			e.walRunning = true

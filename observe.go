@@ -70,12 +70,12 @@ type DutyStats struct {
 // GCStats publishes garbage-collector progress (Stats().GC).
 type GCStats struct {
 	// Unlinked / Deallocated are lifetime retired-version counts.
-	Unlinked    int64
-	Deallocated int64
+	Unlinked    int64 `metric:"mainline_engine_gc_unlinked_total"`
+	Deallocated int64 `metric:"mainline_engine_gc_deallocated_total"`
 	// WatermarkLag is epoch − oldest-active as of the latest GC pass:
 	// how far version reclamation trails the clock. A stuck snapshot
 	// shows up here as unbounded growth.
-	WatermarkLag uint64
+	WatermarkLag uint64 `metric:"mainline_engine_gc_watermark_lag"`
 }
 
 // engineObs bundles the engine's always-on instruments. Everything is
@@ -105,11 +105,8 @@ type engineObs struct {
 	ckptDuty      *obs.Duty
 }
 
-func newEngineObs(threshold time.Duration, logFn func(SlowOp)) *engineObs {
+func newEngineObs(threshold time.Duration) *engineObs {
 	r := obs.NewRegistry(slowOpRingCap, threshold)
-	if logFn != nil {
-		r.Ring().SetLogger(obs.Logger(logFn))
-	}
 	h := func(name, help, unit string) *obs.Histogram {
 		return r.NewHistogram(name, help, unit, "")
 	}
@@ -185,22 +182,23 @@ func (e *Engine) SlowOps() []SlowOp { return e.obs.ring.Snapshot() }
 func (e *Engine) SetSlowOpThreshold(d time.Duration) { e.obs.ring.SetThreshold(d) }
 
 // HealthStats is the operational health summary behind /healthz: how far
-// the durable and reclamation machinery trail the clock.
+// the durable and reclamation machinery trail the clock. Fields tagged
+// "-" repeat a series Stats or the registry already exports.
 type HealthStats struct {
 	// WALTruncationLag is engine-clock ticks since the newest
 	// checkpoint's snapshot — the un-truncated WAL span that a restart
 	// would replay. Zero without a data directory.
-	WALTruncationLag uint64
+	WALTruncationLag uint64 `metric:"mainline_engine_wal_truncation_lag"`
 	// LastCheckpointAge is wall time since the last installed
-	// checkpoint; negative when no checkpoint has ever been taken.
-	LastCheckpointAge time.Duration
+	// checkpoint; -1s when no checkpoint has ever been taken.
+	LastCheckpointAge time.Duration `metric:"mainline_engine_last_checkpoint_age_seconds"`
 	// GCWatermarkLag is epoch − oldest-active as of the latest GC pass.
-	GCWatermarkLag uint64
+	GCWatermarkLag uint64 `metric:"-"`
 	// SlowOps is the total number of slow-op spans ever captured.
-	SlowOps int64
+	SlowOps int64 `metric:"-"`
 	// Degraded reports the engine has sealed itself read-only after a WAL
 	// failure; DegradedReason carries the root cause. See ErrDegraded.
-	Degraded       bool
+	Degraded       bool `metric:"mainline_engine_degraded"`
 	DegradedReason string
 }
 
@@ -209,7 +207,7 @@ func (e *Engine) Health() HealthStats {
 	h := HealthStats{
 		GCWatermarkLag:    e.collector.WatermarkLag(),
 		SlowOps:           e.obs.ring.Captured(),
-		LastCheckpointAge: -1,
+		LastCheckpointAge: -time.Second,
 	}
 	if wall := e.ckptLastWall.Load(); wall > 0 {
 		h.LastCheckpointAge = time.Since(time.Unix(0, wall))

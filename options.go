@@ -53,29 +53,16 @@ type Options struct {
 	// When false (tests, benchmarks) drive them manually with RunGC /
 	// RunTransform.
 	Background bool
-	// GCPeriod is the garbage collection interval (default 10ms).
-	GCPeriod time.Duration
-	// TransformPeriod is the transformation pass interval (default 10ms).
-	TransformPeriod time.Duration
 	// ColdThreshold is how long a block must stay unmodified to freeze
 	// (default 10ms, the paper's aggressive setting).
 	ColdThreshold time.Duration
-	// CompactionGroupSize caps blocks per compaction transaction
-	// (default 50, the paper's sweet spot).
-	CompactionGroupSize int
 	// TransformMode selects gather vs dictionary compression.
 	TransformMode TransformMode
-	// DisableTransform turns the background transformation off entirely
-	// (the paper's "no transformation" baseline).
-	DisableTransform bool
 	// SlowOpThreshold is the slow-op capture threshold: operations
 	// (commits, server requests) at or above it are recorded into the
 	// in-memory trace ring (Engine.SlowOps, /debug/slowops). 0 means the
 	// 100ms default; use WithSlowOpThreshold(1) to capture everything.
 	SlowOpThreshold time.Duration
-	// SlowOpLog, when set, receives each captured slow-op span
-	// synchronously — keep it fast; it only runs for slow ops.
-	SlowOpLog func(SlowOp)
 	// FaultFS routes every persistence-layer filesystem operation (WAL
 	// segments, checkpoints, catalog installs) through the given
 	// fault.FS. nil means the real filesystem; tests and the chaos
@@ -107,23 +94,18 @@ const (
 	// logFlushInterval bounds group-commit latency when the background
 	// flush loop runs.
 	logFlushInterval = 5 * time.Millisecond
+	// gcPeriod and transformPeriod are the background GC and
+	// transformation pass intervals.
+	gcPeriod        = 10 * time.Millisecond
+	transformPeriod = 10 * time.Millisecond
 	// tierEvictAfterSweeps is how many consecutive sweeps a block must
 	// stay frozen and untouched before the sweeper evicts it.
 	tierEvictAfterSweeps = 2
 )
 
 func (o *Options) defaults() {
-	if o.GCPeriod == 0 {
-		o.GCPeriod = 10 * time.Millisecond
-	}
-	if o.TransformPeriod == 0 {
-		o.TransformPeriod = 10 * time.Millisecond
-	}
 	if o.ColdThreshold == 0 {
 		o.ColdThreshold = 10 * time.Millisecond
-	}
-	if o.CompactionGroupSize == 0 {
-		o.CompactionGroupSize = 50
 	}
 	if o.SlowOpThreshold == 0 {
 		o.SlowOpThreshold = 100 * time.Millisecond
@@ -179,37 +161,16 @@ func WithBackground() Option {
 	return optionFunc(func(o *Options) { o.Background = true })
 }
 
-// WithGCPeriod sets the background garbage collection interval.
-func WithGCPeriod(d time.Duration) Option {
-	return optionFunc(func(o *Options) { o.GCPeriod = d })
-}
-
-// WithTransformPeriod sets the background transformation pass interval.
-func WithTransformPeriod(d time.Duration) Option {
-	return optionFunc(func(o *Options) { o.TransformPeriod = d })
-}
-
 // WithColdThreshold sets how long a block must stay unmodified before the
 // transformer freezes it.
 func WithColdThreshold(d time.Duration) Option {
 	return optionFunc(func(o *Options) { o.ColdThreshold = d })
 }
 
-// WithCompactionGroupSize caps blocks per compaction transaction.
-func WithCompactionGroupSize(n int) Option {
-	return optionFunc(func(o *Options) { o.CompactionGroupSize = n })
-}
-
 // WithTransformMode selects gather vs dictionary compression for frozen
 // blocks.
 func WithTransformMode(m TransformMode) Option {
 	return optionFunc(func(o *Options) { o.TransformMode = m })
-}
-
-// WithoutTransform turns the background transformation off entirely (the
-// paper's "no transformation" baseline); GC still runs.
-func WithoutTransform() Option {
-	return optionFunc(func(o *Options) { o.DisableTransform = true })
 }
 
 // WithSlowOpThreshold sets the slow-op capture threshold (default
@@ -219,13 +180,6 @@ func WithoutTransform() Option {
 // nanosecond) to capture everything — useful in tests and smoke drives.
 func WithSlowOpThreshold(d time.Duration) Option {
 	return optionFunc(func(o *Options) { o.SlowOpThreshold = d })
-}
-
-// WithSlowOpLog installs a logger that receives each captured slow-op
-// span synchronously (it only runs for ops over the threshold, never on
-// the fast path).
-func WithSlowOpLog(fn func(SlowOp)) Option {
-	return optionFunc(func(o *Options) { o.SlowOpLog = fn })
 }
 
 // WithObjectStore enables the cold storage tier backed by a local

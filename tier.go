@@ -7,34 +7,9 @@ import (
 )
 
 // Engine-level wiring of the cold storage tier (internal/tier): the
-// background eviction sweeper, the administrative eviction surface, and
-// the TierStats snapshot. The tier itself is configured with
-// WithObjectStore / WithObjectStoreBackend.
-
-// TierStats counts cold-tier activity (Enabled false without an object
-// store). Eviction and cache traffic come from the tier manager; the
-// cold-scan counters (blocks served from the store, cold blocks pruned
-// by zone maps without a fetch) live in Stats().Scan.
-type TierStats struct {
-	// Enabled reports whether the engine was opened with an object store.
-	Enabled bool
-	// Evictions counts blocks demoted to the store; Rethaws counts
-	// evicted blocks whose buffers were re-installed for a write.
-	Evictions int64
-	Rethaws   int64
-	// Fetches counts object-store reads of evicted blocks (cache misses
-	// that reached the store); CacheHits / CacheMisses / CacheEvictions
-	// count block-cache traffic, and CacheBytes is its current footprint.
-	Fetches        int64
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	CacheBytes     int64
-	// BytesUploaded / BytesFetched total the object-store volume in each
-	// direction.
-	BytesUploaded int64
-	BytesFetched  int64
-}
+// background eviction sweeper and the administrative eviction surface.
+// The tier itself is configured with WithObjectStore /
+// WithObjectStoreBackend.
 
 // startTierSweeper launches the background eviction loop: every interval
 // it ages each frozen resident block and demotes those frozen for the
@@ -112,23 +87,3 @@ func (a Admin) EvictAll() (int, error) {
 // Tier returns the cold-tier manager (nil without an object store) —
 // the seam tier tests and benchmarks program against directly.
 func (a Admin) Tier() *tier.Manager { return a.eng.tier }
-
-// tierStats snapshots the manager's counters for Stats().
-func (e *Engine) tierStats() TierStats {
-	if e.tier == nil {
-		return TierStats{}
-	}
-	c := e.tier.Snapshot()
-	return TierStats{
-		Enabled:        true,
-		Evictions:      c.Evictions,
-		Rethaws:        c.Rethaws,
-		Fetches:        c.Fetches,
-		CacheHits:      c.CacheHits,
-		CacheMisses:    c.CacheMisses,
-		CacheEvictions: c.CacheEvicts,
-		CacheBytes:     c.CacheBytes,
-		BytesUploaded:  c.BytesUploaded,
-		BytesFetched:   c.BytesFetched,
-	}
-}
