@@ -231,8 +231,8 @@ func (e *Engine) Stats() Stats {
 		s.WAL.Enabled = true
 		s.WAL.Txns, s.WAL.Bytes, s.WAL.Syncs = e.logMgr.Stats()
 	}
-	if fn, ok := e.serverStatsFn.Load().(func() ServerStats); ok && fn != nil {
-		s.Server = fn()
+	if fn := e.serverStatsFn.Load(); fn != nil {
+		s.Server = (*fn)()
 		s.Server.Enabled = true
 	}
 	s.Latency = LatencyStats{
@@ -298,12 +298,15 @@ func (a Admin) ScanArgs(t *Table, cols []string, pred *Pred) (*storage.Projectio
 	return t.scanArgs(cols, pred)
 }
 
-// SetServerStats registers (or, with nil, detaches) the serving layer's
-// counter snapshot; Stats().Server reports it with Enabled set. At most
-// one server's counters are visible at a time — a second registration
-// replaces the first.
-func (a Admin) SetServerStats(fn func() ServerStats) {
-	a.eng.serverStatsFn.Store(fn)
+// SetServerStats registers the serving layer's counter snapshot;
+// Stats().Server reports it with Enabled set. At most one server's
+// counters are visible at a time — a second registration replaces the
+// first. detach removes this registration only while it is still the
+// current one, so a server that closes never detaches a later one.
+func (a Admin) SetServerStats(fn func() ServerStats) (detach func()) {
+	reg := &fn
+	a.eng.serverStatsFn.Store(reg)
+	return func() { a.eng.serverStatsFn.CompareAndSwap(reg, nil) }
 }
 
 // SimulateCrash abandons the engine as a process kill would: background

@@ -5,6 +5,8 @@
 // expvar; -slow-op tunes the slow-op capture threshold). SIGTERM or SIGINT drains gracefully:
 // accepting stops, in-flight requests get -grace to finish, leaked
 // transactions are reaped, then the engine (and its WAL) closes cleanly.
+// With -data the engine checkpoints every checkpointInterval, which
+// truncates the WAL and bounds what a restart replays.
 //
 //	mainline-serve -addr :7878 -http :7879 -data /var/lib/mainline
 package main
@@ -20,6 +22,9 @@ import (
 	"mainline"
 	"mainline/internal/server"
 )
+
+// checkpointInterval is how often a -data daemon checkpoints.
+const checkpointInterval = 10 * time.Second
 
 func main() {
 	var (
@@ -38,7 +43,7 @@ func main() {
 
 	opts := []mainline.Option{mainline.WithBackground()}
 	if *dataDir != "" {
-		opts = append(opts, mainline.WithDataDir(*dataDir))
+		opts = append(opts, mainline.WithDataDir(*dataDir), mainline.WithCheckpointInterval(checkpointInterval))
 	}
 	if *slowOp != 0 {
 		opts = append(opts, mainline.WithSlowOpThreshold(*slowOp))

@@ -1,13 +1,18 @@
-// Exporter: serve a frozen table over TCP and fetch it through all three
-// wire protocols plus the simulated RDMA path, comparing delivery speed —
-// a miniature of the paper's Figure 15.
+// Exporter: the zero-copy export path end to end in one process. It loads
+// and freezes a table, serves it with the mainline-serve serving layer on
+// a loopback port, pulls it back with a streaming DoGet, and checks what
+// arrived against an in-process export of the same snapshot. Frozen
+// blocks leave the server as their own column buffers (paper §5); the
+// transport comparison of Figure 15 is `mainline-bench fig15`.
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"mainline"
+	"mainline/client"
 	"mainline/internal/arrow"
 	"mainline/internal/server"
 )
@@ -47,52 +52,56 @@ func main() {
 		log.Fatal("freeze did not converge")
 	}
 
-	adm := eng.Admin()
-	srv := server.NewCompareServer(adm.TxnManager(), adm.Catalog())
-	addr, err := srv.Listen("127.0.0.1:0")
+	// The reference: the same table exported in process.
+	var wantSum int64
+	var wantChecksum uint64
+	if err := eng.View(func(tx *mainline.Txn) error {
+		_, _, err := lines.ExportBatches(tx, func(rb *mainline.RecordBatch, _ bool) error {
+			s, _ := arrow.SumInt64(rb.Column("ol_amount"))
+			wantSum += s
+			wantChecksum ^= arrow.Checksum(rb)
+			return nil
+		})
+		return err
+	}); err != nil {
+		log.Fatal(err)
+	}
+
+	srv := server.New(eng, server.Config{Addr: "127.0.0.1:0"})
+	addr, err := srv.Listen()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("export server on %s, table %q (%d rows, all frozen)\n\n", addr, "order_line", rows)
+	fmt.Printf("serving table %q (%d rows, all frozen) on %s\n", "order_line", rows, addr)
 
-	var reference uint64
-	for _, proto := range []server.Protocol{server.ProtoFlight, server.ProtoVectorized, server.ProtoPGWire} {
-		res, err := server.Fetch(addr, proto, "order_line")
-		if err != nil {
-			log.Fatalf("%s: %v", proto, err)
-		}
-		sum := int64(0)
-		for _, rb := range res.Table.Batches {
-			s, _ := arrow.SumInt64(rb.Column("ol_amount"))
-			sum += s
-		}
-		if reference == 0 {
-			reference = uint64(sum)
-		} else if uint64(sum) != reference {
-			log.Fatalf("%s delivered different data", proto)
-		}
-		fmt.Printf("%-11s %8d rows  %9d bytes  %8.1f MB/s  sum=%d\n",
-			proto, res.Table.NumRows(), res.Bytes,
-			float64(res.Bytes)/(1<<20)/res.Elapsed.Seconds(), sum)
-	}
-
-	// Simulated client-side RDMA: raw block memory lands in the client's
-	// registered region with no protocol encoding at all.
-	client := server.NewRDMAClient(1 << 24)
-	res, err := server.RDMAExport(adm.TxnManager(), adm.Catalog().Table("order_line"), client)
+	c, err := client.Dial(addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum := int64(0)
-	for _, rb := range res.Table.Batches {
+	defer c.Close()
+	var sum int64
+	var checksum uint64
+	start := time.Now()
+	st, err := c.DoGet("order_line", nil, nil, func(rb *mainline.RecordBatch) error {
 		s, _ := arrow.SumInt64(rb.Column("ol_amount"))
 		sum += s
+		checksum ^= arrow.Checksum(rb)
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	if uint64(sum) != reference {
-		log.Fatal("rdma delivered different data")
+	elapsed := time.Since(start)
+	if st.Rows != rows || sum != wantSum || checksum != wantChecksum {
+		log.Fatalf("DoGet delivered different data: %d rows, sum %d (want %d), checksum %016x (want %016x)",
+			st.Rows, sum, wantSum, checksum, wantChecksum)
 	}
-	fmt.Printf("%-11s %8d rows  %9d bytes  %8.1f MB/s  sum=%d\n",
-		"rdma(sim)", res.Table.NumRows(), res.Bytes,
-		float64(res.Bytes)/(1<<20)/res.Elapsed.Seconds(), sum)
+	if st.Frozen == 0 || st.Materialized != 0 {
+		log.Fatalf("want every block zero-copy, got %d frozen / %d materialized", st.Frozen, st.Materialized)
+	}
+	fmt.Printf("DoGet: %d rows (%d frozen / %d materialized blocks), %d bytes in %v (%.1f MB/s)\n",
+		st.Rows, st.Frozen, st.Materialized, st.Bytes, elapsed.Round(time.Microsecond),
+		float64(st.Bytes)/(1<<20)/elapsed.Seconds())
+	fmt.Printf("matches the in-process export: sum=%d checksum %016x\n", sum, checksum)
 }

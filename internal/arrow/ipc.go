@@ -174,6 +174,18 @@ func (wr *Writer) WriteBatch(rb *RecordBatch) error {
 	return nil
 }
 
+// WriteBatchWithSchema emits rb's schema message, then rb. A table export
+// writes every batch this way: a table's blocks carry different physical
+// schemas (a dictionary-encoded frozen block beside a materialized hot
+// one), so each batch announces its own. The schema message costs a few
+// dozen bytes.
+func (wr *Writer) WriteBatchWithSchema(rb *RecordBatch) error {
+	if err := wr.WriteSchema(rb.Schema); err != nil {
+		return err
+	}
+	return wr.WriteBatch(rb)
+}
+
 // Close writes the end-of-stream marker and flushes.
 func (wr *Writer) Close() error {
 	if !wr.wroteMagic {

@@ -5,14 +5,9 @@ import (
 	"os"
 	"time"
 
+	"mainline"
 	"mainline/internal/arrow"
 	"mainline/internal/benchutil"
-	"mainline/internal/catalog"
-	"mainline/internal/gc"
-	"mainline/internal/server"
-	"mainline/internal/storage"
-	"mainline/internal/transform"
-	"mainline/internal/txn"
 	"mainline/internal/workload/tpch"
 )
 
@@ -28,23 +23,24 @@ import (
 // serialization work per value; the ordering and orders-of-magnitude shape
 // are scale-independent.
 func Fig1(rows int) (*benchutil.Table, error) {
-	reg := storage.NewRegistry()
-	mgr := txn.NewManager(reg)
-	cat := catalog.New(reg)
-	table, err := tpch.Load(mgr, cat, "lineitem", rows, 2000, 7)
+	eng, err := mainline.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	table, err := tpch.Load(eng, "lineitem", rows, 2000, 7)
 	if err != nil {
 		return nil, err
 	}
 	// Freeze so the in-memory path is the zero-copy one.
-	g := gc.New(mgr)
-	obs := transform.NewObserver()
-	obs.Watch(table.DataTable)
-	g.SetObserver(obs)
-	cfg := transform.DefaultConfig()
-	tr := transform.New(mgr, g, obs, cfg)
-	for i := 0; i < 20; i++ {
-		g.RunOnce()
-		tr.ForcePass()
+	if !eng.FreezeAll(0) {
+		return nil, fmt.Errorf("fig1: freeze did not converge")
+	}
+	export := func(fn func(rb *arrow.RecordBatch) error) error {
+		return eng.View(func(tx *mainline.Txn) error {
+			_, _, err := table.ExportBatches(tx, func(rb *arrow.RecordBatch, _ bool) error { return fn(rb) })
+			return err
+		})
 	}
 
 	t := &benchutil.Table{
@@ -55,14 +51,11 @@ func Fig1(rows int) (*benchutil.Table, error) {
 
 	// (1) In-memory Arrow hand-off.
 	t0 := time.Now()
-	tx := mgr.Begin()
 	var checksum uint64
-	_, _, err = table.StreamBatches(tx, func(rb *arrow.RecordBatch, _ bool) error {
+	if err := export(func(rb *arrow.RecordBatch) error {
 		checksum ^= arrow.Checksum(rb)
 		return nil
-	})
-	mgr.Commit(tx, nil)
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	inMem := time.Since(t0)
@@ -79,9 +72,7 @@ func Fig1(rows int) (*benchutil.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx = mgr.Begin()
-	_, _, err = table.StreamBatches(tx, func(rb *arrow.RecordBatch, _ bool) error { return cw.Write(rb) })
-	mgr.Commit(tx, nil)
+	err = export(cw.Write)
 	if err == nil {
 		err = cw.Flush()
 	}
@@ -109,21 +100,14 @@ func Fig1(rows int) (*benchutil.Table, error) {
 	csvTotal := csvExport + csvLoad
 
 	// (3) Row-oriented wire protocol.
-	srv := server.NewCompareServer(mgr, cat)
-	addr, err := srv.Listen("127.0.0.1:0")
+	res, err := fetchOverLoopback(eng, "lineitem", servePGWire, fetchPGWire)
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
-	t0 = time.Now()
-	res, err := server.Fetch(addr, server.ProtoPGWire, "lineitem")
-	if err != nil {
-		return nil, err
+	if res.tab.NumRows() != rows {
+		return nil, fmt.Errorf("fig1: wire fetch lost rows: %d", res.tab.NumRows())
 	}
-	if res.Table.NumRows() != rows {
-		return nil, fmt.Errorf("fig1: wire fetch lost rows: %d", res.Table.NumRows())
-	}
-	wire := time.Since(t0)
+	wire := res.elapsed
 
 	t.AddRow("In-Memory (Arrow)", benchutil.Seconds(inMem), "1.0x")
 	t.AddRow("CSV export+load", benchutil.Seconds(csvTotal), benchutil.Ratio(csvTotal.Seconds(), inMem.Seconds()))

@@ -1,4 +1,4 @@
-package server
+package bench
 
 import (
 	"encoding/binary"

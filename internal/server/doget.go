@@ -105,13 +105,8 @@ func (s *session) streamWhole(name string, wr *arrow.Writer, dl time.Time) (rows
 		if expired(dl) {
 			return ErrDeadlineExceeded
 		}
-		// Schemas can differ per block (dictionary-compressed frozen vs hot
-		// materialized); emit a schema message before each batch, as
-		// ExportIPC does.
-		if e := wr.WriteSchema(rb.Schema); e != nil {
-			return e
-		}
-		if e := wr.WriteBatch(rb); e != nil {
+		// The same stream Table.ExportIPC writes.
+		if e := wr.WriteBatchWithSchema(rb); e != nil {
 			return e
 		}
 		rows += rb.NumRows

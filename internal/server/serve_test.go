@@ -596,3 +596,29 @@ func TestDrainingRejectsHandshake(t *testing.T) {
 	}
 	srv.draining.Store(false)
 }
+
+// TestCloseKeepsLaterServersStats: two servers on one engine, the later
+// registration visible; closing the earlier one must not detach it.
+func TestCloseKeepsLaterServersStats(t *testing.T) {
+	eng, a, _ := startServer(t, Config{})
+	b := New(eng, Config{Addr: "127.0.0.1:0"})
+	addrB, err := b.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c := mustDial(t, addrB)
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+
+	a.Close()
+	es, bs := eng.Stats().Server, b.Stats()
+	if !es.Enabled || es.SessionsTotal != 1 || es.Requests != bs.Requests || bs.Requests == 0 {
+		t.Fatalf("after closing A: engine reports %+v, B counts %+v", es, bs)
+	}
+	b.Close()
+	if eng.Stats().Server.Enabled {
+		t.Fatal("closing the registered server left its counters attached")
+	}
+}

@@ -8,10 +8,6 @@
 // ErrServerBusy rejection, per-request deadlines whose expiry aborts the
 // underlying transaction, session reaping on disconnect, graceful drain,
 // and an HTTP /metrics + /healthz sidecar rendering eng.Stats().
-//
-// The same package keeps the paper's protocol-comparison harness
-// (CompareServer, compare*.go): PGWire / vectorized / Arrow-IPC / simulated
-// RDMA one-shot exports, used by the Figure 1 and 15 reproductions.
 package server
 
 import (
@@ -103,6 +99,10 @@ type Server struct {
 
 	httpLn net.Listener
 	httpWg sync.WaitGroup
+
+	// detachStats removes this server's counters from eng.Stats() (set
+	// by Listen).
+	detachStats func()
 }
 
 // New creates a server over eng. Call Listen to start it.
@@ -132,7 +132,7 @@ func (s *Server) Listen() (string, error) {
 			return "", err
 		}
 	}
-	s.eng.Admin().SetServerStats(s.Stats)
+	s.detachStats = s.eng.Admin().SetServerStats(s.Stats)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return ln.Addr().String(), nil
@@ -320,7 +320,9 @@ func (s *Server) closeShared() {
 		_ = s.httpLn.Close()
 	}
 	s.httpWg.Wait()
-	s.eng.Admin().SetServerStats(nil)
+	if s.detachStats != nil {
+		s.detachStats()
+	}
 }
 
 // Draining reports whether the server is refusing new work.

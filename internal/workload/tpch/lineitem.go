@@ -9,9 +9,8 @@ package tpch
 import (
 	"fmt"
 
+	"mainline"
 	"mainline/internal/arrow"
-	"mainline/internal/catalog"
-	"mainline/internal/txn"
 	"mainline/internal/util"
 )
 
@@ -39,11 +38,11 @@ var (
 
 // Load creates (if needed) and populates a LINEITEM table with n rows,
 // batching batch rows per transaction. Returns the table.
-func Load(mgr *txn.Manager, cat *catalog.Catalog, name string, n, batch int, seed uint64) (*catalog.Table, error) {
-	table := cat.Table(name)
+func Load(eng *mainline.Engine, name string, n, batch int, seed uint64) (*mainline.Table, error) {
+	table := eng.Table(name)
 	if table == nil {
 		var err error
-		table, err = cat.CreateTable(name, LineItemSchema())
+		table, err = eng.CreateTable(name, LineItemSchema())
 		if err != nil {
 			return nil, err
 		}
@@ -52,11 +51,14 @@ func Load(mgr *txn.Manager, cat *catalog.Catalog, name string, n, batch int, see
 		batch = 1000
 	}
 	rng := util.NewRand(seed)
-	row := table.AllColumnsProjection().NewRow()
+	row := table.NewRow()
 	orderkey := int64(1)
 	line := 1
 	for done := 0; done < n; {
-		tx := mgr.Begin()
+		tx, err := eng.Begin()
+		if err != nil {
+			return nil, err
+		}
 		for i := 0; i < batch && done < n; i++ {
 			row.Reset()
 			row.SetInt64(0, orderkey)
@@ -78,7 +80,7 @@ func Load(mgr *txn.Manager, cat *catalog.Catalog, name string, n, batch int, see
 			row.SetVarlen(14, []byte(shipModes[rng.Intn(len(shipModes))]))
 			row.SetVarlen(15, []byte(rng.AlphaString(10, 43)))
 			if _, err := table.Insert(tx, row); err != nil {
-				mgr.Abort(tx)
+				_ = tx.Abort()
 				return nil, fmt.Errorf("tpch: loading row %d: %w", done, err)
 			}
 			done++
@@ -88,7 +90,9 @@ func Load(mgr *txn.Manager, cat *catalog.Catalog, name string, n, batch int, see
 				line = 1
 			}
 		}
-		mgr.Commit(tx, nil)
+		if _, err := tx.Commit(); err != nil {
+			return nil, err
+		}
 	}
 	return table, nil
 }

@@ -3,9 +3,7 @@ package tpch
 import (
 	"testing"
 
-	"mainline/internal/catalog"
-	"mainline/internal/storage"
-	"mainline/internal/txn"
+	"mainline"
 )
 
 func TestLineItemSchemaShape(t *testing.T) {
@@ -19,48 +17,61 @@ func TestLineItemSchemaShape(t *testing.T) {
 }
 
 func TestLoadGeneratesValidRows(t *testing.T) {
-	reg := storage.NewRegistry()
-	mgr := txn.NewManager(reg)
-	cat := catalog.New(reg)
-	table, err := Load(mgr, cat, "lineitem", 2000, 500, 42)
+	eng, err := mainline.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := mgr.Begin()
-	defer mgr.Commit(tx, nil)
-	if got := table.CountVisible(tx); got != 2000 {
+	defer eng.Close()
+	table, err := Load(eng, "lineitem", 2000, 500, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() int {
+		t.Helper()
+		var n int
+		if err := eng.View(func(tx *mainline.Txn) (err error) {
+			n, err = table.CountVisible(tx)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if got := count(); got != 2000 {
 		t.Fatalf("rows = %d", got)
 	}
 	// Domains: quantity in [100, 5000] (cents of 1-50), linenumber >= 1,
 	// receiptdate after shipdate.
-	proj := storage.MustProjection(table.Layout(), []storage.ColumnID{3, 4, 10, 12})
 	checked := 0
-	_ = table.Scan(tx, proj, func(_ storage.TupleSlot, r *storage.ProjectedRow) bool {
-		if r.Int32(0) < 1 || r.Int32(0) > 7 {
-			t.Errorf("linenumber %d out of range", r.Int32(0))
-			return false
-		}
-		if q := r.Int64(1); q < 100 || q > 5000 {
-			t.Errorf("quantity %d out of range", q)
-			return false
-		}
-		if r.Int32(3) <= r.Int32(2) {
-			t.Errorf("receiptdate %d not after shipdate %d", r.Int32(3), r.Int32(2))
-			return false
-		}
-		checked++
-		return true
+	err = eng.View(func(tx *mainline.Txn) error {
+		return table.Scan(tx, []string{"l_linenumber", "l_quantity", "l_shipdate", "l_receiptdate"}, func(_ mainline.TupleSlot, r *mainline.Row) bool {
+			if l := r.Int32("l_linenumber"); l < 1 || l > 7 {
+				t.Errorf("linenumber %d out of range", l)
+				return false
+			}
+			if q := r.Int64("l_quantity"); q < 100 || q > 5000 {
+				t.Errorf("quantity %d out of range", q)
+				return false
+			}
+			if ship, receipt := r.Int32("l_shipdate"), r.Int32("l_receiptdate"); receipt <= ship {
+				t.Errorf("receiptdate %d not after shipdate %d", receipt, ship)
+				return false
+			}
+			checked++
+			return true
+		})
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if checked != 2000 {
 		t.Fatalf("checked %d rows", checked)
 	}
 	// Loading into the same name appends.
-	if _, err := Load(mgr, cat, "lineitem", 100, 50, 43); err != nil {
+	if _, err := Load(eng, "lineitem", 100, 50, 43); err != nil {
 		t.Fatal(err)
 	}
-	tx2 := mgr.Begin()
-	defer mgr.Commit(tx2, nil)
-	if got := table.CountVisible(tx2); got != 2100 {
+	if got := count(); got != 2100 {
 		t.Fatalf("after append: %d", got)
 	}
 }

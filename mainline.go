@@ -214,7 +214,7 @@ type Engine struct {
 
 	// serverStatsFn, when set via Admin().SetServerStats, snapshots the
 	// attached network serving layer's counters for Stats().Server.
-	serverStatsFn atomic.Value // func() ServerStats
+	serverStatsFn atomic.Pointer[func() ServerStats]
 
 	// dirLock releases the data directory's exclusive flock (nil without
 	// DataDir). Held from bootstrap until Close.

@@ -186,8 +186,9 @@ func (e *Engine) SetSlowOpThreshold(d time.Duration) { e.obs.ring.SetThreshold(d
 // "-" repeat a series Stats or the registry already exports.
 type HealthStats struct {
 	// WALTruncationLag is engine-clock ticks since the newest
-	// checkpoint's snapshot — the un-truncated WAL span that a restart
-	// would replay. Zero without a data directory.
+	// checkpoint's snapshot (since ts 0 before the first one) — the
+	// un-truncated WAL span that a restart would replay. Zero without a
+	// data directory.
 	WALTruncationLag uint64 `metric:"mainline_engine_wal_truncation_lag"`
 	// LastCheckpointAge is wall time since the last installed
 	// checkpoint; -1s when no checkpoint has ever been taken.
@@ -217,10 +218,10 @@ func (e *Engine) Health() HealthStats {
 		h.DegradedReason = cause.Error()
 	}
 	if e.opts.DataDir != "" {
-		if last := e.ckptLastTs.Load(); last > 0 {
-			if cur := e.mgr.CurrentTime(); cur > last {
-				h.WALTruncationLag = cur - last
-			}
+		// Without a checkpoint the whole log is un-truncated: the lag
+		// runs from ts 0.
+		if cur, last := e.mgr.CurrentTime(), e.ckptLastTs.Load(); cur > last {
+			h.WALTruncationLag = cur - last
 		}
 	}
 	return h

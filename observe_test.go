@@ -136,3 +136,41 @@ func TestStatsLatencyPopulated(t *testing.T) {
 		t.Errorf("capture count moved %d -> %d with 1h threshold", before, after)
 	}
 }
+
+// TestHealthLagWithoutCheckpoint: a data-directory engine with commits
+// and no checkpoint has all of its log un-truncated, so the truncation
+// lag runs from ts 0; a checkpoint then shortens it.
+func TestHealthLagWithoutCheckpoint(t *testing.T) {
+	eng, err := Open(WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	tbl, err := eng.CreateTable("t", NewSchema(Field{Name: "id", Type: INT64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := eng.Update(func(tx *Txn) error {
+			row := tbl.NewRow()
+			row.SetInt64(0, int64(i))
+			_, err := tbl.Insert(tx, row)
+			return err
+		}, Durable()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := eng.Stats().Checkpoint.Taken; n != 0 {
+		t.Fatalf("%d checkpoints taken; the test needs none", n)
+	}
+	lag := eng.Health().WALTruncationLag
+	if now := eng.mgr.CurrentTime(); lag != now || lag < 10 {
+		t.Fatalf("WALTruncationLag %d with no checkpoint, want the clock %d (>= 10 commits)", lag, now)
+	}
+	if _, err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after := eng.Health().WALTruncationLag; after >= lag {
+		t.Fatalf("WALTruncationLag %d after a checkpoint, want below %d", after, lag)
+	}
+}

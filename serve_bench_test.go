@@ -44,40 +44,10 @@ func loadFrozenTable(b *testing.B, eng *mainline.Engine, rows int) *mainline.Tab
 	return tbl
 }
 
-// BenchmarkExportProtocols measures steady-state fetch bandwidth per
-// protocol on a frozen table (the Figure 15 100%-frozen points, isolated).
-func BenchmarkExportProtocols(b *testing.B) {
-	eng, err := mainline.Open()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	loadFrozenTable(b, eng, 50000)
-	adm := eng.Admin()
-	srv := server.NewCompareServer(adm.TxnManager(), adm.Catalog())
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	for _, proto := range []server.Protocol{server.ProtoFlight, server.ProtoVectorized, server.ProtoPGWire} {
-		b.Run(proto.String(), func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				res, err := server.Fetch(addr, proto, "t")
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytes += res.Bytes
-			}
-			b.SetBytes(bytes / int64(b.N))
-		})
-	}
-}
-
-// BenchmarkServeDoGet measures the full serving layer's streaming export
-// path (framed protocol + admission + deadline machinery) on the same
-// frozen table, for comparison against the bare CompareServer numbers.
+// BenchmarkServeDoGet measures the serving layer's streaming export path
+// (framed protocol + admission + deadline machinery) on one long-lived
+// client connection over a frozen table. The transport comparison is
+// BenchmarkExportProtocols in internal/bench.
 func BenchmarkServeDoGet(b *testing.B) {
 	eng, err := mainline.Open()
 	if err != nil {

@@ -106,12 +106,7 @@ func (t *Table) ExportBatches(tx *Txn, fn func(rb *RecordBatch, zeroCopy bool) e
 func (t *Table) ExportIPC(w io.Writer, tx *Txn) (written int64, frozen, materialized int, err error) {
 	wr := arrow.NewWriter(w)
 	frozen, materialized, err = t.ExportBatches(tx, func(rb *RecordBatch, _ bool) error {
-		// Schemas can differ per block (dictionary-compressed vs hot
-		// materialized); re-announce before each batch.
-		if err := wr.WriteSchema(rb.Schema); err != nil {
-			return err
-		}
-		return wr.WriteBatch(rb)
+		return wr.WriteBatchWithSchema(rb)
 	})
 	if err == nil {
 		err = wr.Close()
