@@ -123,3 +123,45 @@ func TestGetVisibleAllocs(t *testing.T) {
 		t.Fatalf("indexed GetVisible allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestHotScanAllocs: a batch scan of a hot block whose slots all carry
+// version chains — committed inserts, and updates too new for the reader
+// whose before-images it applies — allocates nothing per scan once its
+// pooled scratch and batch exist.
+func TestHotScanAllocs(t *testing.T) {
+	m, table, _ := allocEnv(t)
+	const n = 3000
+	slots := make([]storage.TupleSlot, n)
+	tx := m.Begin()
+	for i := range slots {
+		s, err := table.Insert(tx, allocRow(table, int64(i), "a value long enough to spill"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots[i] = s
+	}
+	m.Commit(tx, nil)
+	reader := m.Begin()
+	tx = m.Begin()
+	for i := 0; i < n; i += 3 {
+		if err := table.Update(tx, slots[i], allocRow(table, int64(i), "new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Commit(tx, nil)
+	scan := func() {
+		rows := 0
+		if err := table.ScanBatches(reader, nil, nil, func(b *Batch) bool {
+			rows += b.Len()
+			return true
+		}); err != nil || rows != n {
+			t.Fatalf("scan saw %d rows (err %v), want %d", rows, err, n)
+		}
+	}
+	scan() // fills the scratch pool
+	allocs := testing.AllocsPerRun(100, scan)
+	m.Commit(reader, nil)
+	if allocs > 0 {
+		t.Fatalf("hot ScanBatches allocates %.1f objects per scan, want 0", allocs)
+	}
+}

@@ -161,19 +161,11 @@ func (t *DataTable) Insert(tx *txn.Transaction, row *storage.ProjectedRow) (stor
 		return 0, err
 	}
 	slot := storage.NewTupleSlot(block.ID, offset)
-
-	// Install the version chain before any in-place state becomes visible.
-	rec := tx.NewUndoRecord(storage.KindInsert, slot, nil)
-	if !block.CASVersionPtr(offset, nil, rec) {
+	if err := t.insertAt(tx, block, slot, row); err != nil {
 		// Fresh slots have no chain; this cannot happen unless slots are
 		// reused incorrectly.
-		tx.DropLastUndo() // unpublished record must not reach Abort
-		return 0, ErrSlotOccupied
+		return 0, err
 	}
-	t.writeRow(block, offset, row)
-	block.SetAllocated(offset, true)
-	tx.LogRedo(t.ID, slot, storage.KindInsert, row)
-	t.bufferIndexInserts(tx, row, slot)
 	return slot, nil
 }
 
@@ -198,6 +190,20 @@ func (t *DataTable) InsertIntoSlot(tx *txn.Transaction, slot storage.TupleSlot, 
 	// A refilled slot's new tuple carries keys its index entries were
 	// not published under: index reads of this block re-encode keys.
 	block.MarkRewritten(storage.AllColumnsMask)
+	if err := t.insertAt(tx, block, slot, row); err != nil {
+		return err
+	}
+	if offset >= block.InsertHead() {
+		block.SetInsertHead(offset + 1)
+	}
+	return nil
+}
+
+// insertAt installs row as a new tuple at slot, which must have no version
+// chain: the insert record is published before any in-place state becomes
+// visible.
+func (t *DataTable) insertAt(tx *txn.Transaction, block *storage.Block, slot storage.TupleSlot, row *storage.ProjectedRow) error {
+	offset := slot.Offset()
 	rec := tx.NewUndoRecord(storage.KindInsert, slot, nil)
 	if !block.CASVersionPtr(offset, nil, rec) {
 		// Retract the unpublished record: rolling it back at Abort would
@@ -205,11 +211,8 @@ func (t *DataTable) InsertIntoSlot(tx *txn.Transaction, slot storage.TupleSlot, 
 		tx.DropLastUndo()
 		return ErrSlotOccupied
 	}
-	t.writeRow(block, offset, row)
+	block.WriteTuple(offset, row)
 	block.SetAllocated(offset, true)
-	if offset >= block.InsertHead() {
-		block.SetInsertHead(offset + 1)
-	}
 	tx.LogRedo(t.ID, slot, storage.KindInsert, row)
 	t.bufferIndexInserts(tx, row, slot)
 	return nil
@@ -261,30 +264,6 @@ func (t *DataTable) LoadBatch(rb *arrow.RecordBatch) ([]storage.TupleSlot, error
 	return slots, nil
 }
 
-// writeRow stores row's values; unprojected columns become null.
-func (t *DataTable) writeRow(block *storage.Block, offset uint32, row *storage.ProjectedRow) {
-	for i, col := range row.P.Cols {
-		switch {
-		case row.IsNull(i):
-			block.WriteNull(col, offset)
-		case t.layout.IsVarlen(col):
-			block.WriteVarlen(col, offset, row.Varlen(i))
-		default:
-			block.WriteFixed(col, offset, row.FixedBytes(i))
-		}
-	}
-	// Full-width rows (the common case) cover every column in order; only
-	// partial projections need the null-fill pass.
-	if row.P.NumCols() == t.layout.NumColumns() {
-		return
-	}
-	for c := 0; c < t.layout.NumColumns(); c++ {
-		if row.P.IndexOf(storage.ColumnID(c)) < 0 {
-			block.WriteNull(storage.ColumnID(c), offset)
-		}
-	}
-}
-
 // canWrite implements the paper's no-write-write-conflict rule: the newest
 // version must be ours, or committed no later than our snapshot.
 func canWrite(tx *txn.Transaction, head *storage.UndoRecord) bool {
@@ -327,15 +306,18 @@ func (t *DataTable) Update(tx *txn.Transaction, slot storage.TupleSlot, update *
 	}
 
 	// Capture the before-image of exactly the columns being modified. The
-	// delta outlives this call on the version chain: with a nil arena its
-	// inline values are copied into the delta's own storage and spilled
-	// ones alias their immutable backing.
+	// delta outlives this call on the version chain: its inline values are
+	// copied into its own storage and spilled ones alias their immutable
+	// backing. A version published since head was read would fail the CAS
+	// below; fail now instead.
 	delta := update.P.NewRow()
-	t.readInPlace(block, offset, delta, nil)
+	if !copyInPlace(block, offset, head, cellSink{out: delta}) {
+		return ErrWriteConflict
+	}
 	// Pre-image index keys must also be read before the in-place writes
 	// land; they are buffered only if the CAS below wins.
 	var changeBuf [2]indexKeyChange
-	idxChanges := t.computeIndexUpdates(tx, block, offset, update, changeBuf[:0])
+	idxChanges := t.computeIndexUpdates(tx, block, offset, head, update, changeBuf[:0])
 	// Mark the columns rewritten before the new version is published, so
 	// an index reader that finds them unmarked after probing its tree has
 	// seen no entry this update publishes (see TableIndex.check).
@@ -355,16 +337,7 @@ func (t *DataTable) Update(tx *txn.Transaction, slot storage.TupleSlot, update *
 	// In-place update after the record is published: any reader that copies
 	// torn bytes finds this record on the chain and repairs its copy with
 	// the before-image.
-	for i, col := range update.P.Cols {
-		switch {
-		case update.IsNull(i):
-			block.WriteNull(col, offset)
-		case t.layout.IsVarlen(col):
-			block.WriteVarlen(col, offset, update.Varlen(i))
-		default:
-			block.WriteFixed(col, offset, update.FixedBytes(i))
-		}
-	}
+	block.WriteRow(offset, update)
 	tx.LogRedo(t.ID, slot, storage.KindUpdate, update)
 	return nil
 }
@@ -392,7 +365,7 @@ func (t *DataTable) Delete(tx *txn.Transaction, slot storage.TupleSlot) error {
 		return ErrNotFound
 	}
 	var changeBuf [2]indexKeyChange
-	idxChanges := t.computeIndexRemovals(tx, block, offset, changeBuf[:0])
+	idxChanges := t.computeIndexRemovals(tx, block, offset, head, changeBuf[:0])
 	rec := tx.NewUndoRecord(storage.KindDelete, slot, nil)
 	rec.SetNext(head)
 	if !block.CASVersionPtr(offset, head, rec) {
@@ -405,34 +378,9 @@ func (t *DataTable) Delete(tx *txn.Transaction, slot storage.TupleSlot) error {
 	return nil
 }
 
-// readInPlace copies the current in-place values of out's projected columns.
-// Fixed-width values are copied. Varlen values follow ReadVarlenStable's
-// rule: a spilled value aliases its immutable backing (a hot-arena slab
-// or the frozen values buffer, capped at the value's end), while an inline
-// value lives in the block's mutable, pooled entry and is copied — into
-// arena when one is supplied (scans), else into storage out owns (Select
-// and before-images, whose rows escape).
-func (t *DataTable) readInPlace(block *storage.Block, offset uint32, out *storage.ProjectedRow, arena *storage.ValueArena) {
-	for i, col := range out.P.Cols {
-		if !block.IsValid(col, offset) {
-			out.SetNull(i)
-			continue
-		}
-		switch {
-		case !t.layout.IsVarlen(col):
-			copy(out.FixedBytes(i), block.AttrBytes(col, offset))
-			out.Nulls.Clear(i)
-		case arena != nil:
-			out.SetVarlen(i, block.ReadVarlenStable(col, offset, arena))
-		default:
-			out.SetVarlenFromBlock(i, block.ReadVarlen(col, offset))
-		}
-	}
-}
-
 // Select materializes the version of the tuple at slot visible to tx into
 // out. found is false when the tuple does not exist in tx's snapshot.
-// Varlen values in out may alias engine storage (see readInPlace and
+// Varlen values in out may alias engine storage (see Block.ReadVarlen and
 // readCold): they must not be written, and they are valid until out's
 // next use.
 func (t *DataTable) Select(tx *txn.Transaction, slot storage.TupleSlot, out *storage.ProjectedRow) (found bool, err error) {
@@ -444,47 +392,69 @@ func (t *DataTable) Select(tx *txn.Transaction, slot storage.TupleSlot, out *sto
 	if offset >= block.InsertHead() {
 		return false, nil
 	}
-
-	// Fast path: frozen blocks are read in place with no version checks —
+	// A frozen block is read under its reader counter, which keeps writers
+	// and eviction out: its slots have no chains, so the read is one copy —
 	// the early materialization the paper elides for cold blocks.
-	if block.BeginInPlaceRead() {
-		if !block.Resident() {
-			// Buffers are evicted; serve the cached record batch. The
-			// registration is released first — the batch is an immutable
-			// copy of the observed frozen epoch, so it needs no pin.
-			block.EndInPlaceRead()
-			return t.selectCold(block, offset, out)
-		}
-		if !block.Allocated(offset) {
-			block.EndInPlaceRead()
-			return false, nil
-		}
-		t.readInPlace(block, offset, out, nil)
+	frozen := block.BeginInPlaceRead()
+	if frozen && !block.Resident() {
+		// Buffers are evicted; serve the cached record batch. The
+		// registration is released first — the batch is an immutable copy
+		// of the observed frozen epoch, so it needs no pin.
 		block.EndInPlaceRead()
-		return true, nil
+		return t.selectCold(block, offset, out)
 	}
-
-	return t.selectVersioned(tx, block, offset, out, nil)
+	found = readVisible(tx, block, offset, cellSink{out: out})
+	if frozen {
+		block.EndInPlaceRead()
+	}
+	return found, nil
 }
 
-// selectVersioned runs the paper's hot-block read protocol: copy the latest
-// version under a version-pointer stability check, then traverse the chain
-// applying before-images until reaching a visible version.
-func (t *DataTable) selectVersioned(tx *txn.Transaction, block *storage.Block, offset uint32, out *storage.ProjectedRow, arena *storage.ValueArena) (bool, error) {
-	var head *storage.UndoRecord
-	var present bool
+// readVisible runs the paper's read protocol (§3.1–3.2) for the slot at
+// offset: copy its in-place values under the version-pointer re-check,
+// retrying until no writer interleaved, then apply the before-images of
+// the versions too new for tx. It reports whether the tuple exists in
+// tx's snapshot; dst holds its values when it does.
+func readVisible(tx *txn.Transaction, block *storage.Block, offset uint32, dst cellSink) bool {
 	for {
-		head = block.VersionPtr(offset)
-		present = block.Allocated(offset)
-		out.Reset()
-		t.readInPlace(block, offset, out, arena)
-		if block.VersionPtr(offset) == head {
-			break
+		head := block.VersionPtr(offset)
+		present := block.Allocated(offset)
+		if head == nil && !present {
+			return false // no version of the slot is visible to anyone
 		}
-		// A writer published a new version mid-copy; retry. (GC unlinking
+		if copyInPlace(block, offset, head, dst) {
+			return applyChain(tx, head, present, dst)
+		}
+		// A writer published a version mid-copy; retry. (GC unlinking
 		// cannot re-link the same head, so pointer equality is sufficient.)
 	}
+}
 
+// copyInPlace is the one reader of hot in-place attribute bytes. It copies
+// the in-place values of dst's columns at offset and reports whether the
+// version pointer still is head: writers publish their undo record before
+// writing in place (Block.WriteRow), so a copy that raced a writer always
+// fails the check. Varlen values follow Block.ReadVarlen's rule.
+func copyInPlace(block *storage.Block, offset uint32, head *storage.UndoRecord, dst cellSink) bool {
+	for j, col := range dst.proj().Cols {
+		switch {
+		case !block.IsValid(col, offset):
+			dst.setNull(j)
+		case block.Layout.IsVarlen(col):
+			dst.setVarlen(j, block.ReadVarlen(col, offset))
+		default:
+			dst.setFixed(j, block.AttrBytes(col, offset))
+		}
+	}
+	return block.VersionPtr(offset) == head
+}
+
+// applyChain is the one walk of a version chain. From head, newest first,
+// it applies to dst the before-image of every version too new for tx and
+// stops at the first version tx sees: its own, or one committed before tx
+// started. present is the allocation bit read with head; applyChain
+// returns whether the tuple exists in tx's snapshot.
+func applyChain(tx *txn.Transaction, head *storage.UndoRecord, present bool, dst cellSink) bool {
 	for rec := head; rec != nil; rec = rec.Next() {
 		ts := rec.Timestamp()
 		if ts == tx.TxnTs() || txn.Visible(ts, tx.StartTs()) {
@@ -492,14 +462,94 @@ func (t *DataTable) selectVersioned(tx *txn.Transaction, block *storage.Block, o
 		}
 		switch rec.Kind {
 		case storage.KindUpdate:
-			rec.Delta.ApplyDeltaTo(out)
+			dst.apply(rec.Delta)
 		case storage.KindInsert:
 			present = false
 		case storage.KindDelete:
 			present = true
 		}
 	}
-	return present, nil
+	return present
+}
+
+// cellSink is the destination of one slot read: the row out (Select,
+// before-images, index pre-images) or, when out is nil, row i of a hot
+// scan's scratch. A read writes every column of the sink's projection, so
+// it overwrites whatever an earlier read left at the same place, NULLs
+// included.
+type cellSink struct {
+	out *storage.ProjectedRow
+	scr *scratch
+	i   int
+}
+
+func (d cellSink) proj() *storage.Projection {
+	if d.out != nil {
+		return d.out.P
+	}
+	return d.scr.proj
+}
+
+func (d cellSink) setNull(j int) {
+	if d.out != nil {
+		d.out.SetNull(j)
+		return
+	}
+	s := d.scr
+	s.valid[j].Clear(d.i)
+	if w := s.widths[j]; w > 0 {
+		clear(s.fixed[j][d.i*w : (d.i+1)*w])
+	} else {
+		s.vars[j][d.i] = nil
+	}
+}
+
+func (d cellSink) setFixed(j int, v []byte) {
+	if d.out != nil {
+		copy(d.out.FixedBytes(j), v)
+		d.out.Nulls.Clear(j)
+		return
+	}
+	s := d.scr
+	w := s.widths[j]
+	copy(s.fixed[j][d.i*w:(d.i+1)*w], v)
+	s.valid[j].Set(d.i)
+}
+
+// setVarlen stores v under Block.ReadVarlen's rule: a value short enough
+// to sit inline in a block entry is copied into the sink's own storage, a
+// longer one is kept by reference.
+func (d cellSink) setVarlen(j int, v []byte) {
+	if d.out != nil {
+		d.out.SetVarlenFromBlock(j, v)
+		return
+	}
+	s := d.scr
+	if n := len(v); n <= storage.VarlenInlineLimit {
+		off := d.i * storage.VarlenInlineLimit
+		own := s.inl[j][off : off+n : off+n]
+		copy(own, v)
+		v = own
+	}
+	s.vars[j][d.i] = v
+	s.valid[j].Set(d.i)
+}
+
+// apply overlays a before-image onto the sink's columns it covers.
+func (d cellSink) apply(delta *storage.ProjectedRow) {
+	p := d.proj()
+	for i, col := range delta.P.Cols {
+		j := p.IndexOf(col)
+		switch {
+		case j < 0:
+		case delta.IsNull(i):
+			d.setNull(j)
+		case delta.P.IsVarlenAt(i):
+			d.setVarlen(j, delta.Varlen(i))
+		default:
+			d.setFixed(j, delta.FixedBytes(i))
+		}
+	}
 }
 
 // Filter visits every tuple visible to tx that satisfies pred (nil for

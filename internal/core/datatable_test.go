@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,6 +265,55 @@ func TestAbortedUpdateRestores(t *testing.T) {
 	_, name, ok := readRow(t, m, table, slot)
 	if !ok || name != "original-rather-long-value" {
 		t.Fatalf("after abort: %q", name)
+	}
+
+	// A partial update whose before-image holds a NULL, an inline and a
+	// spilled value: abort restores exactly those columns, in place, and
+	// leaves the unprojected column's bytes alone.
+	reg := storage.NewRegistry()
+	layout, err := storage.NewBlockLayout([]storage.AttrDef{
+		storage.FixedAttr(8), storage.FixedAttr(4), storage.VarlenAttr(), storage.VarlenAttr(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = txn.NewManager(reg)
+	table = NewDataTable(reg, layout, 2, "wide")
+	full := table.AllColumnsProjection()
+	row := full.NewRow()
+	row.SetInt64(0, 42)
+	row.SetNull(1)
+	row.SetVarlen(2, []byte("inline"))
+	row.SetVarlen(3, []byte("a spilled value longer than twelve bytes"))
+	tx = m.Begin()
+	if slot, err = table.Insert(tx, row); err != nil {
+		t.Fatal(err)
+	}
+	m.Commit(tx, nil)
+	block := reg.BlockFor(slot)
+	col0 := slices.Clone(block.AttrBytes(0, slot.Offset()))
+
+	tx = m.Begin()
+	u = storage.MustProjection(layout, []storage.ColumnID{3, 1, 2}).NewRow()
+	u.SetVarlen(0, []byte("short"))
+	u.SetInt32(1, 7)
+	u.SetVarlen(2, []byte("an inline value spilled by the update"))
+	if err := table.Update(tx, slot, u); err != nil {
+		t.Fatal(err)
+	}
+	m.Abort(tx)
+	if got := block.AttrBytes(0, slot.Offset()); !bytes.Equal(got, col0) {
+		t.Fatalf("unprojected column bytes %x after abort, want %x", got, col0)
+	}
+	tx = m.Begin()
+	defer m.Commit(tx, nil)
+	out := full.NewRow()
+	if found, err := table.Select(tx, slot, out); err != nil || !found {
+		t.Fatalf("select after abort: found=%v err=%v", found, err)
+	}
+	if out.Int64(0) != 42 || !out.IsNull(1) || string(out.Varlen(2)) != "inline" ||
+		string(out.Varlen(3)) != "a spilled value longer than twelve bytes" {
+		t.Fatalf("after abort: %d, null=%v, %q, %q", out.Int64(0), out.IsNull(1), out.Varlen(2), out.Varlen(3))
 	}
 }
 

@@ -567,14 +567,14 @@ type indexKeyChange struct {
 // committed version or the transaction's own) and the post-image key.
 // Must run BEFORE the in-place writes; the result is buffered only if the
 // version-pointer CAS succeeds. Changes are appended to changes.
-func (t *DataTable) computeIndexUpdates(tx *txn.Transaction, block *storage.Block, offset uint32, update *storage.ProjectedRow, changes []indexKeyChange) []indexKeyChange {
+func (t *DataTable) computeIndexUpdates(tx *txn.Transaction, block *storage.Block, offset uint32, head *storage.UndoRecord, update *storage.ProjectedRow, changes []indexKeyChange) []indexKeyChange {
 	for _, ti := range t.indexList() {
 		if !ti.overlaps(update.P) {
 			continue
 		}
 		sc := ti.getScratch()
-		sc.keyRow.Reset()
-		t.readInPlace(block, offset, sc.keyRow, nil)
+		// A head that moved fails the caller's CAS, which drops the result.
+		copyInPlace(block, offset, head, cellSink{out: sc.keyRow})
 		var oldKey []byte
 		if ti.encodeFromRow(sc.keyRow, sc.kb) {
 			oldKey = sc.kb.Bytes()
@@ -611,11 +611,10 @@ func bufferIndexUpdates(tx *txn.Transaction, changes []indexKeyChange, slot stor
 // computeIndexRemovals captures each index's current key for a tuple about
 // to be deleted (same in-place legality argument as computeIndexUpdates),
 // appending to changes.
-func (t *DataTable) computeIndexRemovals(tx *txn.Transaction, block *storage.Block, offset uint32, changes []indexKeyChange) []indexKeyChange {
+func (t *DataTable) computeIndexRemovals(tx *txn.Transaction, block *storage.Block, offset uint32, head *storage.UndoRecord, changes []indexKeyChange) []indexKeyChange {
 	for _, ti := range t.indexList() {
 		sc := ti.getScratch()
-		sc.keyRow.Reset()
-		t.readInPlace(block, offset, sc.keyRow, nil)
+		copyInPlace(block, offset, head, cellSink{out: sc.keyRow})
 		if ti.encodeFromRow(sc.keyRow, sc.kb) {
 			changes = append(changes, indexKeyChange{ti: ti, oldKey: tx.OwnKey(sc.kb.Bytes())})
 		}

@@ -3,10 +3,10 @@
 // engine processes one block at a time: frozen blocks are pruned by
 // freeze-time zone maps, filtered by typed kernels running directly over
 // their Arrow buffers, and exposed zero-copy through column views under
-// the block's reader counter; hot blocks amortize the MVCC protocol across
-// a chunk — slots with no version chain are copied straight into a
-// columnar scratch with a pointer-stability recheck, and only slots with a
-// live chain pay for version traversal.
+// the block's reader counter; hot blocks stage each chunk of slots into a
+// columnar scratch through the same read protocol Select runs (copy with a
+// version-pointer re-check, then before-images only for versions too new
+// for the reader), so the predicate kernels run over packed columns.
 package core
 
 import (
@@ -472,11 +472,10 @@ func (b *Batch) setupFrozen(block *storage.Block, src frozenViewSource, cold boo
 
 // --- Hot-block scratch -------------------------------------------------------
 
-// scratch is the columnar staging area for hot-block batches: the visible
-// version of each slot in the chunk is materialized once — fast-path slots
-// (no version chain) by direct copy with a stability recheck, chained
-// slots through the version protocol — and predicates then run over the
-// packed columns exactly like they do over frozen memory.
+// scratch is the columnar staging area for hot-block batches: readVisible
+// materializes the visible version of each slot of a chunk straight into
+// row n of the packed columns, and predicates then run over them exactly
+// like they do over frozen memory.
 type scratch struct {
 	proj   *storage.Projection
 	n      int
@@ -485,8 +484,10 @@ type scratch struct {
 	fixed  [][]byte // per column: packed values, nil for varlen columns
 	valid  []util.Bitmap
 	vars   [][][]byte // per column: value refs, nil for fixed columns
-	arena  *storage.ValueArena
-	row    *storage.ProjectedRow // reusable row for version-chain slots
+	// inl holds, per varlen column, VarlenInlineLimit bytes per row: the
+	// scratch's own copies of values short enough to sit inline in a
+	// block entry (see cellSink.setVarlen).
+	inl [][]byte
 }
 
 func newScratch(proj *storage.Projection) *scratch {
@@ -498,12 +499,12 @@ func newScratch(proj *storage.Projection) *scratch {
 		fixed:  make([][]byte, nc),
 		valid:  make([]util.Bitmap, nc),
 		vars:   make([][][]byte, nc),
-		arena:  new(storage.ValueArena),
-		row:    proj.NewRow(),
+		inl:    make([][]byte, nc),
 	}
 	for i, col := range proj.Cols {
 		if proj.Layout.IsVarlen(col) {
 			s.vars[i] = make([][]byte, HotBatchSize)
+			s.inl[i] = make([]byte, HotBatchSize*storage.VarlenInlineLimit)
 		} else {
 			w := proj.Layout.AttrSize(col)
 			s.widths[i] = w
@@ -518,7 +519,10 @@ func newScratch(proj *storage.Projection) *scratch {
 // per-projection pool (projections are memoized, so the pool set stays
 // small); putScratch returns it.
 func (t *DataTable) getScratch(proj *storage.Projection) *scratch {
-	pi, _ := t.scratchPools.LoadOrStore(proj, &sync.Pool{})
+	pi, ok := t.scratchPools.Load(proj)
+	if !ok {
+		pi, _ = t.scratchPools.LoadOrStore(proj, &sync.Pool{})
+	}
 	if s, ok := pi.(*sync.Pool).Get().(*scratch); ok {
 		return s
 	}
@@ -553,74 +557,6 @@ func (t *DataTable) scanProjFor(proj *storage.Projection, col storage.ColumnID) 
 	}
 	actual, _ := t.scanProjCache.LoadOrStore(key, p)
 	return actual.(*storage.Projection), nil
-}
-
-func (s *scratch) reset() {
-	s.n = 0
-	s.arena.Reset()
-	for i := range s.valid {
-		s.valid[i].ZeroAll()
-	}
-}
-
-// appendFast copies the in-place values of slot into the scratch; the
-// caller has seen a nil version pointer and re-verifies it afterwards.
-// Index s.n may hold leftovers of a previous attempt that failed its
-// stability recheck, so the null branch must clear the validity bit, not
-// just skip setting it.
-func (s *scratch) appendFast(block *storage.Block, slot uint32) {
-	i := s.n
-	for j, col := range s.proj.Cols {
-		if !block.IsValid(col, slot) {
-			s.valid[j].Clear(i)
-			if s.fixed[j] != nil {
-				w := s.widths[j]
-				clear(s.fixed[j][i*w : (i+1)*w])
-			} else {
-				s.vars[j][i] = nil
-			}
-			continue
-		}
-		if s.fixed[j] != nil {
-			w := s.widths[j]
-			copy(s.fixed[j][i*w:(i+1)*w], block.AttrBytes(col, slot))
-		} else {
-			s.vars[j][i] = block.ReadVarlenStable(col, slot, s.arena)
-		}
-		s.valid[j].Set(i)
-	}
-	s.slots[i] = slot
-}
-
-// commitFast finalizes an appendFast row once the stability recheck passed.
-func (s *scratch) commitFast() { s.n++ }
-
-// appendRow copies a version-materialized row into the scratch. Like
-// appendFast, it may overwrite the residue of an aborted fast-path copy
-// at the same index, so NULL columns clear their validity bit explicitly.
-func (s *scratch) appendRow(slot uint32, row *storage.ProjectedRow) {
-	i := s.n
-	for j := range s.proj.Cols {
-		if row.IsNull(j) {
-			s.valid[j].Clear(i)
-			if s.fixed[j] != nil {
-				w := s.widths[j]
-				clear(s.fixed[j][i*w : (i+1)*w])
-			} else {
-				s.vars[j][i] = nil
-			}
-			continue
-		}
-		if s.fixed[j] != nil {
-			w := s.widths[j]
-			copy(s.fixed[j][i*w:(i+1)*w], row.FixedBytes(j))
-		} else {
-			s.vars[j][i] = row.Varlen(j)
-		}
-		s.valid[j].Set(i)
-	}
-	s.slots[i] = slot
-	s.n++
 }
 
 // --- ScanBatches -------------------------------------------------------------
@@ -878,36 +814,21 @@ func selIntRange(data []byte, valid util.Bitmap, width, n int, lo, hi int64, out
 	}
 }
 
-// hotBatches stages block through the columnar scratch in chunks,
-// amortizing the version-chain protocol: chainless slots take the
-// copy-and-recheck fast path, chained slots go through selectVersioned.
-// Returns false when fn stopped the scan.
+// hotBatches stages block through the columnar scratch in chunks of
+// HotBatchSize slots, reading each slot with readVisible straight into the
+// scratch's next row. Returns false when fn stopped the scan.
 func (t *DataTable) hotBatches(tx *txn.Transaction, block *storage.Block, batch *Batch, scr *scratch, pred *Predicate, predIdx int, fn func(*Batch) bool) bool {
 	t.scanStats.blocksVersioned.Add(1)
-	head := block.InsertHead()
-	for start := uint32(0); start < head; start += HotBatchSize {
-		end := start + HotBatchSize
-		if end > head {
-			end = head
-		}
-		scr.reset()
+	limit := block.InsertHead()
+	for start := uint32(0); start < limit; start += HotBatchSize {
+		end := min(start+HotBatchSize, limit)
+		scr.n = 0
 		for s := start; s < end; s++ {
-			if block.VersionPtr(s) == nil {
-				if !block.Allocated(s) {
-					continue // invisible to everyone
-				}
-				scr.appendFast(block, s)
-				if block.VersionPtr(s) == nil {
-					// No writer published a version while we copied, so
-					// the copy is untorn and current.
-					scr.commitFast()
-					continue
-				}
-				// A writer raced us; fall through to the chain protocol.
-			}
-			found, _ := t.selectVersioned(tx, block, s, scr.row, scr.arena)
-			if found {
-				scr.appendRow(s, scr.row)
+			// A slot not visible to tx leaves residue in row n, which the
+			// next slot's read overwrites.
+			if readVisible(tx, block, s, cellSink{scr: scr, i: scr.n}) {
+				scr.slots[scr.n] = s
+				scr.n++
 			}
 		}
 		if scr.n == 0 {

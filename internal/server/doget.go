@@ -19,18 +19,33 @@ import (
 
 // chunkWriter frames a byte stream as dataChunk frames on the session
 // connection. The arrow IPC writer's internal 64 KiB buffering sets the
-// chunk granularity. Every write is bounded by WriteTimeout so a stalled
+// chunk granularity; a longer write (a large frozen buffer the IPC writer
+// passes through) is split into chunks of at most maxDataChunk bytes.
+// Each frame goes to the socket as one write: the session buffer holds a
+// header plus maxDataChunk bytes, and it is flushed empty before each
+// frame is buffered. Every write is bounded by WriteTimeout so a stalled
 // client cannot pin a frozen block's read registration indefinitely.
 type chunkWriter struct {
 	s     *session
 	bytes int64
 }
 
+// maxDataChunk bounds a dataChunk payload (see chunkWriter).
+const maxDataChunk = 1 << 16
+
 func (c *chunkWriter) Write(p []byte) (int, error) {
 	_ = c.s.conn.SetWriteDeadline(time.Now().Add(c.s.srv.cfg.WriteTimeout))
 	defer c.s.conn.SetWriteDeadline(time.Time{})
-	if err := writeFrame(c.s.bw, dataChunk, p); err != nil {
-		return 0, err
+	for rest := p; len(rest) > 0; {
+		n := min(len(rest), maxDataChunk)
+		// The first flush sends responses a pipelined request left behind.
+		if err := c.s.flush(); err != nil {
+			return 0, err
+		}
+		if err := writeFrame(c.s.bw, dataChunk, rest[:n]); err != nil {
+			return 0, err
+		}
+		rest = rest[n:]
 	}
 	if err := c.s.flush(); err != nil {
 		return 0, err

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"testing"
+	"time"
 
 	"mainline"
 	"mainline/internal/arrow"
@@ -150,5 +153,103 @@ func TestDoGetMatchesExportIPC(t *testing.T) {
 	got := rawDoGet(t, addr, "mixed")
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("DoGet sent %d bytes that differ from ExportIPC's %d", len(got), want.Len())
+	}
+}
+
+// countingConn records every Write on the connection.
+type countingConn struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	return c.Conn.Write(p)
+}
+
+// TestDoGetOneWritePerChunk: a DoGet puts each frame on the socket as one
+// write, header and payload together — chunks that flush the IPC writer's
+// buffer and slices of a large frozen buffer it passes through alike.
+func TestDoGetOneWritePerChunk(t *testing.T) {
+	eng, err := mainline.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	tbl, err := eng.CreateTable("items", itemSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(from, to int) {
+		if err := eng.Update(func(tx *mainline.Txn) error {
+			row := tbl.NewRow()
+			for i := from; i < to; i++ {
+				row.Reset()
+				row.SetInt64(0, int64(i))
+				row.SetVarlen(1, []byte(fmt.Sprintf("item-name-%d", i)))
+				row.SetInt32(2, int32(i%100))
+				row.SetFloat64(3, float64(i)/4)
+				if _, err := tbl.Insert(tx, row); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(0, 30000)
+	if !eng.FreezeAll(0) {
+		t.Fatal("table did not freeze")
+	}
+	insert(30000, 40000) // a hot tail, exported through a materialized batch
+
+	srv := New(eng, Config{})
+	server, client := net.Pipe()
+	defer client.Close()
+	conn := &countingConn{Conn: server}
+	s := newSession(srv, conn)
+	var w wbuf
+	w.str("items")
+	if err := w.strs(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.pred(nil); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.handleDoGet(&rbuf{b: w.b}, time.Time{}) }()
+	frames, full := 0, 0
+	for kind := byte(0); kind != dataEnd; {
+		var payload []byte
+		kind, payload, err = readFrame(client, DefaultMaxFrame, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != dataChunk && kind != dataEnd {
+			t.Fatalf("unexpected %s frame", kindName(kind))
+		}
+		frames++
+		if len(payload) == maxDataChunk {
+			full++
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if full < 2 {
+		t.Fatalf("%d full-size chunks; the stream is too small to test", full)
+	}
+	sizes := make([]int, len(conn.writes))
+	for i, b := range conn.writes {
+		sizes[i] = len(b)
+	}
+	if len(conn.writes) != frames {
+		t.Fatalf("%d frames took %d socket writes %v, want one each", frames, len(conn.writes), sizes)
+	}
+	for i, b := range conn.writes {
+		if n := len(b); n < frameHeaderLen || int(binary.LittleEndian.Uint32(b[1:]))+frameHeaderLen != n {
+			t.Fatalf("write %d of %d bytes is not one whole frame (sizes %v)", i, n, sizes)
+		}
 	}
 }

@@ -41,7 +41,7 @@ func newSession(s *Server, conn net.Conn) *session {
 		srv:  s,
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 1<<16),
-		bw:   bufio.NewWriterSize(conn, 1<<16),
+		bw:   bufio.NewWriterSize(conn, frameHeaderLen+maxDataChunk),
 		txns: make(map[uint64]handle),
 	}
 }

@@ -318,6 +318,19 @@ func (b *Block) HasActiveVersions() bool {
 }
 
 // --- Attribute access ---------------------------------------------------------
+//
+// Hot in-place attribute bytes have one writer and one reader. The writer
+// is WriteRow (WriteTuple for inserts), which Insert, InsertIntoSlot,
+// Update and transaction abort all call after publishing their undo
+// record. The reader is core's copyInPlace, the paper's copy-and-recheck
+// (§3.1–3.2): it copies a projection of one slot and reports whether the
+// version pointer held still, and core's applyChain then applies the
+// before-images of the versions too new for the reader's snapshot. Select,
+// hot-block scans, before-images and index pre-images all go through them.
+// Readers of blocks no writer can reach read directly: core's readCold
+// (an evicted block's cached batch), core's LoadBatch (bootstrap, no
+// concurrent reader), transform's gather.go and zonemap.go (Freezing
+// blocks) and tier's Manager (Frozen or Evicted blocks).
 
 // fixedRegion returns the whole data region of column col.
 func (b *Block) fixedRegion(col ColumnID) []byte {
@@ -342,6 +355,36 @@ func (b *Block) IsValid(col ColumnID, slot uint32) bool {
 // SetValid assigns the validity bit of (col, slot).
 func (b *Block) SetValid(col ColumnID, slot uint32, v bool) {
 	b.validity[col].Assign(int(slot), v)
+}
+
+// WriteRow stores row's values into slot in place; columns row does not
+// project keep their bytes. Callers publish the version the write belongs
+// to first, so a reader that copies torn bytes finds it on the chain.
+func (b *Block) WriteRow(slot uint32, row *ProjectedRow) {
+	for i, col := range row.P.Cols {
+		switch {
+		case row.IsNull(i):
+			b.WriteNull(col, slot)
+		case row.P.IsVarlenAt(i):
+			b.WriteVarlen(col, slot, row.Varlen(i))
+		default:
+			b.WriteFixed(col, slot, row.FixedBytes(i))
+		}
+	}
+}
+
+// WriteTuple writes a whole tuple into slot: WriteRow, and null for every
+// column row does not project.
+func (b *Block) WriteTuple(slot uint32, row *ProjectedRow) {
+	b.WriteRow(slot, row)
+	if row.P.NumCols() == b.Layout.NumColumns() {
+		return
+	}
+	for c := range b.Layout.NumColumns() {
+		if row.P.IndexOf(ColumnID(c)) < 0 {
+			b.WriteNull(ColumnID(c), slot)
+		}
+	}
 }
 
 // WriteFixed stores raw fixed-width bytes into (col, slot) and marks it
@@ -378,9 +421,13 @@ func (b *Block) WriteVarlen(col ColumnID, slot uint32, val []byte) {
 }
 
 // ReadVarlen resolves the variable-length value of (col, slot). The result
-// aliases block-owned memory (entry bytes, arena, or frozen buffer) and is
-// capped at the value's end; callers that keep it past the current read
-// follow ReadVarlenStable's rule.
+// aliases block-owned memory and is capped at the value's end. A value of
+// at most VarlenInlineLimit bytes sits inline in the 16-byte entry of the
+// pooled block buffer, which a later writer may overwrite in place, so a
+// reader that keeps it copies it (ProjectedRow.SetVarlenFromBlock). A
+// longer value lives in immutable backing — an append-only hot-arena slab
+// or a frozen values buffer, neither moved nor written after publication —
+// and may be kept by reference for as long as it is held.
 func (b *Block) ReadVarlen(col ColumnID, slot uint32) []byte {
 	entry := b.AttrBytes(col, slot)
 	if varlenEntryIsInline(entry) {
@@ -438,25 +485,6 @@ func (b *Block) arenaAppend(val []byte) uint64 {
 	b.arenaSlabs[n-1] = append(b.arenaSlabs[n-1], val...)
 	b.arenaValues++
 	return makeArenaHandle(n-1, off)
-}
-
-// ReadVarlenStable resolves (col, slot) like ReadVarlen but guarantees the
-// result never aliases mutable block memory: inline values (which live in
-// the 16-byte entry of the pooled block buffer and can be overwritten in
-// place by a later writer) are copied into arena, while spilled values
-// alias their immutable backing, capped at the value's end — hot-arena
-// values sit in append-only slabs and are never moved or mutated after
-// publication, and frozen value buffers are never written in place; both
-// stay valid for as long as the slice is held. Scans that stage values
-// past the current tuple use this to avoid copying everything, and Select
-// applies the same rule with the row's own storage as the arena
-// (ProjectedRow.SetVarlenFromBlock).
-func (b *Block) ReadVarlenStable(col ColumnID, slot uint32, arena *ValueArena) []byte {
-	entry := b.AttrBytes(col, slot)
-	if varlenEntryIsInline(entry) {
-		return arena.Copy(varlenEntryInline(entry))
-	}
-	return b.ReadVarlen(col, slot)
 }
 
 // VarlenPrefix returns the entry's stored prefix for fast filtering without

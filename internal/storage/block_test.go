@@ -316,11 +316,10 @@ func TestArenaHeapPerSpilledValue(t *testing.T) {
 	}
 }
 
-// TestArenaSlabBoundaries reads back, through ReadVarlen and
-// ReadVarlenStable, values that do not fit the rest of their slab (so
-// they start the next one) and values larger than the largest slab (so
-// they get one of their own), and checks that appending to a returned
-// value cannot overwrite its neighbour.
+// TestArenaSlabBoundaries reads back, through ReadVarlen, values that do
+// not fit the rest of their slab (so they start the next one) and values
+// larger than the largest slab (so they get one of their own), and checks
+// that appending to a returned value cannot overwrite its neighbour.
 func TestArenaSlabBoundaries(t *testing.T) {
 	_, b := testBlock(t)
 	sizes := []int{13, 200, 100, maxArenaSlab + 1, 40, minArenaSlab, 2*maxArenaSlab + 7, 13, maxArenaSlab}
@@ -350,13 +349,9 @@ func TestArenaSlabBoundaries(t *testing.T) {
 	if unfilled == 0 {
 		t.Fatal("no value started a new slab before its predecessor was full")
 	}
-	arena := new(ValueArena)
 	for i := range sizes {
 		if got := b.ReadVarlen(1, uint32(i)); !bytes.Equal(got, want[i]) {
 			t.Fatalf("ReadVarlen of value %d (%d bytes) differs", i, sizes[i])
-		}
-		if got := b.ReadVarlenStable(1, uint32(i), arena); !bytes.Equal(got, want[i]) {
-			t.Fatalf("ReadVarlenStable of value %d (%d bytes) differs", i, sizes[i])
 		}
 	}
 	_ = append(b.ReadVarlen(1, 0), 0xEE, 0xEE, 0xEE, 0xEE)

@@ -238,11 +238,11 @@ func (r *ProjectedRow) SetVarlen(i int, val []byte) {
 }
 
 // SetVarlenFromBlock stores a value read by Block.ReadVarlen into
-// projected column i under ReadVarlenStable's rule, with the row's own
-// storage standing in for the arena: a value of at most VarlenInlineLimit
-// bytes sits inline in the block's mutable, pooled entry, so it is copied
-// into the row; a longer one lives in immutable backing (a hot-arena slab
-// or a frozen buffer) and is kept by reference.
+// projected column i under ReadVarlen's rule: a value of at most
+// VarlenInlineLimit bytes may sit inline in the block's mutable, pooled
+// entry, so it is copied into the row's own storage; a longer one lives in
+// immutable backing (a hot-arena slab or a frozen buffer) and is kept by
+// reference.
 func (r *ProjectedRow) SetVarlenFromBlock(i int, val []byte) {
 	vi := r.P.varIdx[i]
 	if n := len(val); n <= VarlenInlineLimit {
@@ -280,28 +280,6 @@ func (r *ProjectedRow) Clone() *ProjectedRow {
 	c := r.P.NewRow()
 	c.CopyFrom(r)
 	return c
-}
-
-// ApplyDeltaTo overlays this row's values onto dst for every column present
-// in both projections. Used when replaying before-images onto a
-// materialized tuple during version-chain traversal.
-func (r *ProjectedRow) ApplyDeltaTo(dst *ProjectedRow) {
-	for i, c := range r.P.Cols {
-		j := dst.P.IndexOf(c)
-		if j < 0 {
-			continue
-		}
-		if r.IsNull(i) {
-			dst.SetNull(j)
-			continue
-		}
-		if r.P.fixedOff[i] >= 0 {
-			copy(dst.FixedBytes(j), r.FixedBytes(i))
-			dst.setValid(j)
-		} else {
-			dst.SetVarlen(j, r.Varlen(i))
-		}
-	}
 }
 
 // SizeBytes estimates the row's memory footprint (for write-set accounting

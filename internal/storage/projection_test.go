@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 )
 
 func projLayout(t *testing.T) *BlockLayout {
@@ -91,60 +90,6 @@ func TestProjectedRowCloneAndCopy(t *testing.T) {
 	c.Reset()
 	if c.Int64(0) != 0 || c.Varlen(1) != nil {
 		t.Fatal("reset incomplete")
-	}
-}
-
-func TestApplyDeltaTo(t *testing.T) {
-	layout := projLayout(t)
-	full := MustProjection(layout, []ColumnID{0, 1, 2})
-	delta := MustProjection(layout, []ColumnID{2, 0}) // different order, subset
-	dst := full.NewRow()
-	dst.SetInt64(0, 1)
-	dst.SetVarlen(1, []byte("keep"))
-	dst.SetInt32(2, 100)
-	d := delta.NewRow()
-	d.SetInt32(0, 999) // column 2
-	d.SetInt64(1, -1)  // column 0
-	d.ApplyDeltaTo(dst)
-	if dst.Int64(0) != -1 {
-		t.Fatalf("col 0 = %d", dst.Int64(0))
-	}
-	if !bytes.Equal(dst.Varlen(1), []byte("keep")) {
-		t.Fatal("untouched column modified")
-	}
-	if dst.Int32(2) != 999 {
-		t.Fatalf("col 2 = %d", dst.Int32(2))
-	}
-	// Null in delta propagates.
-	d2 := delta.NewRow()
-	d2.SetNull(0)
-	d2.SetInt64(1, 5)
-	d2.ApplyDeltaTo(dst)
-	if !dst.IsNull(2) {
-		t.Fatal("null not propagated")
-	}
-}
-
-// Property: applying a before-image delta always restores the exact prior
-// values for the covered columns.
-func TestQuickDeltaRestores(t *testing.T) {
-	layout := projLayout(t)
-	p := MustProjection(layout, []ColumnID{0, 2})
-	f := func(before, after int64, b32, a32 int32) bool {
-		row := p.NewRow()
-		row.SetInt64(0, before)
-		row.SetInt32(1, b32)
-		// Capture before-image.
-		delta := row.Clone()
-		// Mutate.
-		row.SetInt64(0, after)
-		row.SetInt32(1, a32)
-		// Restore.
-		delta.ApplyDeltaTo(row)
-		return row.Int64(0) == before && row.Int32(1) == b32
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

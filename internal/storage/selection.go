@@ -47,40 +47,3 @@ func PutSelectionVector(sv *SelectionVector) {
 		selVecPool.Put(sv)
 	}
 }
-
-// ValueArena is a bump allocator for variable-length values materialized
-// during a scan: instead of one heap allocation per value per row, values
-// are copied into reused chunks. Reset reclaims everything at once, so a
-// hot-block batch scan resets per staged chunk and the whole traversal
-// costs a handful of chunk allocations total. Values returned by Copy are
-// valid only until the next Reset.
-type ValueArena struct {
-	chunk []byte
-	off   int
-}
-
-const arenaChunkSize = 16 << 10
-
-// Copy stores v in the arena and returns the arena-owned copy.
-func (a *ValueArena) Copy(v []byte) []byte {
-	n := len(v)
-	if n == 0 {
-		return v[:0:0]
-	}
-	if n > arenaChunkSize {
-		// Oversized value: dedicated allocation (rare; not reused).
-		return append([]byte(nil), v...)
-	}
-	if a.off+n > len(a.chunk) {
-		a.chunk = make([]byte, arenaChunkSize)
-		a.off = 0
-	}
-	dst := a.chunk[a.off : a.off+n : a.off+n]
-	copy(dst, v)
-	a.off += n
-	return dst
-}
-
-// Reset invalidates every value handed out since the last Reset and makes
-// the current chunk reusable.
-func (a *ValueArena) Reset() { a.off = 0 }

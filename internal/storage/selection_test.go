@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"testing"
 )
@@ -32,36 +31,6 @@ func TestSelectionVectorPool(t *testing.T) {
 		t.Fatal("pooled vector not reset")
 	}
 	PutSelectionVector(sv2)
-}
-
-func TestValueArena(t *testing.T) {
-	a := new(ValueArena)
-	v1 := a.Copy([]byte("hello"))
-	v2 := a.Copy([]byte("world"))
-	if string(v1) != "hello" || string(v2) != "world" {
-		t.Fatalf("copies: %q %q", v1, v2)
-	}
-	// Appending to an arena value must not clobber its neighbor (full
-	// slice expressions cap each copy).
-	_ = append(v1, 'X')
-	if string(v2) != "world" {
-		t.Fatalf("neighbor clobbered: %q", v2)
-	}
-	// Oversized values take a dedicated allocation and round-trip.
-	big := bytes.Repeat([]byte("z"), arenaChunkSize+1)
-	vb := a.Copy(big)
-	if !bytes.Equal(vb, big) {
-		t.Fatal("oversized copy mismatch")
-	}
-	// Reset recycles the chunk: the next copy reuses the same storage.
-	a.Reset()
-	v3 := a.Copy([]byte("fresh"))
-	if string(v3) != "fresh" {
-		t.Fatalf("post-reset copy: %q", v3)
-	}
-	if len(a.Copy(nil)) != 0 || len(a.Copy([]byte{})) != 0 {
-		t.Fatal("empty copy should stay empty")
-	}
 }
 
 func TestFrozenDictCodeRange(t *testing.T) {

@@ -432,17 +432,9 @@ func (m *Manager) rollback(r *storage.UndoRecord) {
 		// The delete never happened: restore liveness.
 		block.SetAllocated(slot, true)
 	case storage.KindUpdate:
-		delta := r.Delta
-		for i, col := range delta.P.Cols {
-			switch {
-			case delta.IsNull(i):
-				block.WriteNull(col, slot)
-			case delta.P.Layout.IsVarlen(col):
-				block.WriteVarlen(col, slot, delta.Varlen(i))
-			default:
-				block.WriteFixed(col, slot, delta.FixedBytes(i))
-			}
-		}
+		// Written in place behind the published record, like the update
+		// it undoes.
+		block.WriteRow(slot, r.Delta)
 	}
 }
 
