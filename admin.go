@@ -53,6 +53,9 @@ type Stats struct {
 	// GC publishes garbage-collector progress: retired versions and the
 	// watermark lag behind the engine clock.
 	GC GCStats
+	// Arena publishes the memory hot blocks hold for spilled varlen
+	// values, and what has been released from it.
+	Arena ArenaStats
 }
 
 // ServerStats counts network serving-layer activity: connection and
@@ -258,6 +261,7 @@ func (e *Engine) Stats() Stats {
 	s.Tier = e.tier.Stats()
 	s.GC.Unlinked, s.GC.Deallocated = e.collector.Totals()
 	s.GC.WatermarkLag = e.collector.WatermarkLag()
+	s.Arena.HeldBytes, s.Arena.ReleasedBytes = e.mgr.Registry().ArenaBytes()
 	if e.opts.DataDir != "" {
 		s.Checkpoint = CheckpointStats{
 			Enabled:           true,

@@ -142,7 +142,7 @@ func freezeBlocks(t *testing.T, eng *Engine, tbl *Table) {
 			t.Fatal("version chains not pruned; cannot freeze")
 		}
 		blk.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(blk, transform.ModeGather); err != nil {
+		if err := transform.GatherBlock(blk, transform.ModeGather, nil); err != nil {
 			t.Fatal(err)
 		}
 		if blk.ArenaSize() != 0 {

@@ -139,7 +139,7 @@ func TestAsOfTimeTravel(t *testing.T) {
 			mode = transform.ModeDictionary
 		}
 		blk.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(blk, mode); err != nil {
+		if err := transform.GatherBlock(blk, mode, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

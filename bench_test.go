@@ -244,6 +244,33 @@ func BenchmarkTPCCNewOrder(b *testing.B) {
 	}
 }
 
+// BenchmarkTPCCPayment micro-measures the Payment profile alone: the path
+// that rewrites a bad-credit customer's c_data (300–500 bytes), whose
+// dedicated arena slabs the GC releases after each writer's epoch.
+func BenchmarkTPCCPayment(b *testing.B) {
+	eng, err := mainline.Open()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	adm := eng.Admin()
+	db, err := tpcc.NewDatabase(adm.TxnManager(), adm.Catalog(), tpcc.DefaultConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := tpcc.Load(db, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wk := tpcc.NewWorker(db, p, 1, 7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := wk.Payment(); err != nil && err != tpcc.ErrUserAbort {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestTPCCNewOrderAllocs holds New-Order (the BenchmarkTPCCNewOrder loop)
 // to an allocation budget. Most of what remains is the profile's own
 // rows and keys and the engine's before-image deltas.

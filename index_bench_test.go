@@ -66,7 +66,7 @@ func indexFixture(t testing.TB, blocks, perBlock int) (*Engine, *Table, *IndexHa
 			t.Fatal("version chains not pruned; cannot freeze")
 		}
 		blk.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(blk, transform.ModeGather); err != nil {
+		if err := transform.GatherBlock(blk, transform.ModeGather, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

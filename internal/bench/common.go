@@ -181,7 +181,7 @@ func (bs *blockSet) freezeSurvivors(mode transform.Mode) (int, error) {
 		if !b.CASState(storage.StateCooling, storage.StateFreezing) {
 			continue
 		}
-		if err := transform.GatherBlock(b, mode); err != nil {
+		if err := transform.GatherBlock(b, mode, nil); err != nil {
 			return frozen, err
 		}
 		frozen++

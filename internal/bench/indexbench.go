@@ -95,7 +95,7 @@ func buildIndexTable(cfg IndexBenchConfig) (*indexEnv, error) {
 			return nil, fmt.Errorf("bench: chains not pruned")
 		}
 		b.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(b, transform.ModeGather); err != nil {
+		if err := transform.GatherBlock(b, transform.ModeGather, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -85,7 +85,7 @@ func buildOlapTable(cfg OlapConfig) (*txn.Manager, *catalog.Table, error) {
 			return nil, nil, fmt.Errorf("bench: chains not pruned; cannot freeze")
 		}
 		b.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(b, transform.ModeDictionary); err != nil {
+		if err := transform.GatherBlock(b, transform.ModeDictionary, nil); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -92,7 +92,7 @@ func (e *scanEnv) freeze() error {
 			return fmt.Errorf("bench: chains not pruned")
 		}
 		b.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(b, transform.ModeGather); err != nil {
+		if err := transform.GatherBlock(b, transform.ModeGather, nil); err != nil {
 			return err
 		}
 	}

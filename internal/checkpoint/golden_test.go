@@ -88,7 +88,7 @@ func goldenTable(t *testing.T) (*txn.Manager, *catalog.Catalog, *catalog.Table) 
 	for i, mode := range []transform.Mode{transform.ModeGather, transform.ModeDictionary} {
 		b := blocks[i]
 		b.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(b, mode); err != nil {
+		if err := transform.GatherBlock(b, mode, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

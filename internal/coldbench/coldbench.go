@@ -180,7 +180,7 @@ func coldPoint(dir string, budget int64, cfg Config) (Point, error) {
 			return pt, fmt.Errorf("version chains not pruned; cannot freeze")
 		}
 		blk.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(blk, transform.ModeGather); err != nil {
+		if err := transform.GatherBlock(blk, transform.ModeGather, nil); err != nil {
 			return pt, err
 		}
 	}

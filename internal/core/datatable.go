@@ -211,7 +211,7 @@ func (t *DataTable) insertAt(tx *txn.Transaction, block *storage.Block, slot sto
 		tx.DropLastUndo()
 		return ErrSlotOccupied
 	}
-	block.WriteTuple(offset, row)
+	block.WriteTuple(offset, row, tx.Retired())
 	block.SetAllocated(offset, true)
 	tx.LogRedo(t.ID, slot, storage.KindInsert, row)
 	t.bufferIndexInserts(tx, row, slot)
@@ -250,9 +250,9 @@ func (t *DataTable) LoadBatch(rb *arrow.RecordBatch) ([]storage.TupleSlot, error
 			col := storage.ColumnID(c)
 			switch {
 			case arr.IsNull(r):
-				block.WriteNull(col, slot)
+				block.WriteNull(col, slot, nil)
 			case t.layout.IsVarlen(col):
-				block.WriteVarlen(col, slot, arr.Bytes(r))
+				block.WriteVarlen(col, slot, arr.Bytes(r), nil)
 			default:
 				w := t.layout.AttrSize(col)
 				block.WriteFixed(col, slot, arr.Values[r*w:(r+1)*w])
@@ -337,7 +337,7 @@ func (t *DataTable) Update(tx *txn.Transaction, slot storage.TupleSlot, update *
 	// In-place update after the record is published: any reader that copies
 	// torn bytes finds this record on the chain and repairs its copy with
 	// the before-image.
-	block.WriteRow(offset, update)
+	block.WriteRow(offset, update, tx.Retired())
 	tx.LogRedo(t.ID, slot, storage.KindUpdate, update)
 	return nil
 }

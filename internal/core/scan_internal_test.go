@@ -26,7 +26,7 @@ func TestScratchOverwriteClearsValidity(t *testing.T) {
 	block := storage.NewBlock(reg, layout)
 	slot, _ := block.TryAllocateSlot()
 	block.WriteFixed(0, slot, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	block.WriteVarlen(1, slot, []byte("value"))
+	block.WriteVarlen(1, slot, []byte("value"), nil)
 	block.SetAllocated(slot, true)
 
 	proj := storage.MustProjection(layout, layout.AllColumns())
@@ -58,8 +58,8 @@ func TestScratchOverwriteClearsValidity(t *testing.T) {
 	// Same leak through a later copy at a reused row: a null column must
 	// clear, not skip.
 	copyInPlace(block, slot, nil, dst) // sets bits at row 0, re-check "fails"
-	block.WriteNull(0, slot)
-	block.WriteNull(1, slot)
+	block.WriteNull(0, slot, nil)
+	block.WriteNull(1, slot, nil)
 	copyInPlace(block, slot, nil, dst)
 	if scr.valid[0].Test(0) || scr.valid[1].Test(0) {
 		t.Fatal("copyInPlace left stale validity bits on null columns")
@@ -148,13 +148,13 @@ func TestQuickBeforeImageRestores(t *testing.T) {
 		row.SetInt64(0, before)
 		row.SetVarlen(1, bName)
 		row.SetInt32(2, b32)
-		block.WriteRow(slot, row)
+		block.WriteRow(slot, row, nil)
 		delta := part.NewRow()
 		copyInPlace(block, slot, nil, cellSink{out: delta})
 		upd := part.NewRow()
 		upd.SetVarlen(0, aName)
 		upd.SetInt64(1, after)
-		block.WriteRow(slot, upd)
+		block.WriteRow(slot, upd, nil)
 		for _, dst := range []cellSink{{out: full.NewRow()}, {scr: scr, i: 7}} {
 			copyInPlace(block, slot, nil, dst)
 			dst.apply(delta)

@@ -145,7 +145,7 @@ func TestScanEquivalenceUnderConcurrentWriters(t *testing.T) {
 				b := table.Blocks()[0]
 				if b.State() == storage.StateHot && !b.HasActiveVersions() {
 					b.SetState(storage.StateFreezing)
-					if err := transform.GatherBlock(b, transform.ModeGather); err != nil {
+					if err := transform.GatherBlock(b, transform.ModeGather, nil); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -71,7 +71,7 @@ func freezeBlocks(t *testing.T, m *txn.Manager, blocks []*storage.Block, mode tr
 			t.Fatal("chains not pruned; cannot freeze")
 		}
 		b.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(b, mode); err != nil {
+		if err := transform.GatherBlock(b, mode, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

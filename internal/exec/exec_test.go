@@ -111,7 +111,7 @@ func freeze(t testing.TB, m *txn.Manager, blocks []*storage.Block, mode transfor
 			t.Fatal("version chains not pruned; cannot freeze")
 		}
 		b.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(b, mode); err != nil {
+		if err := transform.GatherBlock(b, mode, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -83,7 +83,7 @@ func joinEnv(t *testing.T) (*txn.Manager, *core.DataTable, *core.DataTable) {
 		t.Fatal("cannot freeze probe block")
 	}
 	b.SetState(storage.StateFreezing)
-	if err := transform.GatherBlock(b, transform.ModeDictionary); err != nil {
+	if err := transform.GatherBlock(b, transform.ModeDictionary, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Hot probe tail on top of the frozen block.

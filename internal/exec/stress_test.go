@@ -159,7 +159,7 @@ func TestAggregateHTAPStress(t *testing.T) {
 		b := table.Blocks()[0]
 		if b.State() == storage.StateHot && !b.HasActiveVersions() {
 			b.SetState(storage.StateFreezing)
-			if err := transform.GatherBlock(b, transform.ModeDictionary); err != nil {
+			if err := transform.GatherBlock(b, transform.ModeDictionary, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -219,7 +219,7 @@ func TestAggregateHTAPStress(t *testing.T) {
 				b := table.Blocks()[0]
 				if b.State() == storage.StateHot && !b.HasActiveVersions() {
 					b.SetState(storage.StateFreezing)
-					if transform.GatherBlock(b, transform.ModeDictionary) != nil {
+					if transform.GatherBlock(b, transform.ModeDictionary, nil) != nil {
 						return
 					}
 				}

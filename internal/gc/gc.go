@@ -146,12 +146,14 @@ func (g *GarbageCollector) RunOnce() Stats {
 	}
 
 	// Phase 1: deallocate transactions whose unlink epoch has passed: no
-	// active transaction can still be traversing their records.
+	// active transaction can still be traversing their records, nor hold
+	// a handle to an arena slab their in-place writes unlinked.
 	g.mu.Lock()
 	var stillWaiting []*txn.Transaction
 	for _, t := range g.pendingDealloc {
 		if t.UnlinkTs() < oldest {
 			t.ReleaseUndo()
+			t.ReleaseSlabs()
 			st.Deallocated++
 		} else {
 			stillWaiting = append(stillWaiting, t)

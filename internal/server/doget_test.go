@@ -70,7 +70,7 @@ func mixedExportTable(t *testing.T, eng *mainline.Engine) *mainline.Table {
 			t.Fatal("version chains not pruned; cannot freeze")
 		}
 		b.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(b, mode); err != nil {
+		if err := transform.GatherBlock(b, mode, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -50,6 +50,8 @@ var handWrittenSeries = [][2]string{
 	{"mainline_engine_gc_unlinked_total", "GC.Unlinked"},
 	{"mainline_engine_gc_deallocated_total", "GC.Deallocated"},
 	{"mainline_engine_gc_watermark_lag", "GC.WatermarkLag"},
+	{"mainline_engine_arena_held_bytes", "Arena.HeldBytes"},
+	{"mainline_engine_arena_released_bytes_total", "Arena.ReleasedBytes"},
 	{"mainline_engine_wal_truncation_lag", "Health.WALTruncationLag"},
 	{"mainline_engine_degraded", "Health.Degraded"},
 	{"mainline_engine_wal_txns_total", "WAL.Txns"},

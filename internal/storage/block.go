@@ -101,12 +101,20 @@ type Block struct {
 	// validity marks non-null attributes, one bitmap per column.
 	validity []util.AtomicBitmap
 
-	// arenaMu guards the hot varlen arena: append-only byte slabs that
-	// spilled values are copied into and never moved from (see
-	// arenaAppend), plus the count of values they hold.
+	// arenaMu guards the hot varlen arena (see arenaAppend): the slab
+	// table that arena handles index (nil marks a free index), the free
+	// indices later slabs reuse, the shared slab appends fill (-1 when
+	// none), the size of the next shared slab, the count of values that
+	// entries name and the bytes the table holds.
 	arenaMu     sync.Mutex
 	arenaSlabs  [][]byte
+	arenaFree   []int
+	arenaCur    int
+	arenaNext   int
 	arenaValues int
+	arenaBytes  int64
+	// reg counts arena bytes across all blocks (Registry.ArenaBytes).
+	reg *Registry
 
 	// frozen gather outputs, one per column (nil for fixed-width columns).
 	frozenVar []*FrozenVarlen
@@ -153,6 +161,8 @@ func NewBlock(reg *Registry, layout *BlockLayout) *Block {
 	b := &Block{
 		Layout:     layout,
 		buf:        reg.pool.get(),
+		arenaCur:   -1,
+		reg:        reg,
 		versions:   make([]atomic.Pointer[UndoRecord], n),
 		allocated:  util.NewAtomicBitmap(n),
 		validity:   make([]util.AtomicBitmap, layout.NumColumns()),
@@ -360,13 +370,14 @@ func (b *Block) SetValid(col ColumnID, slot uint32, v bool) {
 // WriteRow stores row's values into slot in place; columns row does not
 // project keep their bytes. Callers publish the version the write belongs
 // to first, so a reader that copies torn bytes finds it on the chain.
-func (b *Block) WriteRow(slot uint32, row *ProjectedRow) {
+// Dedicated arena slabs the write unlinks go to rel (see WriteVarlen).
+func (b *Block) WriteRow(slot uint32, row *ProjectedRow, rel *RetiredSlabs) {
 	for i, col := range row.P.Cols {
 		switch {
 		case row.IsNull(i):
-			b.WriteNull(col, slot)
+			b.WriteNull(col, slot, rel)
 		case row.P.IsVarlenAt(i):
-			b.WriteVarlen(col, slot, row.Varlen(i))
+			b.WriteVarlen(col, slot, row.Varlen(i), rel)
 		default:
 			b.WriteFixed(col, slot, row.FixedBytes(i))
 		}
@@ -375,14 +386,14 @@ func (b *Block) WriteRow(slot uint32, row *ProjectedRow) {
 
 // WriteTuple writes a whole tuple into slot: WriteRow, and null for every
 // column row does not project.
-func (b *Block) WriteTuple(slot uint32, row *ProjectedRow) {
-	b.WriteRow(slot, row)
+func (b *Block) WriteTuple(slot uint32, row *ProjectedRow, rel *RetiredSlabs) {
+	b.WriteRow(slot, row, rel)
 	if row.P.NumCols() == b.Layout.NumColumns() {
 		return
 	}
 	for c := range b.Layout.NumColumns() {
 		if row.P.IndexOf(ColumnID(c)) < 0 {
-			b.WriteNull(ColumnID(c), slot)
+			b.WriteNull(ColumnID(c), slot, rel)
 		}
 	}
 }
@@ -395,28 +406,44 @@ func (b *Block) WriteFixed(col ColumnID, slot uint32, src []byte) {
 }
 
 // WriteNull marks (col, slot) null and zeroes its storage so gathered Arrow
-// buffers are deterministic.
-func (b *Block) WriteNull(col ColumnID, slot uint32) {
+// buffers are deterministic. A dedicated slab the old value had goes to
+// rel (see WriteVarlen).
+func (b *Block) WriteNull(col ColumnID, slot uint32, rel *RetiredSlabs) {
 	dst := b.AttrBytes(col, slot)
-	for i := range dst {
-		dst[i] = 0
+	if b.Layout.IsVarlen(col) && entryInArena(dst) {
+		b.arenaMu.Lock()
+		b.arenaUnlink(dst, rel)
+		b.arenaMu.Unlock()
 	}
+	clear(dst)
 	b.SetValid(col, slot, false)
 }
 
 // WriteVarlen stores a variable-length value into (col, slot): inline when
 // it fits 12 bytes, otherwise spilled to the block's hot arena. This is the
-// relaxed format's constant-time varlen update (§4.1).
-func (b *Block) WriteVarlen(col ColumnID, slot uint32, val []byte) {
+// relaxed format's constant-time varlen update (§4.1). When the old value
+// had a dedicated slab, the slab goes to rel, whose owner releases it once
+// no reader can still hold the old entry's handle: the writing
+// transaction, after the GC's unlink epoch (§3.3). A nil rel (bootstrap
+// loads of fresh slots, tests) keeps the slab until the arena retires.
+func (b *Block) WriteVarlen(col ColumnID, slot uint32, val []byte, rel *RetiredSlabs) {
 	entry := b.AttrBytes(col, slot)
-	if len(val) <= VarlenInlineLimit {
-		varlenEntryPutInline(entry, val)
-	} else {
+	spilled := len(val) > VarlenInlineLimit
+	if spilled || entryInArena(entry) {
 		b.arenaMu.Lock()
-		h := b.arenaAppend(val)
+		b.arenaUnlink(entry, rel)
+		var h uint64
+		if spilled {
+			h = b.arenaAppend(val)
+		}
 		b.arenaMu.Unlock()
-		varlenEntryPutSpilled(entry, uint32(len(val)), val[:4], h)
+		if spilled {
+			varlenEntryPutSpilled(entry, uint32(len(val)), val[:4], h)
+			b.SetValid(col, slot, true)
+			return
+		}
 	}
+	varlenEntryPutInline(entry, val)
 	b.SetValid(col, slot, true)
 }
 
@@ -425,9 +452,11 @@ func (b *Block) WriteVarlen(col ColumnID, slot uint32, val []byte) {
 // at most VarlenInlineLimit bytes sits inline in the 16-byte entry of the
 // pooled block buffer, which a later writer may overwrite in place, so a
 // reader that keeps it copies it (ProjectedRow.SetVarlenFromBlock). A
-// longer value lives in immutable backing — an append-only hot-arena slab
-// or a frozen values buffer, neither moved nor written after publication —
-// and may be kept by reference for as long as it is held.
+// longer value lives in immutable backing — a hot-arena slab or a frozen
+// values buffer, neither moved nor written after publication — and may be
+// kept by reference for as long as it is held. Releasing a slab (see
+// RetiredSlabs) only removes it from the block's table and never writes
+// it, so the Go runtime keeps the bytes of a held reference alive.
 func (b *Block) ReadVarlen(col ColumnID, slot uint32) []byte {
 	entry := b.AttrBytes(col, slot)
 	if varlenEntryIsInline(entry) {
@@ -447,6 +476,12 @@ func (b *Block) ReadVarlen(col ColumnID, slot uint32) []byte {
 		}
 		return fv.Values[off:end:end]
 	}
+	return b.arenaValue(h, size)
+}
+
+// arenaValue resolves an arena handle, or returns nil when the handle
+// names no live bytes (a torn entry; see ReadVarlen).
+func (b *Block) arenaValue(h uint64, size uint32) []byte {
 	slab, off := arenaHandleSlab(h), arenaHandleOffset(h)
 	end := off + uint64(size)
 	b.arenaMu.Lock()
@@ -458,33 +493,138 @@ func (b *Block) ReadVarlen(col ColumnID, slot uint32) []byte {
 	return v
 }
 
-// Hot arena slab sizes: the first slab is small, each next one doubles up
-// to the cap, so a block with few spilled values holds little slack and a
-// full one wastes at most part of its last slab. A value larger than the
-// cap gets a slab of its own size.
+// Hot arena slab sizes: the first shared slab is small, each next one
+// doubles up to the cap, so a block with few spilled values holds little
+// slack and a full one wastes at most part of its last slab.
+//
+// A spilled value of at least DedicatedSlabMin bytes gets a slab of its
+// own instead, which its block can release once the value is overwritten:
+// bytes inside a shared slab can never be reused, because readers may keep
+// them by reference (ReadVarlen), and compacting a slab would need
+// exclusive access to a block that writers update. Below the threshold a
+// value shares slabs: a slab of its own would cost a table entry and an
+// allocation of about its own size, and short values are seldom the ones
+// rewritten in bulk. 128 bytes keeps every value of a TPC-C string column
+// of 50 bytes or less, and short payloads like YCSB's, in shared slabs,
+// and gives the large rewritten ones (c_data, 300–500 bytes) their own.
 const (
-	minArenaSlab = 256
-	maxArenaSlab = 32 << 10
+	minArenaSlab     = 256
+	maxArenaSlab     = 32 << 10
+	DedicatedSlabMin = 128
 )
 
-// arenaAppend copies val into the current slab, starting a new one when it
-// does not fit, and returns its handle. A value never straddles slabs and
-// is never moved, so a slice of it stays valid while the arena lives.
-// Caller holds arenaMu.
+// arenaAppend copies val into the arena and returns its handle: into a
+// dedicated slab when it is at least DedicatedSlabMin bytes, else into the
+// current shared slab, starting a new one when it does not fit. A value
+// never straddles slabs and is never moved. Caller holds arenaMu.
 func (b *Block) arenaAppend(val []byte) uint64 {
-	n := len(b.arenaSlabs)
-	if n == 0 || cap(b.arenaSlabs[n-1])-len(b.arenaSlabs[n-1]) < len(val) {
-		size := minArenaSlab
-		if n > 0 {
-			size = min(2*cap(b.arenaSlabs[n-1]), maxArenaSlab)
-		}
-		b.arenaSlabs = append(b.arenaSlabs, make([]byte, 0, max(size, len(val))))
-		n++
-	}
-	off := len(b.arenaSlabs[n-1])
-	b.arenaSlabs[n-1] = append(b.arenaSlabs[n-1], val...)
 	b.arenaValues++
-	return makeArenaHandle(n-1, off)
+	if len(val) >= DedicatedSlabMin {
+		slab := make([]byte, len(val))
+		copy(slab, val)
+		return makeArenaHandle(b.arenaAdd(slab), 0)
+	}
+	if b.arenaCur < 0 || cap(b.arenaSlabs[b.arenaCur])-len(b.arenaSlabs[b.arenaCur]) < len(val) {
+		size := max(b.arenaNext, minArenaSlab)
+		b.arenaNext = min(2*size, maxArenaSlab)
+		b.arenaCur = b.arenaAdd(make([]byte, 0, size))
+	}
+	cur := b.arenaSlabs[b.arenaCur]
+	b.arenaSlabs[b.arenaCur] = append(cur, val...)
+	return makeArenaHandle(b.arenaCur, len(cur))
+}
+
+// arenaAdd puts slab into the table, at a freed index when there is one,
+// and returns its index. Caller holds arenaMu.
+func (b *Block) arenaAdd(slab []byte) int {
+	b.arenaHold(int64(cap(slab)))
+	if n := len(b.arenaFree); n > 0 {
+		i := b.arenaFree[n-1]
+		b.arenaFree = b.arenaFree[:n-1]
+		b.arenaSlabs[i] = slab
+		return i
+	}
+	b.arenaSlabs = append(b.arenaSlabs, slab)
+	return len(b.arenaSlabs) - 1
+}
+
+// arenaHold adds n (negative when slabs leave the table) to the bytes the
+// block's arena holds, here and in the registry's totals. Caller holds
+// arenaMu.
+func (b *Block) arenaHold(n int64) {
+	b.arenaBytes += n
+	if b.reg != nil {
+		b.reg.arenaHeld.Add(n)
+		if n < 0 {
+			b.reg.arenaReleased.Add(-n)
+		}
+	}
+}
+
+// entryInArena reports whether a varlen entry names a hot-arena value.
+func entryInArena(entry []byte) bool {
+	return !varlenEntryIsInline(entry) && !handleIsFrozen(varlenEntryHandle(entry))
+}
+
+// arenaUnlink accounts for an entry that is about to stop naming its arena
+// value: the value no longer counts as live, and a dedicated slab goes to
+// rel. Caller holds arenaMu.
+func (b *Block) arenaUnlink(entry []byte, rel *RetiredSlabs) {
+	if !entryInArena(entry) {
+		return
+	}
+	b.arenaValues--
+	size := varlenEntrySize(entry)
+	if size < DedicatedSlabMin || rel == nil {
+		return
+	}
+	h := varlenEntryHandle(entry)
+	i := arenaHandleSlab(h)
+	if i < uint64(len(b.arenaSlabs)) && arenaHandleOffset(h) == 0 && len(b.arenaSlabs[i]) == int(size) {
+		*rel = append(*rel, RetiredSlab{block: b, idx: int(i), slab: b.arenaSlabs[i]})
+	}
+}
+
+// RetiredSlab is one hot-arena slab that no entry names any more but that
+// a reader may still resolve through a handle it copied earlier.
+type RetiredSlab struct {
+	block *Block
+	idx   int
+	slab  []byte
+}
+
+// RetiredSlabs lists arena slabs waiting out the readers that may still
+// hold their handles. The owner calls Release once every transaction that
+// was active when the slabs were retired has finished: a writing
+// transaction's list is released by the GC with its undo records, a
+// gather's through the GC's deferred actions.
+type RetiredSlabs []RetiredSlab
+
+// Release removes the listed slabs from their blocks' tables, so later
+// slabs reuse their indices, and empties the list. A slab that already
+// left its table (released twice, or its block's arena was dropped) is
+// skipped. The slabs' bytes are never written again (see ReadVarlen).
+func (r *RetiredSlabs) Release() {
+	for _, s := range *r {
+		s.block.dropSlab(s.idx, s.slab)
+	}
+	*r = nil
+}
+
+// dropSlab removes slab from the table if it still sits at index i.
+func (b *Block) dropSlab(i int, slab []byte) {
+	b.arenaMu.Lock()
+	if i < len(b.arenaSlabs) && i != b.arenaCur && sameSlab(b.arenaSlabs[i], slab) {
+		b.arenaSlabs[i] = nil
+		b.arenaFree = append(b.arenaFree, i)
+		b.arenaHold(-int64(cap(slab)))
+	}
+	b.arenaMu.Unlock()
+}
+
+// sameSlab reports whether a and b are the same non-empty slab.
+func sameSlab(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // VarlenPrefix returns the entry's stored prefix for fast filtering without
@@ -504,22 +644,60 @@ func (b *Block) RewriteVarlenEntry(col ColumnID, slot uint32, val []byte, off in
 	varlenEntryPutSpilled(entry, uint32(len(val)), val[:4], makeFrozenHandle(off))
 }
 
-// ArenaSize reports the number of live hot-arena values (observability and
-// tests of gather-phase reclamation).
+// ArenaSize reports the number of live hot-arena values: those that the
+// block's entries name (observability and tests of reclamation).
 func (b *Block) ArenaSize() int {
 	b.arenaMu.Lock()
 	defer b.arenaMu.Unlock()
 	return b.arenaValues
 }
 
-// ReleaseArena drops the hot arena after gather has rewritten every entry.
-// The caller must guarantee exclusive access (Freezing) and defer actual
-// reuse until concurrent readers are proven gone (the GC's deferred-action
-// mechanism); under Go the runtime collects the backing memory once old
-// readers drop their references.
-func (b *Block) ReleaseArena() {
+// ArenaBytes reports the bytes the block's arena slab table holds,
+// retired slabs not yet released included.
+func (b *Block) ArenaBytes() int64 {
 	b.arenaMu.Lock()
-	b.arenaSlabs, b.arenaValues = nil, 0
+	defer b.arenaMu.Unlock()
+	return b.arenaBytes
+}
+
+// RetireArena retires the whole hot arena once gather has rewritten every
+// entry of the block's tuples to frozen storage. Gather-phase only
+// (Freezing, so no writer runs): entries of unallocated slots that still
+// name arena values are zeroed, so no entry names a retired slab, and the
+// next spilled value starts a new shared slab. The slabs stay in the table
+// because a hot reader may have copied an entry just before gather
+// rewrote it; the caller releases the returned list once such readers are
+// gone.
+func (b *Block) RetireArena() RetiredSlabs {
+	for c := range b.Layout.NumColumns() {
+		col := ColumnID(c)
+		if !b.Layout.IsVarlen(col) {
+			continue
+		}
+		for s := range b.InsertHead() {
+			if entry := b.AttrBytes(col, s); entryInArena(entry) {
+				clear(entry)
+			}
+		}
+	}
+	b.arenaMu.Lock()
+	defer b.arenaMu.Unlock()
+	var rel RetiredSlabs
+	for i, slab := range b.arenaSlabs {
+		if slab != nil {
+			rel = append(rel, RetiredSlab{block: b, idx: i, slab: slab})
+		}
+	}
+	b.arenaCur, b.arenaNext, b.arenaValues = -1, 0, 0
+	return rel
+}
+
+// dropArena drops every slab at once; the registry calls it when the
+// block is retired and no reader can reach the block.
+func (b *Block) dropArena() {
+	b.arenaMu.Lock()
+	b.arenaHold(-b.arenaBytes)
+	b.arenaSlabs, b.arenaFree, b.arenaCur, b.arenaValues = nil, nil, -1, 0
 	b.arenaMu.Unlock()
 }
 

@@ -78,7 +78,7 @@ func TestBlockFixedReadWrite(t *testing.T) {
 	if got := binary.LittleEndian.Uint64(b.AttrBytes(0, 7)); got != 0xDEADBEEFCAFE {
 		t.Fatalf("read back %x", got)
 	}
-	b.WriteNull(0, 7)
+	b.WriteNull(0, 7, nil)
 	if b.IsValid(0, 7) {
 		t.Fatal("null attr still valid")
 	}
@@ -92,7 +92,7 @@ func TestBlockFixedReadWrite(t *testing.T) {
 func TestBlockVarlenInline(t *testing.T) {
 	_, b := testBlock(t)
 	val := []byte("short-12byte") // exactly 12 bytes: inline
-	b.WriteVarlen(1, 3, val)
+	b.WriteVarlen(1, 3, val, nil)
 	if got := b.ReadVarlen(1, 3); !bytes.Equal(got, val) {
 		t.Fatalf("inline read %q", got)
 	}
@@ -107,7 +107,7 @@ func TestBlockVarlenInline(t *testing.T) {
 func TestBlockVarlenSpilled(t *testing.T) {
 	_, b := testBlock(t)
 	val := []byte("this-value-is-definitely-longer-than-twelve")
-	b.WriteVarlen(1, 3, val)
+	b.WriteVarlen(1, 3, val, nil)
 	if got := b.ReadVarlen(1, 3); !bytes.Equal(got, val) {
 		t.Fatalf("spilled read %q", got)
 	}
@@ -119,18 +119,18 @@ func TestBlockVarlenSpilled(t *testing.T) {
 	}
 	// Overwrite with another value: constant-time, appends to arena.
 	val2 := []byte("a-second-rather-long-value-for-the-slot")
-	b.WriteVarlen(1, 3, val2)
+	b.WriteVarlen(1, 3, val2, nil)
 	if got := b.ReadVarlen(1, 3); !bytes.Equal(got, val2) {
 		t.Fatalf("after update read %q", got)
 	}
-	if b.ArenaSize() != 2 {
-		t.Fatalf("arena size after update = %d", b.ArenaSize())
+	if b.ArenaSize() != 1 {
+		t.Fatalf("live arena values after update = %d", b.ArenaSize())
 	}
 }
 
 func TestBlockVarlenEmpty(t *testing.T) {
 	_, b := testBlock(t)
-	b.WriteVarlen(1, 0, nil)
+	b.WriteVarlen(1, 0, nil, nil)
 	if got := b.ReadVarlen(1, 0); len(got) != 0 {
 		t.Fatalf("empty varlen read %q", got)
 	}
@@ -256,7 +256,7 @@ func TestBlockFrozenValidityRoundTrip(t *testing.T) {
 	const rows = 100
 	for i := uint32(0); i < rows; i++ {
 		if i%3 == 0 {
-			b.WriteNull(0, i)
+			b.WriteNull(0, i, nil)
 		} else {
 			var v [8]byte
 			binary.LittleEndian.PutUint64(v[:], uint64(i))
@@ -301,7 +301,7 @@ func TestArenaHeapPerSpilledValue(t *testing.T) {
 	n := 0
 	for _, b := range blocks {
 		for slot := uint32(0); slot < layout.NumSlots; slot++ {
-			b.WriteVarlen(0, slot, val)
+			b.WriteVarlen(0, slot, val, nil)
 			n++
 		}
 	}
@@ -332,7 +332,7 @@ func TestArenaSlabBoundaries(t *testing.T) {
 		for j := range want[i] {
 			want[i][j] = byte(i + j)
 		}
-		b.WriteVarlen(1, uint32(i), want[i])
+		b.WriteVarlen(1, uint32(i), want[i], nil)
 	}
 	if b.ArenaSize() != len(sizes) {
 		t.Fatalf("ArenaSize = %d, want %d", b.ArenaSize(), len(sizes))
@@ -358,8 +358,77 @@ func TestArenaSlabBoundaries(t *testing.T) {
 	if got := b.ReadVarlen(1, 1); !bytes.Equal(got, want[1]) {
 		t.Fatal("append to a read value overwrote the next one")
 	}
-	b.ReleaseArena()
-	if b.ArenaSize() != 0 {
-		t.Fatalf("ArenaSize after release = %d", b.ArenaSize())
+	rel := b.RetireArena()
+	rel.Release()
+	if b.ArenaSize() != 0 || b.ArenaBytes() != 0 {
+		t.Fatalf("after release: ArenaSize = %d, ArenaBytes = %d", b.ArenaSize(), b.ArenaBytes())
+	}
+}
+
+// TestOverwrittenSlabResolvesUntilRelease keeps the handle of a large
+// value across its overwrite, as a reader that copied the entry just
+// before the write would: the old slab must stay resolvable, and its index
+// unused, until the writer's retired list is released, and only then
+// leave the table and lend its index to a later slab.
+func TestOverwrittenSlabResolvesUntilRelease(t *testing.T) {
+	_, b := testBlock(t)
+	old := bytes.Repeat([]byte("o"), DedicatedSlabMin+72)
+	var rel RetiredSlabs
+	b.WriteVarlen(1, 0, old, &rel)
+	entry := bytes.Clone(b.AttrBytes(1, 0))
+	h, size := varlenEntryHandle(entry), varlenEntrySize(entry)
+
+	b.WriteVarlen(1, 0, bytes.Repeat([]byte("n"), DedicatedSlabMin+172), &rel)
+	b.WriteVarlen(1, 1, bytes.Repeat([]byte("x"), DedicatedSlabMin+72), &rel)
+	if len(rel) != 1 {
+		t.Fatalf("retired %d slabs, want 1", len(rel))
+	}
+	if got := b.arenaValue(h, size); !bytes.Equal(got, old) {
+		t.Fatalf("overwritten value before release reads %q", got)
+	}
+	before := b.ArenaBytes()
+	rel.Release()
+	if got := b.arenaValue(h, size); got != nil {
+		t.Fatalf("released slab still resolves: %q", got)
+	}
+	if n := b.ArenaBytes(); n != before-int64(len(old)) {
+		t.Fatalf("arena bytes %d after release, want %d", n, before-int64(len(old)))
+	}
+	b.WriteVarlen(1, 2, bytes.Repeat([]byte("r"), DedicatedSlabMin), &rel)
+	if got := arenaHandleSlab(varlenEntryHandle(b.AttrBytes(1, 2))); got != arenaHandleSlab(h) {
+		t.Fatalf("new slab took index %d, want the freed %d", got, arenaHandleSlab(h))
+	}
+	if b.ArenaSize() != 3 {
+		t.Fatalf("live values = %d, want 3", b.ArenaSize())
+	}
+}
+
+// TestRetireArenaKeepsHandlesUntilRelease resolves handles copied before
+// a gather's arena retirement, as a hot reader of a Freezing block does
+// when gather rewrites the entry between its copy of the entry and the
+// lookup: both a shared-slab and a dedicated-slab value must still read
+// back until the retired list is released.
+func TestRetireArenaKeepsHandlesUntilRelease(t *testing.T) {
+	_, b := testBlock(t)
+	vals := [][]byte{[]byte("a shared-slab value"), bytes.Repeat([]byte("d"), DedicatedSlabMin+1)}
+	entries := make([][]byte, len(vals))
+	for i, v := range vals {
+		b.WriteVarlen(1, uint32(i), v, nil)
+		entries[i] = bytes.Clone(b.AttrBytes(1, uint32(i)))
+	}
+	rel := b.RetireArena()
+	for i, e := range entries {
+		if got := b.arenaValue(varlenEntryHandle(e), varlenEntrySize(e)); !bytes.Equal(got, vals[i]) {
+			t.Fatalf("pre-gather handle %d reads %q after retirement", i, got)
+		}
+	}
+	rel.Release()
+	for i, e := range entries {
+		if got := b.arenaValue(varlenEntryHandle(e), varlenEntrySize(e)); got != nil {
+			t.Fatalf("handle %d resolves after release: %q", i, got)
+		}
+	}
+	if b.ArenaBytes() != 0 {
+		t.Fatalf("arena holds %d bytes after release", b.ArenaBytes())
 	}
 }

@@ -66,6 +66,17 @@ type Registry struct {
 	nextID uint64
 	chunks atomic.Pointer[[]*registryChunk]
 	pool   *blockBufPool
+
+	// arenaHeld and arenaReleased total the hot-arena bytes of every
+	// block (see ArenaBytes).
+	arenaHeld     atomic.Int64
+	arenaReleased atomic.Int64
+}
+
+// ArenaBytes reports the bytes hot-arena slab tables hold across all
+// blocks, and the bytes released from them since the registry was made.
+func (r *Registry) ArenaBytes() (held, released int64) {
+	return r.arenaHeld.Load(), r.arenaReleased.Load()
 }
 
 const registryChunkSize = 1 << 12 // 4096 blocks per chunk
@@ -129,6 +140,7 @@ func (r *Registry) Retire(b *Block) {
 	if chunkIdx < len(chunks) {
 		chunks[chunkIdx].blocks[b.ID%registryChunkSize].Store(nil)
 	}
+	b.dropArena()
 	r.pool.put(b.buf)
 }
 

@@ -60,7 +60,7 @@ func frozenBlockSpilled(t *testing.T, mode transform.Mode, rows int64) (*catalog
 		t.Fatal("fixture block still has versions")
 	}
 	blk.SetState(storage.StateFreezing)
-	if err := transform.GatherBlock(blk, mode); err != nil {
+	if err := transform.GatherBlock(blk, mode, nil); err != nil {
 		t.Fatal(err)
 	}
 	if blk.State() != storage.StateFrozen {
@@ -135,7 +135,7 @@ func TestRefreezeAfterRethaw(t *testing.T) {
 				t.Fatalf("%s: thaw failed", tag)
 			}
 			b.SetState(storage.StateFreezing)
-			if err := transform.GatherBlock(b, mode); err != nil {
+			if err := transform.GatherBlock(b, mode, nil); err != nil {
 				t.Fatalf("%s: refreeze: %v", tag, err)
 			}
 			checkSpilledValues(t, tag+" after refreeze", b, rows)

@@ -78,7 +78,7 @@ func newColdFixture(t *testing.T, mode transform.Mode, rows int) *coldFixture {
 		t.Fatal("chains not pruned; cannot freeze")
 	}
 	b.SetState(storage.StateFreezing)
-	if err := transform.GatherBlock(b, mode); err != nil {
+	if err := transform.GatherBlock(b, mode, nil); err != nil {
 		t.Fatal(err)
 	}
 	store, err := objstore.NewFSStore(t.TempDir(), nil)

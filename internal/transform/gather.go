@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mainline/internal/storage"
+	"mainline/internal/txn"
 	"mainline/internal/util"
 )
 
@@ -36,8 +37,10 @@ func (m Mode) String() string {
 // a dictionary), rewrites every VarlenEntry to reference the new storage,
 // serializes validity bitmaps into the block, computes null counts, and
 // marks the block Frozen. Reads may proceed concurrently — only physical
-// value locations change, never logical content (§4.3).
-func GatherBlock(block *storage.Block, mode Mode) error {
+// value locations change, never logical content (§4.3). The hot arena's
+// slabs are released through d's deferred actions; a nil d releases them
+// at once, for callers that know no reader is active.
+func GatherBlock(block *storage.Block, mode Mode, d txn.Deferrer) error {
 	if block.State() != storage.StateFreezing {
 		return fmt.Errorf("transform: gather on %s block", block.State())
 	}
@@ -82,12 +85,17 @@ func GatherBlock(block *storage.Block, mode Mode) error {
 	// scan that observes Frozen can trust any zone map it then loads (see
 	// storage.ZoneMap).
 	block.SetZoneMap(buildZoneMap(block, rows, nullCounts))
-	// The pre-gather arena is unreachable once entries are rewritten; the
-	// engine defers actual reclamation through the GC's action queue (the
-	// caller registers it), and under Go the runtime frees the memory when
-	// the last old reader drops its reference.
-	block.ReleaseArena()
+	// New readers no longer reach the pre-gather arena, but a hot reader
+	// may have copied an entry just before it was rewritten: retire the
+	// slabs now and release them once every transaction active now has
+	// finished.
+	retired := block.RetireArena()
 	block.SetState(storage.StateFrozen)
+	if d != nil {
+		d.RegisterAction(retired.Release)
+	} else {
+		retired.Release()
+	}
 	return nil
 }
 

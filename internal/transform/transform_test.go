@@ -344,7 +344,7 @@ func TestGatherRequiresFreezing(t *testing.T) {
 	m, table := testEnv(t)
 	fillBlocks(t, m, table, 1, 10, 0)
 	b := table.Blocks()[0]
-	if err := GatherBlock(b, ModeGather); err == nil {
+	if err := GatherBlock(b, ModeGather, nil); err == nil {
 		t.Fatal("gather on hot block accepted")
 	}
 	_ = m

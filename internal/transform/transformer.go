@@ -243,7 +243,11 @@ func (tr *Transformer) TryFreeze(block *storage.Block) freezeOutcome {
 	}
 	// Exclusive: perform the gather. A failure here (should not happen on a
 	// compacted block) returns the block to the hot state.
-	if err := GatherBlock(block, tr.cfg.Mode); err != nil {
+	var d txn.Deferrer
+	if tr.gc != nil {
+		d = tr.gc
+	}
+	if err := GatherBlock(block, tr.cfg.Mode, d); err != nil {
 		block.SetState(storage.StateHot)
 		tr.stats.compactionFails.Add(1)
 		return freezePreempted

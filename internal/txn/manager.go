@@ -401,7 +401,7 @@ func (m *Manager) Abort(t *Transaction) {
 		panic("txn: abort on finished transaction")
 	}
 	t.undo.IterateReverse(func(r *storage.UndoRecord) bool {
-		m.rollback(r)
+		m.rollback(t, r)
 		return true
 	})
 	abortTs := m.ts.Next()
@@ -417,8 +417,8 @@ func (m *Manager) Abort(t *Transaction) {
 	m.retire(t)
 }
 
-// rollback restores the in-place effect of one undo record.
-func (m *Manager) rollback(r *storage.UndoRecord) {
+// rollback restores the in-place effect of one of t's undo records.
+func (m *Manager) rollback(t *Transaction, r *storage.UndoRecord) {
 	block := m.reg.BlockFor(r.Slot)
 	if block == nil {
 		return
@@ -433,8 +433,8 @@ func (m *Manager) rollback(r *storage.UndoRecord) {
 		block.SetAllocated(slot, true)
 	case storage.KindUpdate:
 		// Written in place behind the published record, like the update
-		// it undoes.
-		block.WriteRow(slot, r.Delta)
+		// it undoes; the aborted values' slabs join t's retired list.
+		block.WriteRow(slot, r.Delta, &t.retired)
 	}
 }
 

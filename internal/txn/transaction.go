@@ -60,6 +60,11 @@ type Transaction struct {
 	aborted   bool
 	readOnly  bool
 
+	// retired lists the dedicated arena slabs this transaction's in-place
+	// writes unlinked (commits and aborts alike); the GC releases them
+	// with the undo records, once no reader can hold their handles.
+	retired storage.RetiredSlabs
+
 	// unlinkTs is stamped by the GC when it unlinks this transaction's
 	// records; deallocation waits for the epoch to pass it (§3.3).
 	unlinkTs uint64
@@ -163,6 +168,14 @@ func (t *Transaction) SetUnlinkTs(ts uint64) { t.unlinkTs = ts }
 
 // UnlinkTs returns the GC unlink timestamp (0 if not yet unlinked).
 func (t *Transaction) UnlinkTs() uint64 { return t.unlinkTs }
+
+// Retired is the list the transaction's in-place writes add the arena
+// slabs they unlink to (storage.Block.WriteRow).
+func (t *Transaction) Retired() *storage.RetiredSlabs { return &t.retired }
+
+// ReleaseSlabs releases the arena slabs the transaction's writes unlinked;
+// GC-only, under the same epoch rule as ReleaseUndo.
+func (t *Transaction) ReleaseSlabs() { t.retired.Release() }
 
 // ReleaseUndo returns the undo segments to the pool; GC-only, after the
 // epoch proves no reader can still hold pointers into them.

@@ -189,7 +189,7 @@ func TestAbortRestoresFixedUpdate(t *testing.T) {
 
 	// Seed in-place state.
 	block.WriteFixed(0, slot, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	block.WriteVarlen(1, slot, []byte("original-value-quite-long"))
+	block.WriteVarlen(1, slot, []byte("original-value-quite-long"), nil)
 	block.SetAllocated(slot, true)
 
 	m := NewManager(reg)
@@ -203,7 +203,7 @@ func TestAbortRestoresFixedUpdate(t *testing.T) {
 	block.CASVersionPtr(slot, nil, rec)
 	// Mutate in place.
 	block.WriteFixed(0, slot, []byte{9, 9, 9, 9, 9, 9, 9, 9})
-	block.WriteVarlen(1, slot, []byte("overwritten-by-aborter"))
+	block.WriteVarlen(1, slot, []byte("overwritten-by-aborter"), nil)
 
 	m.Abort(tx)
 	if !tx.Aborted() {

@@ -78,6 +78,18 @@ type GCStats struct {
 	WatermarkLag uint64 `metric:"mainline_engine_gc_watermark_lag"`
 }
 
+// ArenaStats publishes hot-arena memory (Stats().Arena): the slabs that
+// hold spilled varlen values of hot blocks.
+type ArenaStats struct {
+	// HeldBytes is the bytes the slab tables of all blocks hold, slabs
+	// retired but not yet released included.
+	HeldBytes int64 `metric:"mainline_engine_arena_held_bytes"`
+	// ReleasedBytes counts the bytes released since Open: slabs of
+	// overwritten values after their writer's GC epoch, arenas of frozen
+	// blocks after the gather's epoch, and arenas of retired blocks.
+	ReleasedBytes int64 `metric:"mainline_engine_arena_released_bytes_total"`
+}
+
 // engineObs bundles the engine's always-on instruments. Everything is
 // created at Open — instrumentation overhead is a few time.Now() calls
 // per operation (measured <2% on the durable commit bench, see

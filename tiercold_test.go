@@ -92,7 +92,7 @@ func coldFixture(t testing.TB, budget int64) (*Engine, *Table, *objstore.Countin
 			mode = transform.ModeDictionary
 		}
 		blk.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(blk, mode); err != nil {
+		if err := transform.GatherBlock(blk, mode, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -109,7 +109,7 @@ func TestEvictedObjectIsPlainArrow(t *testing.T) {
 			t.Fatal("version chains not pruned; cannot freeze")
 		}
 		blk.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(blk, modes[i]); err != nil {
+		if err := transform.GatherBlock(blk, modes[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

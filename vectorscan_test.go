@@ -77,7 +77,7 @@ func scanFixture(t testing.TB, blocks, perBlock int) (*Engine, *Table) {
 			t.Fatal("version chains not pruned; cannot freeze")
 		}
 		blk.SetState(storage.StateFreezing)
-		if err := transform.GatherBlock(blk, transform.ModeGather); err != nil {
+		if err := transform.GatherBlock(blk, transform.ModeGather, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
