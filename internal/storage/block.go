@@ -410,10 +410,8 @@ func (b *Block) WriteFixed(col ColumnID, slot uint32, src []byte) {
 // rel (see WriteVarlen).
 func (b *Block) WriteNull(col ColumnID, slot uint32, rel *RetiredSlabs) {
 	dst := b.AttrBytes(col, slot)
-	if b.Layout.IsVarlen(col) && entryInArena(dst) {
-		b.arenaMu.Lock()
-		b.arenaUnlink(dst, rel)
-		b.arenaMu.Unlock()
+	if b.Layout.IsVarlen(col) {
+		b.unlinkEntry(dst, rel)
 	}
 	clear(dst)
 	b.SetValid(col, slot, false)
@@ -428,22 +426,16 @@ func (b *Block) WriteNull(col ColumnID, slot uint32, rel *RetiredSlabs) {
 // loads of fresh slots, tests) keeps the slab until the arena retires.
 func (b *Block) WriteVarlen(col ColumnID, slot uint32, val []byte, rel *RetiredSlabs) {
 	entry := b.AttrBytes(col, slot)
-	spilled := len(val) > VarlenInlineLimit
-	if spilled || entryInArena(entry) {
+	if len(val) <= VarlenInlineLimit {
+		b.unlinkEntry(entry, rel)
+		varlenEntryPutInline(entry, val)
+	} else {
 		b.arenaMu.Lock()
 		b.arenaUnlink(entry, rel)
-		var h uint64
-		if spilled {
-			h = b.arenaAppend(val)
-		}
+		h := b.arenaAppend(val)
 		b.arenaMu.Unlock()
-		if spilled {
-			varlenEntryPutSpilled(entry, uint32(len(val)), val[:4], h)
-			b.SetValid(col, slot, true)
-			return
-		}
+		varlenEntryPutSpilled(entry, uint32(len(val)), val[:4], h)
 	}
-	varlenEntryPutInline(entry, val)
 	b.SetValid(col, slot, true)
 }
 
@@ -566,6 +558,15 @@ func entryInArena(entry []byte) bool {
 	return !varlenEntryIsInline(entry) && !handleIsFrozen(varlenEntryHandle(entry))
 }
 
+// unlinkEntry is arenaUnlink for a caller that does not hold arenaMu.
+func (b *Block) unlinkEntry(entry []byte, rel *RetiredSlabs) {
+	if entryInArena(entry) {
+		b.arenaMu.Lock()
+		b.arenaUnlink(entry, rel)
+		b.arenaMu.Unlock()
+	}
+}
+
 // arenaUnlink accounts for an entry that is about to stop naming its arena
 // value: the value no longer counts as live, and a dedicated slab goes to
 // rel. Caller holds arenaMu.
@@ -614,7 +615,7 @@ func (r *RetiredSlabs) Release() {
 // dropSlab removes slab from the table if it still sits at index i.
 func (b *Block) dropSlab(i int, slab []byte) {
 	b.arenaMu.Lock()
-	if i < len(b.arenaSlabs) && i != b.arenaCur && sameSlab(b.arenaSlabs[i], slab) {
+	if i < len(b.arenaSlabs) && sameSlab(b.arenaSlabs[i], slab) {
 		b.arenaSlabs[i] = nil
 		b.arenaFree = append(b.arenaFree, i)
 		b.arenaHold(-int64(cap(slab)))

@@ -380,11 +380,11 @@ func TestOverwrittenSlabResolvesUntilRelease(t *testing.T) {
 
 	b.WriteVarlen(1, 0, bytes.Repeat([]byte("n"), DedicatedSlabMin+172), &rel)
 	b.WriteVarlen(1, 1, bytes.Repeat([]byte("x"), DedicatedSlabMin+72), &rel)
-	if len(rel) != 1 {
-		t.Fatalf("retired %d slabs, want 1", len(rel))
-	}
 	if got := b.arenaValue(h, size); !bytes.Equal(got, old) {
 		t.Fatalf("overwritten value before release reads %q", got)
+	}
+	if len(rel) != 1 {
+		t.Fatalf("retired %d slabs, want 1", len(rel))
 	}
 	before := b.ArenaBytes()
 	rel.Release()
