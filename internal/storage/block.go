@@ -104,13 +104,12 @@ type Block struct {
 	// arenaMu guards the hot varlen arena (see arenaAppend): the slab
 	// table that arena handles index (nil marks a free index), the free
 	// indices later slabs reuse, the shared slab appends fill (-1 when
-	// none), the size of the next shared slab, the count of values that
-	// entries name and the bytes the table holds.
+	// none), the count of values that entries name and the bytes the
+	// table holds.
 	arenaMu     sync.Mutex
 	arenaSlabs  [][]byte
 	arenaFree   []int
 	arenaCur    int
-	arenaNext   int
 	arenaValues int
 	arenaBytes  int64
 	// reg counts arena bytes across all blocks (Registry.ArenaBytes).
@@ -517,8 +516,10 @@ func (b *Block) arenaAppend(val []byte) uint64 {
 		return makeArenaHandle(b.arenaAdd(slab), 0)
 	}
 	if b.arenaCur < 0 || cap(b.arenaSlabs[b.arenaCur])-len(b.arenaSlabs[b.arenaCur]) < len(val) {
-		size := max(b.arenaNext, minArenaSlab)
-		b.arenaNext = min(2*size, maxArenaSlab)
+		size := minArenaSlab
+		if b.arenaCur >= 0 {
+			size = min(2*cap(b.arenaSlabs[b.arenaCur]), maxArenaSlab)
+		}
 		b.arenaCur = b.arenaAdd(make([]byte, 0, size))
 	}
 	cur := b.arenaSlabs[b.arenaCur]
@@ -689,7 +690,7 @@ func (b *Block) RetireArena() RetiredSlabs {
 			rel = append(rel, RetiredSlab{block: b, idx: i, slab: slab})
 		}
 	}
-	b.arenaCur, b.arenaNext, b.arenaValues = -1, 0, 0
+	b.arenaCur, b.arenaValues = -1, 0
 	return rel
 }
 
